@@ -71,7 +71,7 @@ func clusterIngest(base string, rs []rating.Rating, chunk, submitters int) (time
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			payload := make([]server.RatingPayload, 0, chunk)
+			payload := make([]api.RatingPayload, 0, chunk)
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= len(rs) {
@@ -83,7 +83,7 @@ func clusterIngest(base string, rs []rating.Rating, chunk, submitters int) (time
 				}
 				payload = payload[:0]
 				for _, r := range rs[lo:hi] {
-					payload = append(payload, server.RatingPayload{
+					payload = append(payload, api.RatingPayload{
 						Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time,
 					})
 				}

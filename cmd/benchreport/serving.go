@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/randx"
 	"repro/internal/rating"
@@ -139,9 +140,9 @@ func measureServing(n int, seed int64) (ServingStats, error) {
 		return stats, err
 	}
 	client := server.NewClient(ts.URL, ts.Client())
-	payloads := make([]server.RatingPayload, n)
+	payloads := make([]api.RatingPayload, n)
 	for i, r := range rs {
-		payloads[i] = server.RatingPayload{
+		payloads[i] = api.RatingPayload{
 			Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time,
 		}
 	}

@@ -1,25 +1,21 @@
-// Cluster router mode: -route -cluster node1,node2,... serves the
-// stateless proxy tier in front of a partitioned cluster. The router
-// holds no rating state — single-object traffic forwards to the
-// keyspace owner, cross-object reads scatter-gather across the
-// members, and /v1/process runs the scan/apply exchange — so any
-// number of routers can front the same member set.
+// Cluster roles. A member (-cluster with -cluster-self) is a primary
+// that owns one keyspace range. The router (-route -cluster
+// node1,node2,...) serves the stateless proxy tier in front of a
+// partitioned cluster: it holds no rating state — single-object
+// traffic forwards to the keyspace owner, cross-object reads
+// scatter-gather across the members, and /v1/process runs the
+// scan/apply exchange — so any number of routers can front the same
+// member set.
 package main
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/trust"
 )
 
 // splitClusterURLs parses the -cluster flag: comma-separated base
@@ -36,31 +32,44 @@ func splitClusterURLs(s string) []string {
 	return urls
 }
 
-type routerOptions struct {
-	addr       string
-	members    []string
-	epoch      uint64
-	trust      trust.ManagerConfig
-	reqTimeout time.Duration
-	maxBody    int64
-	pprof      bool
+// newMember builds a cluster member: the primary role plus keyspace
+// ownership checks on the shared handlers and the member-only
+// scan/apply routes.
+func newMember(o options) (*daemon, error) {
+	table, err := cluster.EvenTable(o.clusterEpoch, splitClusterURLs(o.cluster))
+	if err != nil {
+		return nil, err
+	}
+	d, err := openPrimary(o)
+	if err != nil {
+		return nil, err
+	}
+	if d.member, err = cluster.NewMember(table, o.clusterSelf, d.engine); err == nil {
+		err = d.servePrimary()
+	}
+	if err != nil {
+		d.abort()
+		return nil, err
+	}
+	return d, nil
 }
 
-// runRouter builds the routing table, the proxy, and serves until
+// runRouter builds the routing table and the proxy, and serves until
 // interrupted. The trust config must match the members': the router
 // folds window evidence with the same Procedure 2 parameters the
 // members apply.
-func runRouter(o routerOptions) error {
-	table, err := cluster.EvenTable(o.epoch, o.members)
+func runRouter(o options) error {
+	members := splitClusterURLs(o.cluster)
+	table, err := cluster.EvenTable(o.clusterEpoch, members)
 	if err != nil {
 		return err
 	}
-	started := time.Now()
 	reg := telemetry.NewRegistry()
-	registerProcessMetrics(reg, started)
+	registerProcessMetrics(reg, time.Now())
 
+	tc := o.coreConfig().Trust
 	rt, err := cluster.NewRouter(table, cluster.RouterConfig{
-		Trust: &o.trust,
+		Trust: &tc,
 		ServerOptions: []server.Option{
 			server.WithMaxBodyBytes(o.maxBody),
 			server.WithRequestTimeout(o.reqTimeout),
@@ -70,27 +79,6 @@ func runRouter(o routerOptions) error {
 	if err != nil {
 		return err
 	}
-
-	httpSrv := &http.Server{
-		Addr:              o.addr,
-		Handler:           telemetryMux(rt, reg, o.pprof),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("ratingd routing a %d-node cluster on %s (epoch %d)\n", len(o.members), o.addr, o.epoch)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case <-stop:
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return httpSrv.Shutdown(ctx)
+	return serve(o.addr, telemetryMux(rt, reg, o.pprof),
+		fmt.Sprintf("ratingd routing a %d-node cluster on %s (epoch %d)", len(members), o.addr, o.clusterEpoch))
 }

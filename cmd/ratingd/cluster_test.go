@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,30 +15,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/rating"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/shard/shardtest"
-	"repro/internal/telemetry"
 	"repro/internal/trust"
 )
 
-// clusterMemberProc is one member "process": the engine, sharded WAL,
-// journal, and server assembled exactly the way run() does in member
-// mode, behind an httptest server whose URL survives kills. kill()
-// aborts every request and abandons the live parts without closing —
-// a SIGKILL, not a drain — and start() on the same WAL dir is the
-// restart that must recover every acked write.
+// clusterMemberProc is one member "process": the daemon newMember
+// builds, behind an httptest server whose URL survives kills. kill()
+// aborts every request and abandons the daemon without its final
+// snapshot — a SIGKILL, not a drain — and start() on the same WAL dir
+// is the restart that must recover every acked write.
 type clusterMemberProc struct {
 	t       *testing.T
 	dir     string
 	url     string
-	table   cluster.Table
+	members string // the -cluster list
 	shards  int
 	handler atomic.Pointer[http.Handler]
 	ts      *httptest.Server
-
-	engine  *shard.Engine
-	journal *shardJournal
-	ws      *shardWALs
+	d       *daemon
 }
 
 func newClusterMemberProc(t *testing.T, shards int) *clusterMemberProc {
@@ -56,30 +51,9 @@ func newClusterMemberProc(t *testing.T, shards int) *clusterMemberProc {
 }
 
 func (p *clusterMemberProc) start() {
-	t := p.t
-	t.Helper()
-	engine, j, ws := openShardDaemon(t, p.dir, p.shards)
-	member, err := cluster.NewMember(p.table, p.url, engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	member.SetSnapshotter(j)
-	srv, err := server.NewWith(engine,
-		server.WithJournal(j),
-		server.WithCluster(member),
-		server.WithFeatures(api.DiscoveryFeatures{StreamIngest: true, Cluster: true}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	member.SetOnApply(srv.InvalidateAll)
-	// The recovered state becomes the log baseline, as run() does.
-	if err := j.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	var h http.Handler = telemetryMux(srv, telemetry.NewRegistry(), false, member.Routes)
-	p.engine, p.journal, p.ws = engine, j, ws
-	p.handler.Store(&h)
+	p.t.Helper()
+	p.d = build(p.t, newMember, walArgs(p.dir, p.shards, "-cluster", p.members, "-cluster-self", p.url)...)
+	p.handler.Store(&p.d.handler)
 }
 
 func (p *clusterMemberProc) kill() {
@@ -87,19 +61,18 @@ func (p *clusterMemberProc) kill() {
 		panic(http.ErrAbortHandler)
 	})
 	p.handler.Store(&dead)
-	// Stop the batching goroutines; nothing is pending (BatchSize 1),
-	// and crucially the WAL logs are NOT closed — no final snapshot,
-	// no fsync beyond what each ack already forced.
-	_ = p.journal.router.Close()
-	p.engine, p.journal, p.ws = nil, nil, nil
+	// Nothing is pending (-batch 1): every ack already went through
+	// its log, and no final snapshot is written.
+	p.d.abort()
+	p.d = nil
 }
 
 func (p *clusterMemberProc) stop() {
-	if p.journal == nil {
+	if p.d == nil {
 		return
 	}
-	closeShardDaemon(p.t, p.journal, p.ws)
-	p.journal, p.ws = nil, nil
+	closeDaemon(p.t, p.d)
+	p.d = nil
 }
 
 func fetchClusterDoc(t *testing.T, base string) api.ClusterResponse {
@@ -125,8 +98,13 @@ func TestChaosCluster(t *testing.T) {
 	w := shardtest.Workload{Seed: 912, Objects: 12, Raters: 24, Malicious: 5, Months: 3, PerMonth: 200}
 	months := w.Generate()
 
-	// The oracle sees exactly the traffic the cluster acks.
-	oracle, err := core.NewSystem(core.Config{})
+	// The oracle sees exactly the traffic the cluster acks, scored with
+	// the configuration the members' default flags set.
+	defaults, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := core.NewSystem(defaults.coreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +120,7 @@ func TestChaosCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procs {
-		p.table = table
+		p.members = strings.Join(urls, ",")
 		p.start()
 	}
 	t.Cleanup(func() {
@@ -174,9 +152,9 @@ func TestChaosCluster(t *testing.T) {
 
 	submit := func(rs []rating.Rating) {
 		t.Helper()
-		payload := make([]server.RatingPayload, len(rs))
+		payload := make([]api.RatingPayload, len(rs))
 		for i, r := range rs {
-			payload[i] = server.RatingPayload{
+			payload[i] = api.RatingPayload{
 				Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time,
 			}
 		}
@@ -232,7 +210,7 @@ func TestChaosCluster(t *testing.T) {
 	}
 	submit(liveRs)
 
-	_, err = client.Submit(ctx, []server.RatingPayload{{
+	_, err = client.Submit(ctx, []api.RatingPayload{{
 		Rater: int(deadRs[0].Rater), Object: int(deadRs[0].Object),
 		Value: deadRs[0].Value, Time: deadRs[0].Time,
 	}})
@@ -270,13 +248,10 @@ func TestChaosCluster(t *testing.T) {
 
 	// Restart: WAL recovery must hold every acked write.
 	procs[1].start()
-	if !procs[1].ws.recovered {
-		t.Fatal("restarted member recovered nothing")
-	}
-	if got := procs[1].engine.Len(); got != ackedOnVictim {
+	if got := procs[1].d.engine.Len(); got != ackedOnVictim {
 		t.Fatalf("restarted member holds %d ratings, want the %d acked before the kill", got, ackedOnVictim)
 	}
-	if got := procs[1].engine.LastWindowEnd(); got != months[0].End {
+	if got := procs[1].d.engine.LastWindowEnd(); got != months[0].End {
 		t.Fatalf("restarted member window high-water %g, want %g", got, months[0].End)
 	}
 	doc = fetchClusterDoc(t, front.URL)
@@ -306,9 +281,9 @@ func TestChaosCluster(t *testing.T) {
 
 	// Every member — including the restarted one — converged to the
 	// identical replicated trust map.
-	base := procs[0].engine.TrustSnapshot()
+	base := procs[0].d.engine.TrustSnapshot()
 	for i, p := range procs[1:] {
-		snap := p.engine.TrustSnapshot()
+		snap := p.d.engine.TrustSnapshot()
 		if len(snap) != len(base) {
 			t.Fatalf("member %d: %d trust records, member 0 has %d", i+1, len(snap), len(base))
 		}

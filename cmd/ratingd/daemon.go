@@ -1,0 +1,348 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"sync"
+	"time"
+
+	"repro/internal/api"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/detector"
+	"repro/internal/parallel"
+	"repro/internal/repl"
+	"repro/internal/server"
+	"repro/internal/shard"
+	"repro/internal/telemetry"
+	"repro/internal/wal"
+)
+
+// daemon is one stateful ratingd process as its role constructor
+// (newPrimary, newMember, newFollower) assembled it: the engine and the
+// handler to serve, plus everything shutdown must drain. run() serves
+// handler and then calls close; tests drive the same constructors.
+type daemon struct {
+	o       options
+	started time.Time
+	reg     *telemetry.Registry
+	walM    *wal.Metrics
+	shardM  *shard.Metrics
+	replM   *repl.Metrics
+	engine  *shard.Engine
+	srv     *server.Server
+	handler http.Handler
+
+	journal *shardJournal    // primaries and members; a follower's comes with promotion
+	member  *cluster.Member  // members only
+	stream  *shard.Streaming // -stream-detect only
+	node    *replNode        // followers only
+
+	bg chan struct{} // closed at shutdown to stop the background loops
+	wg sync.WaitGroup
+}
+
+// newDaemon builds what every stateful role shares: the registry with
+// process and fan-out metrics, and the instrumented engine.
+func newDaemon(o options) (*daemon, error) {
+	d := &daemon{o: o, started: time.Now(), reg: telemetry.NewRegistry(), bg: make(chan struct{})}
+	registerProcessMetrics(d.reg, d.started)
+	cfg := o.coreConfig()
+	cfg.Metrics = core.NewMetrics(d.reg)
+	engine, err := shard.NewEngine(cfg, o.shards)
+	if err != nil {
+		return nil, err
+	}
+	d.engine = engine
+	d.shardM = shard.NewMetrics(d.reg, o.shards)
+	engine.SetMetrics(d.shardM)
+	d.walM = wal.NewMetrics(d.reg)
+	installParallelObserver(d.reg)
+	return d, nil
+}
+
+// newPrimary builds the primary role: the engine recovered from -wal,
+// the journal and batching router in front of it, the API server,
+// replication endpoints whenever the WAL is on, and streaming
+// detection under -stream-detect.
+func newPrimary(o options) (*daemon, error) {
+	d, err := openPrimary(o)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.servePrimary(); err != nil {
+		d.abort()
+		return nil, err
+	}
+	return d, nil
+}
+
+// openPrimary recovers the engine from -wal and fronts it with the
+// journal. Recovery runs before any server exists: whatever the WAL
+// holds decides the starting state.
+func openPrimary(o options) (*daemon, error) {
+	d, err := newDaemon(o)
+	if err != nil {
+		return nil, err
+	}
+	w := &shardWALs{seq: 1}
+	if o.walDir != "" {
+		if w, err = openShardWALs(o.walDir, o.shards, d.engine, d.walOptions); err != nil {
+			d.abort()
+			return nil, err
+		}
+		d.walM.ReplayedRecords.Add(uint64(w.replayed))
+	}
+	if d.journal, err = d.newJournal(w); err != nil {
+		d.abort()
+		return nil, err
+	}
+	return d, nil
+}
+
+// newJournal fronts the engine with a journal over w's logs (none
+// without a WAL) and its batching router; it owns the logs from here
+// on. The router runs even without a WAL: batching is what amortizes
+// per-submission store merges across shards. Primaries and promoted
+// followers both build their journal here.
+func (d *daemon) newJournal(w *shardWALs) (*shardJournal, error) {
+	j := &shardJournal{
+		engine: d.engine,
+		logs:   w.logs,
+		seq:    w.seq,
+		epoch:  w.epoch,
+		recs:   make([][]wal.Record, d.engine.Shards()),
+	}
+	router, err := shard.NewRouter(shard.RouterConfig{
+		Shards:    d.engine.Shards(),
+		BatchSize: d.o.batchSize,
+		Interval:  d.o.batchInterval,
+		Flush:     j.flush,
+		Metrics:   d.shardM,
+	})
+	if err != nil {
+		closeLogSet(w.logs)
+		return nil, err
+	}
+	j.router = router
+	return j, nil
+}
+
+// replRoutes serves the journal's logs to followers: stream, bootstrap
+// snapshot and status under /v1/repl.
+func (d *daemon) replRoutes(j *shardJournal) func(*http.ServeMux) {
+	if d.replM == nil {
+		d.replM = repl.NewMetrics(d.reg)
+	}
+	return repl.NewPrimary(repl.PrimaryConfig{
+		Epoch:   j.epoch,
+		Logs:    j.logs,
+		Journal: j,
+		Metrics: d.replM,
+	}).Routes
+}
+
+// servePrimary builds the API over the journal-fronted engine, makes
+// the recovered state the log baseline, and starts streaming detection
+// and the background loops. A member adds its ownership checks and
+// scan/apply routes.
+func (d *daemon) servePrimary() error {
+	var (
+		opts   = []server.Option{server.WithJournal(d.journal)}
+		mounts []func(*http.ServeMux)
+	)
+	if m := d.member; m != nil {
+		// The journal is the member's snapshotter, so an apply
+		// broadcast is durable before it is acked (member WALs never
+		// hold process records).
+		m.SetSnapshotter(d.journal)
+		opts = append(opts,
+			server.WithCluster(m),
+			server.WithFeatures(api.DiscoveryFeatures{
+				StreamIngest: true,
+				StreamDetect: d.o.streamDetect,
+				Cluster:      true,
+			}),
+		)
+		mounts = append(mounts, m.Routes)
+	}
+	if err := d.newServer(opts...); err != nil {
+		return err
+	}
+	if d.member != nil {
+		// An apply broadcast changes trust and verdicts for raters this
+		// node never saw ratings from; drop every cached read.
+		d.member.SetOnApply(d.srv.InvalidateAll)
+	}
+	if d.journal.logs != nil {
+		mounts = append(mounts, d.replRoutes(d.journal))
+		// The recovered state becomes the logs' baseline, so a crash
+		// before the first background snapshot replays little.
+		if err := d.journal.Snapshot(); err != nil {
+			return fmt.Errorf("initial wal snapshot: %w", err)
+		}
+	}
+	if d.o.streamDetect {
+		if err := d.enableStreaming(); err != nil {
+			return err
+		}
+	}
+	d.handler = telemetryMux(d.srv, d.reg, d.o.pprof, mounts...)
+	d.startBackground()
+	return nil
+}
+
+// newServer builds the API server over the engine with the flag-set
+// options plus extra, and exposes its trust state on the registry.
+func (d *daemon) newServer(extra ...server.Option) error {
+	opts := []server.Option{
+		server.WithMaxBodyBytes(d.o.maxBody),
+		server.WithRequestTimeout(d.o.reqTimeout),
+		server.WithTelemetry(d.reg),
+		server.WithReadCache(d.o.readCache),
+		server.WithStreamBatch(d.o.streamBatch),
+	}
+	if d.o.admit.MaxConcurrent > 0 {
+		opts = append(opts, server.WithAdmission(d.o.admit))
+	}
+	srv, err := server.NewWith(d.engine, append(opts, extra...)...)
+	if err != nil {
+		return err
+	}
+	d.srv = srv
+	registerTrustMetrics(d.reg, srv.System())
+	return nil
+}
+
+// enableStreaming switches online detection on after recovery, so the
+// stream rebuild sees the full recovered store, and ResumeAfter — the
+// recovered window high-water mark — keeps the catch-up pass from
+// re-charging windows that are already durable. Windows the rating
+// clock closes go through the journal, durable exactly like
+// client-issued /v1/process calls.
+func (d *daemon) enableStreaming() error {
+	o := d.o
+	cfg := shard.StreamConfig{
+		Detector: detector.Config{
+			Size:      o.streamWindow,
+			Step:      o.streamStep,
+			Order:     o.order,
+			Threshold: o.threshold,
+		},
+		AlertThreshold: o.alertThreshold,
+		MaintainEvery:  o.maintainEvery,
+		ResumeAfter:    d.engine.LastWindowEnd(),
+	}
+	if o.maintainEvery > 0 {
+		cfg.OnWindowDue = func(start, end float64) {
+			if _, err := d.journal.ProcessWindow(start, end); err != nil {
+				warnf("streaming window [%g,%g): %v", start, end, err)
+				return
+			}
+			d.srv.InvalidateAll()
+		}
+	}
+	s, err := d.engine.EnableStreaming(cfg)
+	if err != nil {
+		return err
+	}
+	d.stream = s
+	d.srv.SetAlerts(alertFeed{log: s.Alerts()})
+	fmt.Printf("streaming detection enabled (window %d/%d ratings, alert threshold %g, maintain every %g days, resume after %g)\n",
+		o.streamWindow, o.streamStep, o.alertThreshold, o.maintainEvery, cfg.ResumeAfter)
+	return nil
+}
+
+// startBackground starts the loops the flags ask for: interval fsync,
+// periodic snapshot+compaction and the telemetry summary. Closing d.bg
+// stops them.
+func (d *daemon) startBackground() {
+	if j := d.journal; j != nil && j.logs != nil {
+		if d.o.fsync == wal.SyncInterval && d.o.fsyncInterval > 0 {
+			d.every(d.o.fsyncInterval, "background fsync", j.Sync)
+		}
+		if d.o.snapEvery > 0 {
+			d.every(d.o.snapEvery, "background snapshot", j.Snapshot)
+		}
+	}
+	if d.o.telemetryInterval > 0 {
+		d.goBackground(func() { summaryLoop(d.bg, d.o.telemetryInterval, d.reg, d.srv.System(), d.started) })
+	}
+}
+
+// every runs fn at each interval tick until shutdown, warning on
+// failures other than a log closed under it.
+func (d *daemon) every(interval time.Duration, what string, fn func() error) {
+	d.goBackground(func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-d.bg:
+				return
+			case <-t.C:
+				if err := fn(); err != nil && !errors.Is(err, wal.ErrClosed) {
+					warnf("%s: %v", what, err)
+				}
+			}
+		}
+	})
+}
+
+// goBackground runs f on a goroutine shutdown waits for; f must return
+// once d.bg closes.
+func (d *daemon) goBackground(f func()) {
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		f()
+	}()
+}
+
+// close is the graceful shutdown once the listener has drained: stop
+// the background loops and streaming, then drain the router into the
+// logs and engine, rebase the logs on the final state and close them.
+func (d *daemon) close() error {
+	d.stopBackground()
+	var errs []error
+	if d.node != nil {
+		errs = append(errs, d.node.close())
+	}
+	if d.journal != nil {
+		errs = append(errs, d.journal.close())
+	}
+	return errors.Join(errs...)
+}
+
+// abort releases what a constructor opened without the final snapshot:
+// the cleanup for a failed start, and the state a crash leaves behind.
+func (d *daemon) abort() {
+	d.stopBackground()
+	if d.node != nil {
+		d.node.follower.Stop()
+	}
+	if d.journal != nil {
+		d.journal.abort()
+	}
+}
+
+func (d *daemon) stopBackground() {
+	close(d.bg)
+	d.wg.Wait()
+	if d.stream != nil {
+		d.stream.Close()
+	}
+	parallel.SetObserver(nil)
+}
+
+// walOptions is the WAL configuration for one log directory.
+func (d *daemon) walOptions(dir string) wal.Options {
+	return wal.Options{
+		Dir:          dir,
+		Policy:       d.o.fsync,
+		SegmentBytes: d.o.segmentBytes,
+		Warnf:        warnf,
+		Metrics:      d.walM,
+	}
+}

@@ -6,48 +6,25 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/rating"
 	"repro/internal/server"
-	"repro/internal/wal"
 )
-
-// openDaemon wires the daemon's pieces the way run() does: WAL open,
-// recovery replay onto a fresh server, journal installed.
-func openDaemon(t *testing.T, dir string) (*server.Server, *walJournal, *wal.Recovery) {
-	t.Helper()
-	log, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	j := &walJournal{log: log}
-	srv, err := server.New(core.Config{}, server.WithJournal(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.sys = srv.System()
-	if rec.Snapshot != nil {
-		if err := srv.System().LoadSnapshot(bytes.NewReader(rec.Snapshot)); err != nil {
-			t.Fatalf("recovery snapshot: %v", err)
-		}
-	}
-	wal.Replay(replayTarget{sys: srv.System()}, rec.Records, t.Logf)
-	return srv, j, rec
-}
 
 // Ratings accepted through the HTTP surface survive an abrupt stop
 // (no final snapshot): the journal holds them and replay restores
 // them, including the trust effects of a processed window.
 func TestDaemonRecoversAcceptedRatingsAfterAbruptStop(t *testing.T) {
 	dir := t.TempDir()
-	srv, j, _ := openDaemon(t, dir)
-	ts := httptest.NewServer(srv)
+	d := walPrimary(t, dir, 1)
+	ts := httptest.NewServer(d.handler)
 	client := server.NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	var batch []server.RatingPayload
+	var batch []api.RatingPayload
 	for i := 0; i < 25; i++ {
-		batch = append(batch, server.RatingPayload{
+		batch = append(batch, api.RatingPayload{
 			Rater: i%5 + 1, Object: 7, Value: 0.8, Time: float64(i),
 		})
 	}
@@ -57,73 +34,69 @@ func TestDaemonRecoversAcceptedRatingsAfterAbruptStop(t *testing.T) {
 	if _, err := client.Process(ctx, 0, 30); err != nil {
 		t.Fatal(err)
 	}
-	wantTrust := srv.System().TrustIn(1)
+	wantTrust := d.engine.TrustIn(1)
 	ts.Close()
-	// Abrupt stop: close the log without snapshotting.
-	if err := j.log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	d.abort()
 
-	srv2, _, rec := openDaemon(t, dir)
-	if len(rec.Records) != 26 { // 25 ratings + 1 process command
-		t.Fatalf("recovered %d records, want 26", len(rec.Records))
+	d2 := walPrimary(t, dir, 1)
+	defer closeDaemon(t, d2)
+	if got := d2.walM.RecoveredRecords.Value(); got != 26 { // 25 ratings + 1 barrier
+		t.Fatalf("recovered %d records, want 26", got)
 	}
-	if got := srv2.System().Len(); got != 25 {
+	if got := d2.engine.Len(); got != 25 {
 		t.Fatalf("recovered %d ratings, want 25", got)
 	}
-	if got := srv2.System().TrustIn(1); got != wantTrust {
+	if got := d2.engine.TrustIn(1); got != wantTrust {
 		t.Fatalf("recovered trust %g, want %g", got, wantTrust)
 	}
 }
 
-// A journal snapshot compacts the log: recovery after it replays no
-// records, and state still matches.
+// A journal snapshot compacts every shard log: recovery after it
+// replays only the post-snapshot tail, and state still matches.
 func TestDaemonSnapshotCompactsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	srv, j, _ := openDaemon(t, dir)
+	d := walPrimary(t, dir, 2)
 	for i := 0; i < 10; i++ {
-		if err := j.SubmitAll([]rating.Rating{{
-			Rater: rating.RaterID(i), Object: 3, Value: 0.4, Time: float64(i),
+		if err := d.journal.SubmitAll([]rating.Rating{{
+			Rater: rating.RaterID(i), Object: rating.ObjectID(i % 4), Value: 0.4, Time: float64(i),
 		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Snapshot(); err != nil {
+	if err := d.journal.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot traffic lands in the tail.
-	if err := j.SubmitAll([]rating.Rating{{Rater: 99, Object: 3, Value: 0.6, Time: 42}}); err != nil {
+	if err := d.journal.SubmitAll([]rating.Rating{{Rater: 99, Object: 3, Value: 0.6, Time: 42}}); err != nil {
 		t.Fatal(err)
 	}
-	want := srv.System().Len()
-	if err := j.log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := engineFingerprint(t, d.engine, 4)
+	d.abort()
 
-	srv2, _, rec := openDaemon(t, dir)
-	if rec.Snapshot == nil {
-		t.Fatal("no snapshot recovered")
+	d2 := walPrimary(t, dir, 2)
+	defer closeDaemon(t, d2)
+	if got := d2.walM.RecoveredRecords.Value(); got != 1 {
+		t.Fatalf("tails hold %d records, want 1", got)
 	}
-	if len(rec.Records) != 1 {
-		t.Fatalf("tail has %d records, want 1", len(rec.Records))
-	}
-	if got := srv2.System().Len(); got != want {
-		t.Fatalf("recovered %d ratings, want %d", got, want)
+	if got := engineFingerprint(t, d2.engine, 4); got != want {
+		t.Fatalf("recovered state diverges:\nwant %q\ngot  %q", want, got)
 	}
 }
 
-// Restore through the journal rebases the log: a crash right after a
-// restore must come back with the restored state, not replay stale
-// pre-restore records on top of it.
-func TestDaemonRestoreRebasesLog(t *testing.T) {
+// Restore through the journal rebases every shard log: a crash right
+// after a restore must come back with the restored state, not replay
+// stale pre-restore records on top of it.
+func TestShardDaemonRestoreRebasesLog(t *testing.T) {
 	dir := t.TempDir()
-	srv, j, _ := openDaemon(t, dir)
-	if err := j.SubmitAll([]rating.Rating{{Rater: 1, Object: 1, Value: 0.2, Time: 1}}); err != nil {
-		t.Fatal(err)
+	d := walPrimary(t, dir, 2)
+	for obj := 0; obj < 4; obj++ { // objects on both shards
+		if err := d.journal.SubmitAll([]rating.Rating{{Rater: 1, Object: rating.ObjectID(obj), Value: 0.2, Time: 1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Build a replacement state with different contents.
-	donor, err := core.NewSafeSystem(core.Config{})
+	donor, err := core.NewSystem(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,51 +109,40 @@ func TestDaemonRestoreRebasesLog(t *testing.T) {
 	if err := donor.WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+	if err := d.journal.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.System().Len(); got != 5 {
+	if got := d.engine.Len(); got != 5 {
 		t.Fatalf("restored live state has %d ratings, want 5", got)
 	}
-	if err := j.log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	d.abort()
 
-	srv2, _, rec := openDaemon(t, dir)
-	if len(rec.Records) != 0 {
-		t.Fatalf("stale records survived restore: %d", len(rec.Records))
+	d2 := walPrimary(t, dir, 2)
+	defer closeDaemon(t, d2)
+	if got := d2.walM.RecoveredRecords.Value(); got != 0 {
+		t.Fatalf("stale records survived restore: %d", got)
 	}
-	if got := srv2.System().Len(); got != 5 {
+	if got := d2.engine.Len(); got != 5 {
 		t.Fatalf("recovered %d ratings after restore, want 5", got)
 	}
-	if tr := srv2.System().TrustIn(1); tr != srv2.System().TrustIn(12345) {
+	if tr := d2.engine.TrustIn(1); tr != d2.engine.TrustIn(12345) {
 		t.Fatalf("pre-restore rater left trust residue: %g", tr)
 	}
 }
 
-// A failing journal append must refuse the write without applying it,
-// and the daemon keeps serving afterwards (the WAL seals the damaged
-// segment and rotates).
-func TestDaemonJournalFailureRefusesWrite(t *testing.T) {
-	dir := t.TempDir()
-	srv, j, _ := openDaemon(t, dir)
+// A failing log append must refuse the batch without applying it.
+func TestShardJournalFailureRefusesWrite(t *testing.T) {
+	d := walPrimary(t, t.TempDir(), 1)
+	defer d.abort()
 	// Close the log out from under the journal: every append now fails.
-	if err := j.log.Close(); err != nil {
+	if err := d.journal.logs[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	err := j.SubmitAll([]rating.Rating{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+	err := d.journal.SubmitAll([]rating.Rating{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 	if err == nil {
 		t.Fatal("append on closed log accepted")
 	}
-	if got := srv.System().Len(); got != 0 {
+	if got := d.engine.Len(); got != 0 {
 		t.Fatalf("unjournaled rating applied: %d", got)
-	}
-}
-
-// The full run() path: start on a port, let it fail to bind a second
-// time, and confirm flag validation still works with WAL flags.
-func TestRunRejectsBadFsyncPolicy(t *testing.T) {
-	if err := run([]string{"-fsync", "sometimes"}); err == nil {
-		t.Fatal("bad fsync policy accepted")
 	}
 }

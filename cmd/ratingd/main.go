@@ -1,14 +1,17 @@
 // Command ratingd serves the trust-enhanced rating system over HTTP.
 //
 //	ratingd -addr :8080
-//	ratingd -addr :8080 -snapshot state.json   # load state, save on exit
 //	ratingd -addr :8080 -wal ./wal             # crash-safe: log + recover
+//	ratingd -addr :8080 -wal ./wal -shards 4   # four shard workers
 //
+// Every stateful role serves the sharded engine (a single shard is
+// byte-identical to the core.System oracle) behind a batching router.
 // With -wal, every accepted rating batch and maintenance window is
-// written to an append-only, checksummed log before it is applied, and
-// startup recovers state by loading the latest durable snapshot and
-// replaying the log tail — tolerating a torn final record from a
-// crash. Periodic snapshots compact the log in the background.
+// written to per-shard append-only, checksummed logs before it is
+// applied, and startup recovers state by loading each shard's latest
+// durable snapshot and replaying the log tails — tolerating a torn
+// final record from a crash. Periodic snapshots compact the logs in
+// the background; the WAL is the daemon's only persistence.
 //
 // Endpoints are documented in internal/server (wire types in
 // internal/api). Example session:
@@ -26,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -34,21 +36,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/api"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
-	"repro/internal/faultinject"
-	"repro/internal/parallel"
-	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/telemetry"
 	"repro/internal/trust"
 	"repro/internal/wal"
 )
@@ -60,612 +54,210 @@ func main() {
 	}
 }
 
-func run(args []string) (retErr error) {
-	fs := flag.NewFlagSet("ratingd", flag.ContinueOnError)
-	var (
-		addr      = fs.String("addr", ":8080", "listen address")
-		snapshot  = fs.String("snapshot", "", "state file: loaded at start if present, written on exit")
-		threshold = fs.Float64("threshold", 0.1, "detector model-error threshold")
-		width     = fs.Float64("width", 10, "detector window width (days)")
-		step      = fs.Float64("step", 5, "detector window step (days)")
-		order     = fs.Int("order", 4, "AR model order")
-		b         = fs.Float64("b", 1, "Procedure 2's b (suspicion weight)")
-		forget    = fs.Float64("forget", 1, "per-day trust forgetting factor")
-
-		streamDetect   = fs.Bool("stream-detect", false, "online streaming detection: per-object detector streams fed at submit time, alerts on /v1/alerts; forces the sharded engine backend")
-		streamWindow   = fs.Int("stream-window", 50, "streaming detector: ratings per count window")
-		streamStep     = fs.Int("stream-step", 25, "streaming detector: ratings between window starts")
-		alertThreshold = fs.Float64("alert-threshold", 0.5, "accrued suspicion at which a rater is alerted")
-		maintainEvery  = fs.Float64("maintain-every", 0, "streaming: auto-close an authoritative maintenance window every this many rating-days; 0 leaves windows to /v1/process")
-
-		shards        = fs.Int("shards", 1, "shard workers partitioning state by object; 1 keeps the single-system engine")
-		batchSize     = fs.Int("batch", 256, "sharded mode: ratings coalesced per shard flush (group commit)")
-		batchInterval = fs.Duration("batch-interval", 2*time.Millisecond, "sharded mode: max wait before a partial batch flushes; negative flushes on size only")
-
-		walDir        = fs.String("wal", "", "write-ahead-log directory; empty disables the WAL")
-		fsyncMode     = fs.String("fsync", "always", "WAL fsync policy: always|interval|never")
-		fsyncInterval = fs.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence under -fsync interval")
-		segmentBytes  = fs.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
-		snapEvery     = fs.Duration("snap-every", 5*time.Minute, "background snapshot+compaction cadence; 0 disables")
-
-		reqTimeout = fs.Duration("request-timeout", 30*time.Second, "per-request handling timeout; 0 disables")
-		maxBody    = fs.Int64("max-body-bytes", 8<<20, "maximum request body size")
-
-		readCache   = fs.Int("read-cache", 0, "read-cache capacity in objects; 0 uses the default (4096), negative disables caching")
-		streamBatch = fs.Int("stream-batch", 512, "ratings coalesced per group-commit submit on /v1/ratings:stream")
-		admitMax    = fs.Int("admit-max", 0, "mutating requests allowed to execute at once; 0 disables admission control")
-		admitQueue  = fs.Int("admit-queue", 0, "mutating requests that may queue for a slot beyond -admit-max")
-		admitWait   = fs.Duration("admit-wait", 250*time.Millisecond, "longest a queued mutating request waits for a slot before a 429 shed")
-		admitRetry  = fs.Duration("admit-retry-after", 0, "Retry-After hint on shed responses; 0 derives it from -admit-wait")
-
-		routeMode    = fs.Bool("route", false, "run as a stateless cluster router: forward single-object traffic to the keyspace owner in -cluster and scatter-gather cross-object reads")
-		clusterList  = fs.String("cluster", "", "comma-separated member base URLs; the 2^32 keyspace splits evenly across them in list order")
-		clusterSelf  = fs.String("cluster-self", "", "member mode: this node's own base URL exactly as it appears in -cluster")
-		clusterEpoch = fs.Uint64("cluster-epoch", 1, "routing-table version; requests pinning another epoch are refused with a typed 409 stale_epoch")
-
-		follow        = fs.String("follow", "", "run as a bounded-staleness read replica of this primary base URL")
-		maxLag        = fs.Duration("max-lag", 0, "replica: refuse reads (typed 503 replica_stale) once replicated state is older than this; 0 disables")
-		maxLagRecords = fs.Uint64("max-lag-records", 0, "replica: refuse reads once this many records behind the primary; 0 disables")
-		promoteAfter  = fs.Duration("promote-after", 0, "replica: self-promote to primary once the primary has been silent this long; 0 disables")
-		promoteURL    = fs.String("promote", "", "one-shot: promote the ratingd follower at this base URL to primary, then exit")
-		replSeed      = fs.Int64("repl-seed", 0, "replica: reconnect-jitter seed; 0 derives one from the clock so identically-launched followers still diverge")
-
-		pprofOn           = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		telemetryInterval = fs.Duration("telemetry-interval", 0, "print a summary line to stderr at this cadence; 0 disables")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *promoteURL != "" {
-		return promoteRemote(*promoteURL)
-	}
-	if *routeMode && *clusterList == "" {
-		return errors.New("-route needs the member list: -cluster url1,url2,...")
-	}
-	if *clusterList != "" && *follow != "" {
-		return errors.New("-cluster and -follow are mutually exclusive; cluster members replicate trust through the router's apply broadcast")
-	}
-	if *clusterList != "" && !*routeMode && *clusterSelf == "" {
-		return errors.New("-cluster without -route runs a member; name this node's own URL with -cluster-self")
-	}
-	if *routeMode {
-		// The router is stateless — no engine, journal, or WAL — so it
-		// skips the backend build entirely and serves the proxy tier.
-		return runRouter(routerOptions{
-			addr:       *addr,
-			members:    splitClusterURLs(*clusterList),
-			epoch:      *clusterEpoch,
-			trust:      trust.ManagerConfig{B: *b, Forgetting: *forget},
-			reqTimeout: *reqTimeout,
-			maxBody:    *maxBody,
-			pprof:      *pprofOn,
-		})
-	}
-
-	var policy wal.SyncPolicy
-	switch *fsyncMode {
-	case "always":
-		policy = wal.SyncAlways
-	case "interval":
-		policy = wal.SyncInterval
-	case "never":
-		policy = wal.SyncNever
-	default:
-		return fmt.Errorf("unknown -fsync policy %q", *fsyncMode)
-	}
-
-	started := time.Now()
-	reg := telemetry.NewRegistry()
-	registerProcessMetrics(reg, started)
-	installParallelObserver(reg)
-	defer parallel.SetObserver(nil)
-
-	cfg := core.Config{
-		Detector: detector.Config{
-			Width:     *width,
-			TimeStep:  *step,
-			Order:     *order,
-			Threshold: *threshold,
-		},
-		Trust:   trust.ManagerConfig{B: *b, Forgetting: *forget},
-		Metrics: core.NewMetrics(reg),
-	}
-
-	warnf := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "ratingd: "+format+"\n", a...)
-	}
-
-	// Build the backend and its journal. Recovery runs before the
-	// server exists: whatever the WAL holds decides the starting state.
-	walMetrics := wal.NewMetrics(reg)
-	mkWALOpts := func(dir string) wal.Options {
-		return wal.Options{
-			Dir:          dir,
-			Policy:       policy,
-			SegmentBytes: *segmentBytes,
-			Warnf:        warnf,
-			Metrics:      walMetrics,
-		}
-	}
-	usingWAL := *walDir != ""
-
-	var (
-		backend      server.Backend
-		journal      daemonJournal
-		router       *shard.Router
-		recovered    bool
-		followEngine *shard.Engine  // non-nil in -follow mode
-		shardMetrics *shard.Metrics // non-nil whenever the engine backend is used
-		walEpoch     int            // live manifest epoch in sharded-WAL mode
-		walLogs      []*wal.Log     // per-shard logs in sharded-WAL mode
-	)
-	shardEngineBackend, err := useShardEngine(*shards, *walDir)
+// run parses the command line, builds the role it names and serves it
+// until interrupted.
+func run(args []string) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	if *streamDetect {
-		if *follow != "" {
-			// Alerts reflect live detection state, which only the primary
-			// computes; followers refuse /v1/alerts with 421 not_primary.
-			return errors.New("-stream-detect runs on primaries only; drop -follow or detect on the primary")
-		}
-		// The streaming path lives in the sharded engine; a single shard
-		// still uses it (one worker, same conformance guarantees).
-		shardEngineBackend = true
+	if o.promote != "" {
+		return promoteRemote(o.promote)
 	}
-	if *clusterList != "" {
-		// Member state lives in the sharded engine: the scan/apply
-		// exchange and point-range reads are engine operations.
-		shardEngineBackend = true
+	if o.route {
+		return runRouter(o)
 	}
-	if *follow != "" {
-		// Follower: the primary is authoritative, so nothing local is
-		// recovered and no journal is installed — the replica gate
-		// refuses mutations before they could want one. The engine
-		// backend is used at any -shards count (shard.Recover remaps
-		// replicated state by hash, so the counts need not match the
-		// primary's).
-		if *snapshot != "" {
-			return fmt.Errorf("-snapshot cannot seed a follower; state replicates from %s", *follow)
-		}
-		engine, err := shard.NewEngine(cfg, *shards)
-		if err != nil {
-			return err
-		}
-		shardMetrics = shard.NewMetrics(reg, *shards)
-		engine.SetMetrics(shardMetrics)
-		backend = engine
-		followEngine = engine
-		if usingWAL {
-			if m, ok, err := readManifest(*walDir); err != nil {
-				return err
-			} else if ok {
-				warnf("wal: %s holds epoch %d (%d shards); it stays untouched while following %s and is superseded at promotion",
-					*walDir, m.Epoch, m.Shards, *follow)
-			}
-		}
-	} else if shardEngineBackend {
-		engine, err := shard.NewEngine(cfg, *shards)
-		if err != nil {
-			return err
-		}
-		shardMetrics = shard.NewMetrics(reg, *shards)
-		engine.SetMetrics(shardMetrics)
-		backend = engine
-
-		sj := newShardJournal(engine, nil, 1)
-		if usingWAL {
-			ws, err := openShardWALs(*walDir, *shards, engine, mkWALOpts, warnf)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				for _, l := range ws.logs {
-					if err := l.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
-						retErr = errors.Join(retErr, fmt.Errorf("close shard wal: %w", err))
-					}
-				}
-			}()
-			sj.logs = ws.logs
-			sj.seq = ws.seq
-			recovered = ws.recovered
-			walEpoch = ws.epoch
-			walLogs = ws.logs
-		}
-		// The router fronts the journal even without a WAL: batching is
-		// what amortizes per-submission store merges across shards.
-		router, err = shard.NewRouter(shard.RouterConfig{
-			Shards:    *shards,
-			BatchSize: *batchSize,
-			Interval:  *batchInterval,
-			Flush:     sj.flush,
-			Metrics:   shardMetrics,
-		})
-		if err != nil {
-			return err
-		}
-		sj.router = router
-		journal = sj
-	} else {
-		if usingWAL {
-			// Refuse a directory the sharded layout owns: falling back to
-			// an empty root log would silently serve zero state.
-			if m, ok, err := readManifest(*walDir); err != nil {
-				return err
-			} else if ok {
-				return fmt.Errorf("wal dir %s is sharded (%d shards, epoch %d); rerun with -shards >= 2",
-					*walDir, m.Shards, m.Epoch)
-			}
-		}
-		sys, err := core.NewSafeSystem(cfg)
-		if err != nil {
-			return err
-		}
-		backend = sys
-
-		var rec *wal.Recovery
-		var wj *walJournal
-		if usingWAL {
-			log, r, err := wal.Open(mkWALOpts(*walDir))
-			if err != nil {
-				return fmt.Errorf("open wal: %w", err)
-			}
-			defer func() {
-				if err := log.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
-					retErr = errors.Join(retErr, fmt.Errorf("close wal: %w", err))
-				}
-			}()
-			rec = r
-			wj = &walJournal{log: log, sys: sys}
-			journal = wj
-		}
-
-		// Recover: snapshot baseline + log-tail replay. Recovery is
-		// best-effort by design — a damaged snapshot or record is warned
-		// about and skipped, never a refusal to start.
-		if wj != nil {
-			if rec.Snapshot != nil {
-				if err := sys.LoadSnapshot(bytes.NewReader(rec.Snapshot)); err != nil {
-					warnf("recovery: snapshot unusable, replaying log from scratch: %v", err)
-				}
-			}
-			applied := wal.Replay(replayTarget{sys: sys}, rec.Records, warnf)
-			walMetrics.ReplayedRecords.Add(uint64(applied))
-			if rec.Snapshot != nil || len(rec.Records) > 0 {
-				fmt.Printf("recovered %d ratings (%d/%d log records from %d segments)\n",
-					sys.Len(), applied, len(rec.Records), rec.Segments)
-			}
-			recovered = rec.Snapshot != nil || len(rec.Records) > 0
-		}
-	}
-
-	// Cluster member: keyspace ownership checks on the shared handlers
-	// plus the member-only scan/apply endpoints. The shard journal is
-	// the member's snapshotter, so an apply broadcast is durable before
-	// it is acked (member WALs never hold process records).
-	var member *cluster.Member
-	if *clusterList != "" {
-		table, err := cluster.EvenTable(*clusterEpoch, splitClusterURLs(*clusterList))
-		if err != nil {
-			return err
-		}
-		member, err = cluster.NewMember(table, strings.TrimRight(*clusterSelf, "/"), backend.(*shard.Engine))
-		if err != nil {
-			return err
-		}
-		if usingWAL && journal != nil {
-			member.SetSnapshotter(journal)
-		}
-	}
-
-	opts := []server.Option{
-		server.WithMaxBodyBytes(*maxBody),
-		server.WithRequestTimeout(*reqTimeout),
-		server.WithTelemetry(reg),
-		server.WithReadCache(*readCache),
-		server.WithStreamBatch(*streamBatch),
-	}
-	if *admitMax > 0 {
-		opts = append(opts, server.WithAdmission(server.AdmissionConfig{
-			MaxConcurrent: *admitMax,
-			MaxQueue:      *admitQueue,
-			MaxWait:       *admitWait,
-			RetryAfter:    *admitRetry,
-		}))
-	}
-	if journal != nil {
-		opts = append(opts, server.WithJournal(journal))
-	}
-	if member != nil {
-		opts = append(opts,
-			server.WithCluster(member),
-			server.WithFeatures(api.DiscoveryFeatures{
-				StreamIngest: true,
-				StreamDetect: *streamDetect,
-				Cluster:      true,
-			}),
-		)
-	}
-	srv, err := server.NewWith(backend, opts...)
-	if err != nil {
-		return err
-	}
-	registerTrustMetrics(reg, srv.System())
-	if member != nil {
-		// An apply broadcast changes trust and verdicts for raters this
-		// node never saw ratings from; drop every cached read.
-		member.SetOnApply(srv.InvalidateAll)
-	}
-
-	// Replication wiring: either a follower node (replica gate plus
-	// in-place promotion) or, on a sharded-WAL primary, the
-	// stream/snapshot/status endpoints followers replicate from.
-	var (
-		node        *replNode
-		replPrimary *repl.Primary
-	)
-	if *follow != "" {
-		replMetrics := repl.NewMetrics(reg)
-		seed := *replSeed
-		if seed == 0 {
-			seed = time.Now().UnixNano()
-		}
-		primaryURL := strings.TrimRight(*follow, "/")
-		follower := repl.NewFollower(repl.FollowerConfig{
-			PrimaryURL: primaryURL,
-			Engine:     followEngine,
-			Metrics:    replMetrics,
-			Seed:       seed,
-			OnApply:    srv.InvalidateRatings,
-			OnWindow:   srv.InvalidateAll,
-			Warnf:      warnf,
-		})
-		node = newReplNode(replNodeConfig{
-			Follower:      follower,
-			Server:        srv,
-			Engine:        followEngine,
-			Metrics:       replMetrics,
-			PrimaryURL:    primaryURL,
-			WALDir:        *walDir,
-			MkOpts:        mkWALOpts,
-			BatchSize:     *batchSize,
-			BatchInterval: *batchInterval,
-			ShardMetrics:  shardMetrics,
-			MaxLagRecords: *maxLagRecords,
-			MaxLagSeconds: maxLag.Seconds(),
-			Warnf:         warnf,
-		})
-		srv.SetReplica(node.replicaInfo())
-		go func() { _ = follower.Run(context.Background()) }()
-		defer func() {
-			if err := node.close(); err != nil {
-				retErr = errors.Join(retErr, err)
-			}
-		}()
-		fmt.Printf("following %s (max lag: %d records / %s)\n", primaryURL, *maxLagRecords, *maxLag)
-	} else if *shards > 1 && usingWAL {
-		replPrimary = repl.NewPrimary(repl.PrimaryConfig{
-			Epoch:   walEpoch,
-			Logs:    walLogs,
-			Journal: journal.(*shardJournal),
-			Metrics: repl.NewMetrics(reg),
-		})
-	}
-
-	// A -snapshot file seeds state only when the WAL recovered
-	// nothing (or the WAL is off); otherwise the WAL is authoritative.
-	if *snapshot != "" && !recovered {
-		if err := loadSnapshot(srv, *snapshot); err != nil {
-			return err
-		}
-	}
-	if *snapshot != "" {
-		// Persist on every exit path — clean shutdown, listener
-		// failure, or shutdown error — not just the signal path.
-		defer func() {
-			if err := saveSnapshot(srv, *snapshot); err != nil {
-				retErr = errors.Join(retErr, fmt.Errorf("save snapshot: %w", err))
-				return
-			}
-			fmt.Printf("state saved to %s\n", *snapshot)
-		}()
-	}
-	if usingWAL && journal != nil {
-		// Make the recovered + seeded state the log's baseline so a
-		// crash before the first background snapshot replays little.
-		defer func() {
-			if err := journal.Snapshot(); err != nil {
-				retErr = errors.Join(retErr, fmt.Errorf("final wal snapshot: %w", err))
-			}
-		}()
-		if err := journal.Snapshot(); err != nil {
-			return fmt.Errorf("initial wal snapshot: %w", err)
-		}
-	}
-
-	// Streaming detection goes live after recovery and seeding, so the
-	// stream rebuild sees the full recovered store, and ResumeAfter —
-	// the recovered window high-water mark — keeps the catch-up pass
-	// from re-charging windows that are already durable.
-	if *streamDetect {
-		engine, ok := backend.(*shard.Engine)
-		if !ok {
-			return errors.New("-stream-detect: backend is not the sharded engine")
-		}
-		scfg := shard.StreamConfig{
-			Detector: detector.Config{
-				Size:      *streamWindow,
-				Step:      *streamStep,
-				Order:     *order,
-				Threshold: *threshold,
-			},
-			AlertThreshold: *alertThreshold,
-			MaintainEvery:  *maintainEvery,
-			ResumeAfter:    engine.LastWindowEnd(),
-		}
-		if *maintainEvery > 0 {
-			scfg.OnWindowDue = func(start, end float64) {
-				var err error
-				if journal != nil {
-					_, err = journal.ProcessWindow(start, end)
-				} else {
-					_, err = engine.ProcessWindow(start, end)
-				}
-				if err != nil {
-					warnf("streaming window [%g,%g): %v", start, end, err)
-					return
-				}
-				srv.InvalidateAll()
-			}
-		}
-		streaming, err := engine.EnableStreaming(scfg)
-		if err != nil {
-			return err
-		}
-		defer streaming.Close()
-		srv.SetAlerts(alertFeed{log: streaming.Alerts()})
-		fmt.Printf("streaming detection enabled (window %d/%d ratings, alert threshold %g, maintain every %g days, resume after %g)\n",
-			*streamWindow, *streamStep, *alertThreshold, *maintainEvery, scfg.ResumeAfter)
-	}
-
-	// Background maintenance: interval fsync and periodic
-	// snapshot+compaction.
-	bg := make(chan struct{})
-	defer close(bg)
-	if node != nil && *promoteAfter > 0 {
-		go node.deathWatch(bg, *promoteAfter)
-	}
-	if usingWAL && journal != nil && policy == wal.SyncInterval && *fsyncInterval > 0 {
-		go func() {
-			t := time.NewTicker(*fsyncInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-bg:
-					return
-				case <-t.C:
-					if err := journal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-						warnf("background fsync: %v", err)
-					}
-				}
-			}
-		}()
-	}
-	if usingWAL && journal != nil && *snapEvery > 0 {
-		go func() {
-			t := time.NewTicker(*snapEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-bg:
-					return
-				case <-t.C:
-					if err := journal.Snapshot(); err != nil && !errors.Is(err, wal.ErrClosed) {
-						warnf("background snapshot: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
-	if router != nil {
-		// Registered after every other cleanup so it runs first on
-		// shutdown: drain pending batches into the logs and engine
-		// before the final snapshot captures them.
-		defer func() {
-			if err := router.Close(); err != nil {
-				retErr = errors.Join(retErr, fmt.Errorf("close router: %w", err))
-			}
-		}()
-	}
-
-	if *telemetryInterval > 0 {
-		go summaryLoop(bg, *telemetryInterval, reg, srv.System(), started)
-	}
-
-	var mounts []func(*http.ServeMux)
-	if member != nil {
-		mounts = append(mounts, member.Routes)
-	}
+	var d *daemon
 	switch {
-	case node != nil:
-		mounts = append(mounts, node.routes)
-	case replPrimary != nil:
-		mounts = append(mounts, replPrimary.Routes)
+	case o.follow != "":
+		d, err = newFollower(o)
+	case o.cluster != "":
+		d, err = newMember(o)
+	default:
+		d, err = newPrimary(o)
+	}
+	if err != nil {
+		return err
+	}
+	banner := "ratingd listening on " + o.addr
+	if d.member != nil {
+		t := d.member.Table()
+		banner += fmt.Sprintf("\ncluster member %s (epoch %d, %d nodes)", o.clusterSelf, t.Epoch, len(t.Nodes))
+	}
+	err = serve(o.addr, d.handler, banner)
+	return errors.Join(err, d.close())
+}
+
+// options is the parsed ratingd command line.
+type options struct {
+	addr string
+
+	threshold, width, step float64
+	order                  int
+	b, forget              float64
+
+	streamDetect             bool
+	streamWindow, streamStep int
+	alertThreshold           float64
+	maintainEvery            float64
+
+	shards        int
+	batchSize     int
+	batchInterval time.Duration
+
+	walDir        string
+	fsync         wal.SyncPolicy
+	fsyncInterval time.Duration
+	segmentBytes  int64
+	snapEvery     time.Duration
+
+	reqTimeout  time.Duration
+	maxBody     int64
+	readCache   int
+	streamBatch int
+	admit       server.AdmissionConfig // MaxConcurrent 0 disables admission control
+
+	route        bool
+	cluster      string // comma-separated member URLs
+	clusterSelf  string
+	clusterEpoch uint64
+
+	follow        string
+	maxLag        time.Duration
+	maxLagRecords uint64
+	promoteAfter  time.Duration
+	promote       string
+	replSeed      int64
+
+	pprof             bool
+	telemetryInterval time.Duration
+}
+
+// coreConfig is the detection and trust configuration the flags set.
+func (o options) coreConfig() core.Config {
+	return core.Config{
+		Detector: detector.Config{Width: o.width, TimeStep: o.step, Order: o.order, Threshold: o.threshold},
+		Trust:    trust.ManagerConfig{B: o.b, Forgetting: o.forget},
+	}
+}
+
+// parseFlags parses and cross-checks the command line.
+func parseFlags(args []string) (options, error) {
+	var (
+		o         options
+		fsyncMode string
+	)
+	fs := flag.NewFlagSet("ratingd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.Float64Var(&o.threshold, "threshold", 0.1, "detector model-error threshold")
+	fs.Float64Var(&o.width, "width", 10, "detector window width (days)")
+	fs.Float64Var(&o.step, "step", 5, "detector window step (days)")
+	fs.IntVar(&o.order, "order", 4, "AR model order")
+	fs.Float64Var(&o.b, "b", 1, "Procedure 2's b (suspicion weight)")
+	fs.Float64Var(&o.forget, "forget", 1, "per-day trust forgetting factor")
+
+	fs.BoolVar(&o.streamDetect, "stream-detect", false, "online streaming detection: per-object detector streams fed at submit time, alerts on /v1/alerts")
+	fs.IntVar(&o.streamWindow, "stream-window", 50, "streaming detector: ratings per count window")
+	fs.IntVar(&o.streamStep, "stream-step", 25, "streaming detector: ratings between window starts")
+	fs.Float64Var(&o.alertThreshold, "alert-threshold", 0.5, "accrued suspicion at which a rater is alerted")
+	fs.Float64Var(&o.maintainEvery, "maintain-every", 0, "streaming: auto-close an authoritative maintenance window every this many rating-days; 0 leaves windows to /v1/process")
+
+	fs.IntVar(&o.shards, "shards", 1, "shard workers partitioning state by object")
+	fs.IntVar(&o.batchSize, "batch", 256, "ratings coalesced per shard flush (group commit)")
+	fs.DurationVar(&o.batchInterval, "batch-interval", 2*time.Millisecond, "max wait before a partial batch flushes; negative flushes on size only")
+
+	fs.StringVar(&o.walDir, "wal", "", "write-ahead-log directory; empty disables the WAL")
+	fs.StringVar(&fsyncMode, "fsync", "always", "WAL fsync policy: always|interval|never")
+	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background fsync cadence under -fsync interval")
+	fs.Int64Var(&o.segmentBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation size")
+	fs.DurationVar(&o.snapEvery, "snap-every", 5*time.Minute, "background snapshot+compaction cadence; 0 disables")
+
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request handling timeout; 0 disables")
+	fs.Int64Var(&o.maxBody, "max-body-bytes", 8<<20, "maximum request body size")
+
+	fs.IntVar(&o.readCache, "read-cache", 0, "read-cache capacity in objects; 0 uses the default (4096), negative disables caching")
+	fs.IntVar(&o.streamBatch, "stream-batch", 512, "ratings coalesced per group-commit submit on /v1/ratings:stream")
+	fs.IntVar(&o.admit.MaxConcurrent, "admit-max", 0, "mutating requests allowed to execute at once; 0 disables admission control")
+	fs.IntVar(&o.admit.MaxQueue, "admit-queue", 0, "mutating requests that may queue for a slot beyond -admit-max")
+	fs.DurationVar(&o.admit.MaxWait, "admit-wait", 250*time.Millisecond, "longest a queued mutating request waits for a slot before a 429 shed")
+	fs.DurationVar(&o.admit.RetryAfter, "admit-retry-after", 0, "Retry-After hint on shed responses; 0 derives it from -admit-wait")
+
+	fs.BoolVar(&o.route, "route", false, "run as a stateless cluster router: forward single-object traffic to the keyspace owner in -cluster and scatter-gather cross-object reads")
+	fs.StringVar(&o.cluster, "cluster", "", "comma-separated member base URLs; the 2^32 keyspace splits evenly across them in list order")
+	fs.StringVar(&o.clusterSelf, "cluster-self", "", "member mode: this node's own base URL exactly as it appears in -cluster")
+	fs.Uint64Var(&o.clusterEpoch, "cluster-epoch", 1, "routing-table version; requests pinning another epoch are refused with a typed 409 stale_epoch")
+
+	fs.StringVar(&o.follow, "follow", "", "run as a bounded-staleness read replica of this primary base URL")
+	fs.DurationVar(&o.maxLag, "max-lag", 0, "replica: refuse reads (typed 503 replica_stale) once replicated state is older than this; 0 disables")
+	fs.Uint64Var(&o.maxLagRecords, "max-lag-records", 0, "replica: refuse reads once this many records behind the primary; 0 disables")
+	fs.DurationVar(&o.promoteAfter, "promote-after", 0, "replica: self-promote to primary once the primary has been silent this long; 0 disables")
+	fs.StringVar(&o.promote, "promote", "", "one-shot: promote the ratingd follower at this base URL to primary, then exit")
+	fs.Int64Var(&o.replSeed, "repl-seed", 0, "replica: reconnect-jitter seed; 0 derives one from the clock so identically-launched followers still diverge")
+
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&o.telemetryInterval, "telemetry-interval", 0, "print a summary line to stderr at this cadence; 0 disables")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
 
+	switch fsyncMode {
+	case "always":
+		o.fsync = wal.SyncAlways
+	case "interval":
+		o.fsync = wal.SyncInterval
+	case "never":
+		o.fsync = wal.SyncNever
+	default:
+		return o, fmt.Errorf("unknown -fsync policy %q", fsyncMode)
+	}
+	o.clusterSelf = strings.TrimRight(o.clusterSelf, "/")
+	o.follow = strings.TrimRight(o.follow, "/")
+	switch {
+	case o.promote != "":
+		// The one-shot promote client ignores every other flag.
+	case o.route && o.cluster == "":
+		return o, errors.New("-route needs the member list: -cluster url1,url2,...")
+	case o.cluster != "" && o.follow != "":
+		return o, errors.New("-cluster and -follow are mutually exclusive; cluster members replicate trust through the router's apply broadcast")
+	case o.cluster != "" && !o.route && o.clusterSelf == "":
+		return o, errors.New("-cluster without -route runs a member; name this node's own URL with -cluster-self")
+	case o.streamDetect && o.follow != "":
+		// Alerts reflect live detection state, which only the primary
+		// computes; followers refuse /v1/alerts with 421 not_primary.
+		return o, errors.New("-stream-detect runs on primaries only; drop -follow or detect on the primary")
+	}
+	return o, nil
+}
+
+// serve runs h on addr until SIGINT or SIGTERM, then stops accepting
+// and drains in-flight requests for up to five seconds. Every role
+// serves through it.
+func serve(addr string, h http.Handler, banner string) error {
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           telemetryMux(srv, reg, *pprofOn, mounts...),
+		Addr:              addr,
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("ratingd listening on %s\n", *addr)
-	if member != nil {
-		t := member.Table()
-		fmt.Printf("cluster member %s (epoch %d, %d nodes)\n", *clusterSelf, t.Epoch, len(t.Nodes))
-	}
+	fmt.Println(banner)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	select {
 	case err := <-errCh:
 		return err
 	case <-stop:
 	}
-
-	// Graceful drain: stop accepting, finish in-flight requests, then
-	// the deferred final snapshot + WAL close run.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return httpSrv.Shutdown(ctx)
 }
 
-func loadSnapshot(srv *server.Server, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // first start
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := srv.System().LoadSnapshot(f); err != nil {
-		return fmt.Errorf("load %s: %w", path, err)
-	}
-	fmt.Printf("state loaded from %s\n", path)
-	return nil
-}
-
-// saveSnapshot writes the state atomically AND durably: the temp file
-// is fsynced before the rename and the directory entry after it, so a
-// power cut can't leave an empty or half-written snapshot under the
-// final name.
-func saveSnapshot(srv *server.Server, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := srv.System().WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return faultinject.OS().SyncDir(filepath.Dir(path))
+func warnf(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, "ratingd: "+format+"\n", a...)
 }

@@ -1,79 +1,62 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"strconv"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/server"
+	"repro/internal/shard"
+	"repro/internal/shard/shardtest"
+	"repro/internal/wal"
 )
 
-func newTestDaemonServer(t *testing.T) *server.Server {
+// build parses a ratingd command line and hands it to one of the role
+// constructors run() calls. The caller shuts the daemon down with
+// close (graceful) or abort (a crash: no final snapshot).
+func build(t *testing.T, ctor func(options) (*daemon, error), args ...string) *daemon {
 	t.Helper()
-	srv, err := server.New(core.Config{})
+	o, err := parseFlags(args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv
-}
-
-func TestSaveAndLoadSnapshot(t *testing.T) {
-	srv := newTestDaemonServer(t)
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := saveSnapshot(srv, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-	// Reload into a fresh server.
-	srv2 := newTestDaemonServer(t)
-	if err := loadSnapshot(srv2, path); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadSnapshotMissingFileIsFirstStart(t *testing.T) {
-	srv := newTestDaemonServer(t)
-	if err := loadSnapshot(srv, filepath.Join(t.TempDir(), "nope.json")); err != nil {
-		t.Fatalf("missing snapshot must be tolerated: %v", err)
-	}
-}
-
-func TestLoadSnapshotGarbage(t *testing.T) {
-	srv := newTestDaemonServer(t)
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := loadSnapshot(srv, path); err == nil {
-		t.Fatal("garbage snapshot accepted")
-	}
-}
-
-func TestSaveSnapshotAtomic(t *testing.T) {
-	srv := newTestDaemonServer(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	if err := saveSnapshot(srv, path); err != nil {
-		t.Fatal(err)
-	}
-	// No temp file left behind.
-	entries, err := os.ReadDir(dir)
+	d, err := ctor(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "state.json" {
-		t.Fatalf("dir contents: %v", entries)
+	return d
+}
+
+// walArgs is the command line of a durable daemon with n shards. Every
+// submit flushes at once (-batch 1, no ticker) and the logs skip fsync,
+// which keeps the tests fast and free of timing.
+func walArgs(dir string, n int, extra ...string) []string {
+	return append([]string{"-wal", dir, "-shards", strconv.Itoa(n),
+		"-fsync", "never", "-batch", "1", "-batch-interval=-1ns"}, extra...)
+}
+
+// walPrimary builds a durable primary over dir with n shards.
+func walPrimary(t *testing.T, dir string, n int, extra ...string) *daemon {
+	t.Helper()
+	return build(t, newPrimary, walArgs(dir, n, extra...)...)
+}
+
+func closeDaemon(t *testing.T, d *daemon) {
+	t.Helper()
+	if err := d.close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestSaveSnapshotBadDir(t *testing.T) {
-	srv := newTestDaemonServer(t)
-	if err := saveSnapshot(srv, "/does/not/exist/state.json"); err == nil {
-		t.Fatal("unwritable path accepted")
+func testWALOpts(dir string) wal.Options {
+	return wal.Options{Dir: dir, Policy: wal.SyncNever}
+}
+
+func engineFingerprint(t *testing.T, e *shard.Engine, objects int) string {
+	t.Helper()
+	fp, err := shardtest.Fingerprint(e, objects)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return fp
 }
 
 func TestRunBadFlags(t *testing.T) {
@@ -82,5 +65,11 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-b", "7"}); err == nil {
 		t.Fatal("invalid trust config accepted")
+	}
+}
+
+func TestRunRejectsBadFsyncPolicy(t *testing.T) {
+	if err := run([]string{"-fsync", "sometimes"}); err == nil {
+		t.Fatal("bad fsync policy accepted")
 	}
 }

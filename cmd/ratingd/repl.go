@@ -14,7 +14,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,49 +25,70 @@ import (
 	"repro/internal/api"
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/wal"
 )
 
-// replNodeConfig carries everything promotion needs from run()'s flag
-// set, captured up front so the flip never blocks on missing wiring.
-type replNodeConfig struct {
-	Follower   *repl.Follower
-	Server     *server.Server
-	Engine     *shard.Engine
-	Metrics    *repl.Metrics
-	PrimaryURL string
-	// WALDir is where promotion commits the new epoch; empty promotes
-	// without durability (and without serving replication onward).
-	WALDir string
-	MkOpts func(dir string) wal.Options
-	// Router shape for the promoted journal, mirroring primary mode.
-	BatchSize     int
-	BatchInterval time.Duration
-	ShardMetrics  *shard.Metrics
-	// Staleness bounds enforced by the server's replica gate.
-	MaxLagRecords uint64
-	MaxLagSeconds float64
-	Warnf         func(string, ...any)
-}
-
-// replNode owns the daemon's replication role and its /v1/repl routes.
-type replNode struct {
-	cfg replNodeConfig
-
-	mu       sync.Mutex
-	promoted bool
-	epoch    int
-	journal  *shardJournal
-	router   *shard.Router
-	primMux  *http.ServeMux // promoted primary's repl routes; nil without a WAL
-}
-
-func newReplNode(cfg replNodeConfig) *replNode {
-	if cfg.Warnf == nil {
-		cfg.Warnf = func(string, ...any) {}
+// newFollower builds the read-replica role: the engine follows the
+// primary at -follow, nothing local is recovered and no journal is
+// installed — the replica gate refuses mutations before they could
+// want one. Any -shards count works (shard.Recover remaps replicated
+// state by hash, so the counts need not match the primary's).
+func newFollower(o options) (*daemon, error) {
+	d, err := newDaemon(o)
+	if err != nil {
+		return nil, err
 	}
-	return &replNode{cfg: cfg}
+	if o.walDir != "" {
+		m, ok, err := readManifest(o.walDir)
+		if err != nil {
+			d.abort()
+			return nil, err
+		}
+		if ok {
+			warnf("wal: %s holds epoch %d (%d shards); it stays untouched while following %s and is superseded at promotion",
+				o.walDir, m.Epoch, m.Shards, o.follow)
+		}
+	}
+	if err := d.newServer(); err != nil {
+		d.abort()
+		return nil, err
+	}
+	seed := o.replSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	d.replM = repl.NewMetrics(d.reg)
+	n := &replNode{d: d, follower: repl.NewFollower(repl.FollowerConfig{
+		PrimaryURL: o.follow,
+		Engine:     d.engine,
+		Metrics:    d.replM,
+		Seed:       seed,
+		OnApply:    d.srv.InvalidateRatings,
+		OnWindow:   d.srv.InvalidateAll,
+		Warnf:      warnf,
+	})}
+	d.node = n
+	d.srv.SetReplica(n.replicaInfo())
+	d.handler = telemetryMux(d.srv, d.reg, o.pprof, n.routes)
+	// Run returns once close (or promotion) stops the follower.
+	go func() { _ = n.follower.Run(context.Background()) }()
+	if o.promoteAfter > 0 {
+		d.goBackground(func() { n.deathWatch(d.bg, o.promoteAfter) })
+	}
+	d.startBackground()
+	fmt.Printf("following %s (max lag: %d records / %s)\n", o.follow, o.maxLagRecords, o.maxLag)
+	return d, nil
+}
+
+// replNode owns a follower daemon's replication role and its /v1/repl
+// routes. Promotion builds the journal through the primary's code
+// (daemon.newJournal, daemon.replRoutes).
+type replNode struct {
+	d        *daemon
+	follower *repl.Follower
+
+	mu      sync.Mutex
+	journal *shardJournal  // non-nil once promoted
+	primMux *http.ServeMux // promoted primary's repl routes; nil without a WAL
 }
 
 // replicaInfo is the server's per-request staleness sample while the
@@ -76,14 +96,14 @@ func newReplNode(cfg replNodeConfig) *replNode {
 // being consulted.
 func (n *replNode) replicaInfo() func() server.ReplicaInfo {
 	return func() server.ReplicaInfo {
-		records, seconds, ok := n.cfg.Follower.Lag()
+		records, seconds, ok := n.follower.Lag()
 		return server.ReplicaInfo{
-			Primary:       n.cfg.PrimaryURL,
+			Primary:       n.d.o.follow,
 			Ready:         ok,
 			LagRecords:    records,
 			LagSeconds:    seconds,
-			MaxLagRecords: n.cfg.MaxLagRecords,
-			MaxLagSeconds: n.cfg.MaxLagSeconds,
+			MaxLagRecords: n.d.o.maxLagRecords,
+			MaxLagSeconds: n.d.o.maxLag.Seconds(),
 		}
 	}
 }
@@ -100,10 +120,10 @@ func (n *replNode) routes(mux *http.ServeMux) {
 
 func (n *replNode) handleStatus(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
-	promoted, primMux := n.promoted, n.primMux
+	promoted, primMux := n.journal != nil, n.primMux
 	n.mu.Unlock()
 	if !promoted {
-		writeJSON(w, http.StatusOK, n.cfg.Follower.Status())
+		writeJSON(w, http.StatusOK, n.follower.Status())
 		return
 	}
 	if primMux != nil {
@@ -118,7 +138,7 @@ func (n *replNode) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (n *replNode) handleReplicated(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
-	promoted, primMux := n.promoted, n.primMux
+	promoted, primMux := n.journal != nil, n.primMux
 	n.mu.Unlock()
 	if primMux != nil {
 		primMux.ServeHTTP(w, r)
@@ -131,7 +151,7 @@ func (n *replNode) handleReplicated(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusMisdirectedRequest, api.NewError(api.CodeNotPrimary,
 		"this node is a follower; replicate from the primary").
-		WithPrimary(n.cfg.PrimaryURL))
+		WithPrimary(n.d.o.follow))
 }
 
 func (n *replNode) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -149,8 +169,8 @@ func (n *replNode) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (n *replNode) statusLocked() api.ReplStatusResponse {
 	st := api.ReplStatusResponse{
 		Role:       api.RolePrimary,
-		Epoch:      n.epoch,
-		Shards:     n.cfg.Engine.Shards(),
+		Epoch:      n.journal.epoch,
+		Shards:     n.d.engine.Shards(),
 		BarrierSeq: n.journal.NextBarrierSeq() - 1,
 	}
 	for i, l := range n.journal.logs {
@@ -165,7 +185,7 @@ func (n *replNode) statusLocked() api.ReplStatusResponse {
 func (n *replNode) isPromoted() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.promoted
+	return n.journal != nil
 }
 
 // promote flips the node into a primary. Idempotent: a second call
@@ -174,58 +194,44 @@ func (n *replNode) isPromoted() bool {
 func (n *replNode) promote(why string) (api.ReplStatusResponse, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.promoted {
+	if n.journal != nil {
 		return n.statusLocked(), nil
 	}
-	n.cfg.Warnf("repl: promoting to primary: %s", why)
+	warnf("repl: promoting to primary: %s", why)
 
 	// Stop replication; the engine is left at the last complete
 	// barrier plus fully-applied batches, never a half-applied window.
-	seq := n.cfg.Follower.Promote()
-	epoch := n.cfg.Follower.Epoch() + 1
-
-	sj := newShardJournal(n.cfg.Engine, nil, seq)
-	if n.cfg.WALDir != "" {
-		if err := os.MkdirAll(n.cfg.WALDir, 0o755); err != nil {
+	seq := n.follower.Promote()
+	w := &shardWALs{seq: seq, epoch: n.follower.Epoch() + 1}
+	if dir := n.d.o.walDir; dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return api.ReplStatusResponse{}, err
 		}
 		// Never reuse an epoch a stale local manifest already names —
 		// a follower re-pointed here before promotion may have left one.
-		if m, ok, err := readManifest(n.cfg.WALDir); err == nil && ok && m.Epoch >= epoch {
-			epoch = m.Epoch + 1
+		if m, ok, err := readManifest(dir); err == nil && ok && m.Epoch >= w.epoch {
+			w.epoch = m.Epoch + 1
 		}
-		w, err := migrateToEpoch(n.cfg.WALDir, epoch, n.cfg.Engine.Shards(), n.cfg.Engine, seq, n.cfg.MkOpts)
+		committed, err := migrateToEpoch(dir, w.epoch, n.d.engine.Shards(), n.d.engine, seq, n.d.walOptions)
 		if err != nil {
-			return api.ReplStatusResponse{}, fmt.Errorf("commit promoted epoch %d: %w", epoch, err)
+			return api.ReplStatusResponse{}, fmt.Errorf("commit promoted epoch %d: %w", w.epoch, err)
 		}
-		sj.logs = w.logs
+		w = committed
 	}
-	router, err := shard.NewRouter(shard.RouterConfig{
-		Shards:    n.cfg.Engine.Shards(),
-		BatchSize: n.cfg.BatchSize,
-		Interval:  n.cfg.BatchInterval,
-		Flush:     sj.flush,
-		Metrics:   n.cfg.ShardMetrics,
-	})
+	j, err := n.d.newJournal(w)
 	if err != nil {
-		closeLogSet(sj.logs)
 		return api.ReplStatusResponse{}, err
 	}
-	sj.router = router
-	n.journal, n.router, n.epoch = sj, router, epoch
-	if sj.logs != nil {
-		p := repl.NewPrimary(repl.PrimaryConfig{
-			Epoch: epoch, Logs: sj.logs, Journal: sj, Metrics: n.cfg.Metrics,
-		})
+	if j.logs != nil {
 		n.primMux = http.NewServeMux()
-		p.Routes(n.primMux)
+		n.d.replRoutes(j)(n.primMux)
 	}
 	// Flip the serving layer: install the journal first so the very
 	// next request admitted past the cleared gate writes through it.
-	n.cfg.Server.SetJournal(sj)
-	n.cfg.Server.SetReplica(nil)
-	n.promoted = true
-	n.cfg.Warnf("repl: promoted to primary (epoch %d, next barrier %d)", epoch, seq)
+	n.d.srv.SetJournal(j)
+	n.d.srv.SetReplica(nil)
+	n.journal = j
+	warnf("repl: promoted to primary (epoch %d, next barrier %d)", j.epoch, seq)
 	return n.statusLocked(), nil
 }
 
@@ -247,43 +253,29 @@ func (n *replNode) deathWatch(done <-chan struct{}, after time.Duration) {
 			if n.isPromoted() {
 				return
 			}
-			lc := n.cfg.Follower.LastContact()
+			lc := n.follower.LastContact()
 			if lc.IsZero() || time.Since(lc) < after {
 				continue
 			}
 			if _, err := n.promote(fmt.Sprintf("primary silent %s, past -promote-after %s",
 				time.Since(lc).Round(time.Millisecond), after)); err != nil {
-				n.cfg.Warnf("repl: auto-promotion failed: %v", err)
+				warnf("repl: auto-promotion failed: %v", err)
 			}
 			return
 		}
 	}
 }
 
-// close stops replication — or, on a promoted node, drains the
-// promoted journal, rebases its logs, and closes them — at shutdown.
+// close stops replication and, on a promoted node, shuts the promoted
+// journal down gracefully.
 func (n *replNode) close() error {
-	n.cfg.Follower.Stop()
+	n.follower.Stop()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.promoted {
+	if n.journal == nil {
 		return nil
 	}
-	var errs []error
-	if err := n.router.Close(); err != nil {
-		errs = append(errs, fmt.Errorf("close promoted router: %w", err))
-	}
-	if n.journal.logs != nil {
-		if err := n.journal.Snapshot(); err != nil {
-			errs = append(errs, fmt.Errorf("final promoted snapshot: %w", err))
-		}
-		for i, l := range n.journal.logs {
-			if err := l.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
-				errs = append(errs, fmt.Errorf("close promoted shard %d wal: %w", i, err))
-			}
-		}
-	}
-	return errors.Join(errs...)
+	return n.journal.close()
 }
 
 // promoteRemote is the `ratingd -promote <url>` one-shot: ask the

@@ -1,120 +1,54 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
-	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/telemetry"
 )
 
-// primaryDaemon assembles the primary exactly the way run() does:
-// engine + sharded WAL + shardJournal + router + server, with the
-// replication endpoints mounted on the daemon mux.
-type primaryDaemon struct {
-	ts      *httptest.Server
-	journal *shardJournal
-}
-
-func startPrimaryDaemon(t *testing.T, shards int) *primaryDaemon {
-	t.Helper()
-	engine, err := shard.NewEngine(core.Config{}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := openShardWALs(t.TempDir(), shards, engine, testWALOpts, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { closeLogSet(ws.logs) })
-	sj := newShardJournal(engine, ws.logs, ws.seq)
-	router, err := shard.NewRouter(shard.RouterConfig{
-		Shards: shards, BatchSize: 64, Interval: time.Millisecond, Flush: sj.flush,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { router.Close() })
-	sj.router = router
-	srv, err := server.NewWith(engine, server.WithJournal(sj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := repl.NewPrimary(repl.PrimaryConfig{
-		Epoch: ws.epoch, Logs: ws.logs, Journal: sj,
-		LongPoll: time.Second, Poll: time.Millisecond, Heartbeat: 20 * time.Millisecond,
-	})
-	ts := httptest.NewServer(telemetryMux(srv, telemetry.NewRegistry(), false, p.Routes))
-	t.Cleanup(ts.Close)
-	return &primaryDaemon{ts: ts, journal: sj}
-}
-
-// followerDaemon assembles the follower the way run() does in -follow
-// mode: engine backend, no journal, replica gate sampling the
-// follower's lag, and the replNode routes on the daemon mux.
-type followerDaemon struct {
+// replDaemon is a primary or follower built by its role constructor
+// and served on an httptest listener.
+type replDaemon struct {
 	ts     *httptest.Server
-	node   *replNode
+	d      *daemon
 	walDir string
 }
 
-func startFollowerDaemon(t *testing.T, primaryURL string, shards int) *followerDaemon {
+// startReplDaemon builds a durable daemon over a fresh WAL directory,
+// serves it, and shuts it down gracefully when the test ends.
+func startReplDaemon(t *testing.T, ctor func(options) (*daemon, error), shards int, extra ...string) *replDaemon {
 	t.Helper()
-	engine, err := shard.NewEngine(core.Config{}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.NewWith(engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower := repl.NewFollower(repl.FollowerConfig{
-		PrimaryURL:   primaryURL,
-		Engine:       engine,
-		Seed:         7,
-		ReconnectMin: 2 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
-		FrameTimeout: 2 * time.Second,
-		OnApply:      srv.InvalidateRatings,
-		OnWindow:     func() { srv.InvalidateAll() },
-		Warnf:        t.Logf,
-	})
 	walDir := t.TempDir()
-	node := newReplNode(replNodeConfig{
-		Follower:      follower,
-		Server:        srv,
-		Engine:        engine,
-		PrimaryURL:    primaryURL,
-		WALDir:        walDir,
-		MkOpts:        testWALOpts,
-		BatchSize:     64,
-		BatchInterval: time.Millisecond,
-		MaxLagRecords: 10_000,
-		Warnf:         t.Logf,
-	})
-	srv.SetReplica(node.replicaInfo())
-	runDone := make(chan struct{})
-	go func() { defer close(runDone); _ = follower.Run(context.Background()) }()
+	d := build(t, ctor, append([]string{"-wal", walDir, "-shards", strconv.Itoa(shards),
+		"-fsync", "never", "-batch", "64", "-batch-interval", "1ms"}, extra...)...)
 	t.Cleanup(func() {
-		if err := node.close(); err != nil {
-			t.Errorf("node close: %v", err)
+		if err := d.close(); err != nil {
+			t.Errorf("close: %v", err)
 		}
-		<-runDone
 	})
-	ts := httptest.NewServer(telemetryMux(srv, telemetry.NewRegistry(), false, node.routes))
+	ts := httptest.NewServer(d.handler)
 	t.Cleanup(ts.Close)
-	return &followerDaemon{ts: ts, node: node, walDir: walDir}
+	return &replDaemon{ts: ts, d: d, walDir: walDir}
+}
+
+func startPrimaryDaemon(t *testing.T, shards int) *replDaemon {
+	t.Helper()
+	return startReplDaemon(t, newPrimary, shards)
+}
+
+func startFollowerDaemon(t *testing.T, primaryURL string, shards int, extra ...string) *replDaemon {
+	t.Helper()
+	return startReplDaemon(t, newFollower, shards, append([]string{
+		"-follow", primaryURL, "-max-lag-records", "10000", "-repl-seed", "7"}, extra...)...)
 }
 
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -244,27 +178,28 @@ func TestDaemonFollowerServesAndPromotes(t *testing.T) {
 	}
 }
 
-// With -promote-after, a bootstrapped follower crowns itself once the
-// primary goes silent past the deadline.
+// With -promote-after, a bootstrapped follower of a single-shard
+// primary crowns itself once the primary goes silent past the
+// deadline. The deadline sits above the primary's idle heartbeat (3s),
+// so a live primary never trips it.
 func TestDaemonAutoPromoteOnPrimaryDeath(t *testing.T) {
 	p := startPrimaryDaemon(t, 1)
 	if res, data := postJSON(t, p.ts.URL+"/v1/ratings", `[{"rater":1,"object":1,"value":0.5,"time":1}]`); res.StatusCode != http.StatusOK {
 		t.Fatalf("primary submit: %d %s", res.StatusCode, data)
 	}
 
-	f := startFollowerDaemon(t, p.ts.URL, 1)
+	f := startFollowerDaemon(t, p.ts.URL, 1, "-promote-after", "4s")
 	waitDaemon(t, 10*time.Second, "follower convergence", func() bool {
-		return replStatus(t, f.ts.URL).LagRecords == 0 && f.node.cfg.Follower.LastContact() != (time.Time{})
+		return replStatus(t, f.ts.URL).LagRecords == 0 && f.d.node.follower.LastContact() != (time.Time{})
 	})
-
-	done := make(chan struct{})
-	defer close(done)
-	go f.node.deathWatch(done, 150*time.Millisecond)
+	if f.d.node.isPromoted() {
+		t.Fatal("promoted while the primary was alive")
+	}
 
 	p.ts.CloseClientConnections()
 	p.ts.Close()
 
-	waitDaemon(t, 10*time.Second, "auto-promotion", func() bool { return f.node.isPromoted() })
+	waitDaemon(t, 15*time.Second, "auto-promotion", func() bool { return f.d.node.isPromoted() })
 	if st := replStatus(t, f.ts.URL); st.Role != api.RolePrimary {
 		t.Fatalf("post-death status: %+v", st)
 	}

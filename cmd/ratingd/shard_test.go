@@ -3,12 +3,14 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/rating"
 	"repro/internal/server"
@@ -16,56 +18,6 @@ import (
 	"repro/internal/shard/shardtest"
 	"repro/internal/wal"
 )
-
-func testWALOpts(dir string) wal.Options {
-	return wal.Options{Dir: dir, Policy: wal.SyncNever}
-}
-
-// openShardDaemon wires the sharded pieces the way run() does: epoch
-// layout open + recovery, journal, batching router.
-func openShardDaemon(t *testing.T, dir string, shards int) (*shard.Engine, *shardJournal, *shardWALs) {
-	t.Helper()
-	engine, err := shard.NewEngine(core.Config{}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := openShardWALs(dir, shards, engine, testWALOpts, t.Logf)
-	if err != nil {
-		t.Fatalf("open shard wals: %v", err)
-	}
-	j := newShardJournal(engine, ws.logs, ws.seq)
-	// BatchSize 1 so every Submit flushes immediately; the ticker is
-	// off to keep tests free of timing.
-	r, err := shard.NewRouter(shard.RouterConfig{
-		Shards: shards, BatchSize: 1, Interval: -1, Flush: j.flush,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.router = r
-	return engine, j, ws
-}
-
-func closeShardDaemon(t *testing.T, j *shardJournal, ws *shardWALs) {
-	t.Helper()
-	if err := j.router.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range ws.logs {
-		if err := l.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
-			t.Fatal(err)
-		}
-	}
-}
-
-func engineFingerprint(t *testing.T, e *shard.Engine, objects int) string {
-	t.Helper()
-	fp, err := shardtest.Fingerprint(e, objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp
-}
 
 // Ratings and windows accepted through the sharded journal survive an
 // abrupt stop with no final snapshot: per-shard tails plus barrier
@@ -75,220 +27,159 @@ func TestShardDaemonRoundTrip(t *testing.T) {
 	months := w.Generate()
 	dir := t.TempDir()
 
-	_, j, ws := openShardDaemon(t, dir, 2)
-	engine := j.engine
+	d := walPrimary(t, dir, 2)
 	for _, m := range months {
-		if err := j.SubmitAll(m.Ratings); err != nil {
+		if err := d.journal.SubmitAll(m.Ratings); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := j.ProcessWindow(m.Start, m.End); err != nil {
+		if _, err := d.journal.ProcessWindow(m.Start, m.End); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := engineFingerprint(t, engine, 5)
-	closeShardDaemon(t, j, ws) // abrupt: no snapshot
+	want := engineFingerprint(t, d.engine, 5)
+	d.abort()
 
-	engine2, j2, ws2 := openShardDaemon(t, dir, 2)
-	defer closeShardDaemon(t, j2, ws2)
-	if !ws2.recovered {
-		t.Fatal("no prior state recovered")
-	}
-	if got := engineFingerprint(t, engine2, 5); got != want {
+	d2 := walPrimary(t, dir, 2)
+	defer closeDaemon(t, d2)
+	if got := engineFingerprint(t, d2.engine, 5); got != want {
 		t.Fatalf("recovered state diverges:\nwant %q\ngot  %q", want, got)
 	}
 }
 
 // Restarting with a different -shards value migrates the directory to
-// a new epoch: same state, new layout, old epoch retired.
+// a new epoch: same state, new layout, old epoch retired. Going down to
+// one shard is a migration like any other.
 func TestShardDaemonShardCountMigration(t *testing.T) {
-	w := shardtest.Workload{Seed: 32, Months: 2, PerMonth: 200}
-	months := w.Generate()
-	dir := t.TempDir()
+	for _, tc := range []struct{ from, to int }{{2, 3}, {4, 1}} {
+		t.Run(fmt.Sprintf("%d_to_%d", tc.from, tc.to), func(t *testing.T) {
+			w := shardtest.Workload{Seed: 32, Months: 2, PerMonth: 200}
+			months := w.Generate()
+			dir := t.TempDir()
 
-	_, j, ws := openShardDaemon(t, dir, 2)
-	for _, m := range months {
-		if err := j.SubmitAll(m.Ratings); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.ProcessWindow(m.Start, m.End); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := engineFingerprint(t, j.engine, 5)
-	closeShardDaemon(t, j, ws)
+			d := walPrimary(t, dir, tc.from)
+			for _, m := range months {
+				if err := d.journal.SubmitAll(m.Ratings); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.journal.ProcessWindow(m.Start, m.End); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := engineFingerprint(t, d.engine, 5)
+			closeDaemon(t, d)
 
-	engine2, j2, ws2 := openShardDaemon(t, dir, 3)
-	if !ws2.recovered {
-		t.Fatal("migration did not report recovered state")
-	}
-	if got := engineFingerprint(t, engine2, 5); got != want {
-		t.Fatalf("migrated state diverges:\nwant %q\ngot  %q", want, got)
-	}
-	m, ok, err := readManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest after migration: ok=%v err=%v", ok, err)
-	}
-	if m.Epoch != 2 || m.Shards != 3 {
-		t.Fatalf("manifest = %+v, want epoch 2 shards 3", m)
-	}
-	if _, err := os.Stat(epochPath(dir, 1)); !os.IsNotExist(err) {
-		t.Fatalf("retired epoch 1 still present (err=%v)", err)
-	}
-	closeShardDaemon(t, j2, ws2)
+			d2 := walPrimary(t, dir, tc.to)
+			if got := engineFingerprint(t, d2.engine, 5); got != want {
+				t.Fatalf("migrated state diverges:\nwant %q\ngot  %q", want, got)
+			}
+			m, ok, err := readManifest(dir)
+			if err != nil || !ok {
+				t.Fatalf("manifest after migration: ok=%v err=%v", ok, err)
+			}
+			if m.Epoch != 2 || m.Shards != tc.to {
+				t.Fatalf("manifest = %+v, want epoch 2 shards %d", m, tc.to)
+			}
+			if _, err := os.Stat(epochPath(dir, 1)); !os.IsNotExist(err) {
+				t.Fatalf("retired epoch 1 still present (err=%v)", err)
+			}
+			closeDaemon(t, d2)
 
-	// The migrated layout must itself recover cleanly.
-	engine3, j3, ws3 := openShardDaemon(t, dir, 3)
-	defer closeShardDaemon(t, j3, ws3)
-	if got := engineFingerprint(t, engine3, 5); got != want {
-		t.Fatalf("post-migration restart diverges:\nwant %q\ngot  %q", want, got)
+			// The migrated layout must itself recover cleanly.
+			d3 := walPrimary(t, dir, tc.to)
+			defer closeDaemon(t, d3)
+			if got := engineFingerprint(t, d3.engine, 5); got != want {
+				t.Fatalf("post-migration restart diverges:\nwant %q\ngot  %q", want, got)
+			}
+		})
 	}
 }
 
-// A pre-sharding WAL (segments directly in the root) migrates into
-// epoch 1 with its ratings and window effects intact, and a second
-// restart does not replay the legacy records again.
-func TestShardDaemonLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	log, _, err := wal.Open(testWALOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := core.NewSystem(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		r := rating.Rating{Rater: rating.RaterID(i%5 + 1), Object: 7, Value: 0.8, Time: float64(i)}
-		if err := log.Append(wal.RatingRecord(r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Append(wal.ProcessRecord(0, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.ProcessWindow(0, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := shardtest.Fingerprint(oracle, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	engine, j, ws := openShardDaemon(t, dir, 2)
-	if !ws.recovered {
-		t.Fatal("legacy state not recovered")
-	}
-	if got := engineFingerprint(t, engine, 8); got != want {
-		t.Fatalf("legacy migration diverges:\nwant %q\ngot  %q", want, got)
-	}
-	closeShardDaemon(t, j, ws)
-
-	// Restart: the manifest supersedes the legacy segments still on
-	// disk, so nothing replays twice.
-	engine2, j2, ws2 := openShardDaemon(t, dir, 2)
-	defer closeShardDaemon(t, j2, ws2)
-	if got := engine2.Len(); got != 25 {
-		t.Fatalf("after restart Len = %d, want 25 (legacy log replayed twice?)", got)
-	}
-	if got := engineFingerprint(t, engine2, 8); got != want {
-		t.Fatalf("post-migration restart diverges:\nwant %q\ngot  %q", want, got)
-	}
-}
-
-// A crash during the legacy migration — epoch-0001 created, SOME
-// shard snapshots written, manifest not yet committed — must not be
-// adopted as a complete epoch: that would silently drop every shard
-// whose snapshot was never written. The legacy log in the root is
-// still authoritative, so the migration re-runs from scratch.
-func TestShardDaemonInterruptedLegacyMigrationRetries(t *testing.T) {
-	dir := t.TempDir()
-	log, _, err := wal.Open(testWALOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := core.NewSystem(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ratings []rating.Rating
-	for i := 0; i < 40; i++ {
-		// Objects spread over both shards so a dropped shard is visible.
-		r := rating.Rating{Rater: rating.RaterID(i%8 + 1), Object: rating.ObjectID(i % 5), Value: 0.8, Time: float64(i) / 2}
-		ratings = append(ratings, r)
-		if err := log.Append(wal.RatingRecord(r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Append(wal.ProcessRecord(0, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.ProcessWindow(0, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := shardtest.Fingerprint(oracle, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reproduce the crash window: the migration replayed the legacy log
-	// into the engine and wrote shard 0's snapshot into epoch-0001, then
-	// died before shard 1's snapshot and the manifest commit.
-	partial, err := shard.NewEngine(core.Config{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := partial.SubmitAll(ratings); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partial.ProcessWindow(0, 30); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		el, _, err := wal.Open(testWALOpts(shardWALPath(dir, 1, i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			if err := el.Snapshot(func(w io.Writer) error {
-				return shard.WriteShardSnapshot(partial, 0, 0, w)
-			}); err != nil {
+// A pre-sharding WAL directory (a single log in the root, no manifest)
+// is refused with an error naming the layout, and left untouched:
+// opening a fresh epoch beside it would silently serve empty state.
+// The interrupted case is what an older ratingd left when it died
+// mid-migration: the root log beside a half-written epoch-0001 with no
+// manifest. Adopting that epoch would drop the records only the root
+// log holds, so it is refused the same way.
+func TestShardDaemonRefusesLegacyWAL(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		shards      int
+		interrupted bool
+	}{
+		{"root_log", 1, false},
+		{"interrupted_migration", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, _, err := wal.Open(testWALOpts(dir))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := el.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+			var ratings []rating.Rating
+			for i := 0; i < 40; i++ {
+				r := rating.Rating{Rater: rating.RaterID(i%8 + 1), Object: rating.ObjectID(i % 5), Value: 0.8, Time: float64(i) / 2}
+				ratings = append(ratings, r)
+				if err := log.Append(wal.RatingRecord(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Append(wal.ProcessRecord(0, 30)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wantEpochs := 0
+			if tc.interrupted {
+				// Shard 0's snapshot reached epoch-0001; shard 1's and
+				// the manifest commit did not.
+				partial, err := shard.NewEngine(core.Config{}, tc.shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := partial.SubmitAll(ratings); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := partial.ProcessWindow(0, 30); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < tc.shards; i++ {
+					el, _, err := wal.Open(testWALOpts(shardWALPath(dir, 1, i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						if err := el.Snapshot(func(w io.Writer) error {
+							return shard.WriteShardSnapshot(partial, 0, 0, w)
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := el.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wantEpochs = 1
+			}
 
-	engine, j, ws := openShardDaemon(t, dir, 2)
-	defer closeShardDaemon(t, j, ws)
-	if !ws.recovered {
-		t.Fatal("legacy state not recovered")
-	}
-	if got := engine.Len(); got != 40 {
-		t.Fatalf("after interrupted migration Len = %d, want 40 (half-written epoch adopted?)", got)
-	}
-	if got := engineFingerprint(t, engine, 5); got != want {
-		t.Fatalf("re-run migration diverges:\nwant %q\ngot  %q", want, got)
-	}
-	m, ok, err := readManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest after re-run migration: ok=%v err=%v", ok, err)
-	}
-	if m.Epoch != 1 || m.Shards != 2 {
-		t.Fatalf("manifest = %+v, want epoch 1 shards 2", m)
+			o, err := parseFlags(walArgs(dir, tc.shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err := newPrimary(o); err == nil {
+				d.abort()
+				t.Fatal("pre-sharding wal dir accepted")
+			} else if !strings.Contains(err.Error(), "pre-sharding") {
+				t.Fatalf("refusal %q does not name the layout", err)
+			}
+			if _, ok, err := readManifest(dir); ok || err != nil {
+				t.Fatalf("refused dir gained a manifest (ok=%v err=%v)", ok, err)
+			}
+			if epochs, err := scanEpochs(dir); len(epochs) != wantEpochs || err != nil {
+				t.Fatalf("refused dir has epochs %v, want %d (err=%v)", epochs, wantEpochs, err)
+			}
+		})
 	}
 }
 
@@ -296,16 +187,16 @@ func TestShardDaemonInterruptedLegacyMigrationRetries(t *testing.T) {
 // journal: accepting more writes would turn a recoverable torn
 // barrier into an unrecoverable mid-stream inconsistency.
 func TestShardJournalWedgesOnPartialBarrier(t *testing.T) {
-	dir := t.TempDir()
-	_, j, ws := openShardDaemon(t, dir, 2)
-	defer closeShardDaemon(t, j, ws)
+	d := walPrimary(t, t.TempDir(), 2)
+	defer d.abort()
+	j := d.journal
 
 	if err := j.SubmitAll([]rating.Rating{{Rater: 1, Object: 0, Value: 0.5, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Kill shard 1's log out from under the journal: the barrier lands
 	// in log 0, then fails — a partial broadcast.
-	if err := ws.logs[1].Close(); err != nil {
+	if err := j.logs[1].Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.ProcessWindow(0, 30); err == nil {
@@ -322,21 +213,16 @@ func TestShardJournalWedgesOnPartialBarrier(t *testing.T) {
 // The full HTTP surface works in front of the sharded engine: submit,
 // process, and reads all route through the journal and router.
 func TestShardDaemonServesHTTP(t *testing.T) {
-	dir := t.TempDir()
-	engine, j, ws := openShardDaemon(t, dir, 4)
-	defer closeShardDaemon(t, j, ws)
-	srv, err := server.NewWith(engine, server.WithJournal(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	d := walPrimary(t, t.TempDir(), 4)
+	defer closeDaemon(t, d)
+	ts := httptest.NewServer(d.handler)
 	defer ts.Close()
 	client := server.NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	var batch []server.RatingPayload
+	var batch []api.RatingPayload
 	for i := 0; i < 40; i++ {
-		batch = append(batch, server.RatingPayload{
+		batch = append(batch, api.RatingPayload{
 			Rater: i%8 + 1, Object: i % 5, Value: 0.8, Time: float64(i) / 2,
 		})
 	}
@@ -346,7 +232,7 @@ func TestShardDaemonServesHTTP(t *testing.T) {
 	if _, err := client.Process(ctx, 0, 30); err != nil {
 		t.Fatal(err)
 	}
-	if got := engine.Len(); got != 40 {
+	if got := d.engine.Len(); got != 40 {
 		t.Fatalf("Len = %d, want 40", got)
 	}
 	agg, err := client.Aggregate(ctx, 3)
@@ -358,23 +244,9 @@ func TestShardDaemonServesHTTP(t *testing.T) {
 	}
 }
 
-// The legacy single-system path refuses a directory the sharded
-// layout owns rather than serving empty state beside it.
-func TestLegacyPathRefusesShardedDir(t *testing.T) {
-	dir := t.TempDir()
-	if err := writeManifest(dir, walManifest{Version: manifestVersion, Epoch: 1, Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-wal", dir, "-addr", "127.0.0.1:0"})
-	if err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("run on sharded dir with -shards=1 = %v, want sharded-dir refusal", err)
-	}
-}
-
 // A promoted single-shard follower leaves a sharded WAL directory with
 // shards=1; restarting against it at the default -shards 1 must open
-// the sharded layout and recover, not refuse (regression: the legacy
-// path's sharded-dir guard used to reject its own manifest).
+// the sharded layout and recover.
 func TestShardedDirAtOneShardReopens(t *testing.T) {
 	dir := t.TempDir()
 	engine, err := shard.NewEngine(core.Config{}, 1)
@@ -389,27 +261,15 @@ func TestShardedDirAtOneShardReopens(t *testing.T) {
 	}
 	// The shape promotion writes: a fresh fully-snapshotted 1-shard
 	// epoch committed by the manifest flip.
-	if _, err := migrateToEpoch(dir, 2, 1, engine, 1, testWALOpts); err != nil {
-		t.Fatal(err)
-	}
-
-	if ok, err := useShardEngine(1, dir); err != nil || !ok {
-		t.Fatalf("useShardEngine(1, promoted dir) = %v, %v; want true", ok, err)
-	}
-	if ok, err := useShardEngine(1, t.TempDir()); err != nil || ok {
-		t.Fatalf("useShardEngine(1, empty dir) = %v, %v; want false", ok, err)
-	}
-
-	reopened, err := shard.NewEngine(core.Config{}, 1)
+	w, err := migrateToEpoch(dir, 2, 1, engine, 1, testWALOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := openShardWALs(dir, 1, reopened, testWALOpts, t.Logf)
-	if err != nil {
-		t.Fatalf("reopen promoted 1-shard dir: %v", err)
-	}
-	defer closeLogSet(ws.logs)
-	if !ws.recovered || ws.epoch != 2 || reopened.Len() != 12 {
-		t.Fatalf("recovered=%v epoch=%d len=%d, want true/2/12", ws.recovered, ws.epoch, reopened.Len())
+	closeLogSet(w.logs)
+
+	d := walPrimary(t, dir, 1)
+	defer closeDaemon(t, d)
+	if d.journal.epoch != 2 || d.engine.Len() != 12 {
+		t.Fatalf("epoch=%d len=%d, want 2/12", d.journal.epoch, d.engine.Len())
 	}
 }

@@ -25,33 +25,26 @@ var errJournalWedged = errors.New("shard journal wedged after partial barrier br
 // is what lets recovery realign the independent per-shard histories
 // into one global order.
 //
-// Locking mirrors walJournal's invariant, split for concurrency:
-// rating flushes hold the read lock (different shards append in
-// parallel), while barriers, restores, and snapshots hold the write
-// lock so they observe no half-applied batch.
+// Locking makes [append to the log + apply to the engine] atomic with
+// respect to snapshot capture, so a snapshot never reflects a record
+// its log doesn't cover (or vice versa) — the invariant that makes
+// snapshot + tail replay reconstruct the exact pre-crash state. Rating
+// flushes hold the read lock, so different shards append and apply in
+// parallel; barriers, restores and snapshots hold the write lock, so
+// they observe no half-applied batch.
 type shardJournal struct {
 	mu     sync.RWMutex
 	engine *shard.Engine
 	router *shard.Router
 	logs   []*wal.Log // nil when the WAL is disabled
 	seq    uint64     // next barrier sequence number
+	epoch  int        // manifest epoch the logs belong to
 	broken bool
 
 	// recs[i] is shard i's reusable WAL record buffer. Shard i's flush
 	// runs only on its router worker goroutine, so the buffer is
 	// single-writer and the steady-state log path allocates nothing.
 	recs [][]wal.Record
-}
-
-// newShardJournal wires a journal to its engine, per-shard logs (nil
-// when the WAL is disabled) and next barrier sequence.
-func newShardJournal(engine *shard.Engine, logs []*wal.Log, seq uint64) *shardJournal {
-	return &shardJournal{
-		engine: engine,
-		logs:   logs,
-		seq:    seq,
-		recs:   make([][]wal.Record, engine.Shards()),
-	}
 }
 
 // flush is the router's FlushFunc: append one shard's coalesced batch
@@ -164,19 +157,7 @@ func (j *shardJournal) Snapshot() error {
 }
 
 func (j *shardJournal) snapshotLocked() error {
-	if j.logs == nil {
-		return nil
-	}
-	barrier := j.seq - 1 // last applied window
-	for i, l := range j.logs {
-		i := i
-		if err := l.Snapshot(func(w io.Writer) error {
-			return shard.WriteShardSnapshot(j.engine, i, barrier, w)
-		}); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return rebaseLogs(j.logs, j.engine, j.seq-1) // at the last applied window
 }
 
 // Sync flushes every shard log's buffered frames to disk; used by the
@@ -188,4 +169,29 @@ func (j *shardJournal) Sync() error {
 		}
 	}
 	return nil
+}
+
+// close drains the router into the logs and engine, rebases every log
+// on the final state and closes the logs: the graceful shutdown.
+func (j *shardJournal) close() error {
+	var errs []error
+	if err := j.router.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("close router: %w", err))
+	}
+	if err := j.Snapshot(); err != nil {
+		errs = append(errs, fmt.Errorf("final wal snapshot: %w", err))
+	}
+	for i, l := range j.logs {
+		if err := l.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
+			errs = append(errs, fmt.Errorf("close shard %d wal: %w", i, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// abort stops the router and closes the logs without a final
+// snapshot, leaving the logs as a crash would.
+func (j *shardJournal) abort() {
+	_ = j.router.Close() // a failed flush was already refused to its submitter
+	closeLogSet(j.logs)
 }

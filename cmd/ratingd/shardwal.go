@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -166,12 +165,12 @@ func hasLegacyWAL(root string) (bool, error) {
 
 // shardWALs is the result of opening (and, when needed, migrating)
 // the sharded log directory: the live epoch's logs, the next barrier
-// sequence number, and whether any prior state was recovered.
+// sequence number, and how many logged records recovery re-applied.
 type shardWALs struct {
-	logs      []*wal.Log
-	seq       uint64
-	epoch     int
-	recovered bool
+	logs     []*wal.Log
+	seq      uint64
+	epoch    int
+	replayed int
 }
 
 // openLogSet opens one WAL per shard under the given epoch, in
@@ -229,49 +228,39 @@ func rebaseLogs(logs []*wal.Log, engine *shard.Engine, barrier uint64) error {
 }
 
 // openShardWALs opens the sharded log directory for `shards` workers,
-// recovering prior state into engine. Three shapes of prior content
-// are handled:
+// recovering prior state into engine. Two shapes of prior content are
+// handled:
 //
 //   - same shard count: open the live epoch and replay it;
 //   - different shard count: recover the old epoch (ratings remap by
 //     hash), write a fully-snapshotted new epoch, then commit the
-//     manifest flip and retire the old directory;
-//   - a legacy unsharded log in the root: replay it directly, then
-//     migrate into epoch 1 the same way (old segments are left in
-//     place but superseded by the manifest).
+//     manifest flip and retire the old directory.
+//
+// A pre-sharding directory — a single log in the root and no manifest
+// — is refused: opening a fresh epoch beside it would silently serve
+// empty state.
 func openShardWALs(root string, shards int, engine *shard.Engine,
-	mkOpts func(dir string) wal.Options, warnf func(string, ...any)) (*shardWALs, error) {
+	mkOpts func(dir string) wal.Options) (*shardWALs, error) {
 
 	m, ok, err := readManifest(root)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		// No manifest. Legacy segments in the root take precedence over
-		// any epoch directory: the legacy migration writes per-shard
-		// snapshots before its manifest commit, so an epoch without a
-		// manifest beside legacy files is an interrupted migration whose
-		// snapshots may cover only some shards — adopting it would
-		// silently drop every shard not yet snapshotted. Re-running the
-		// migration from the legacy log (which is still complete) starts
-		// over cleanly; migrateToEpoch deletes the half-written epoch.
 		legacy, err := hasLegacyWAL(root)
 		if err != nil {
 			return nil, err
+		}
+		if legacy {
+			return nil, fmt.Errorf("wal dir %s holds a pre-sharding single log (root-level wal-*/snap-* files, no %s); "+
+				"this ratingd only opens the per-shard epoch layout", root, manifestName)
 		}
 		epochs, err := scanEpochs(root)
 		if err != nil {
 			return nil, err
 		}
-		if legacy {
-			if len(epochs) > 0 {
-				warnf("wal: legacy log plus uncommitted %s: re-running interrupted migration",
-					epochDirName(epochs[len(epochs)-1]))
-			}
-			return migrateLegacyWAL(root, shards, engine, mkOpts, warnf)
-		}
 		if len(epochs) > 0 {
-			// No legacy log, so this epoch can only be a crash before the
+			// An epoch without a manifest can only be a crash before the
 			// very first manifest commit of a fresh directory — its
 			// content is at most a replayable prefix of what the manifest
 			// would have committed, so adopting it loses nothing.
@@ -330,12 +319,11 @@ func openShardWALs(root string, shards int, engine *shard.Engine,
 			closeLogSet(logs)
 			return nil, fmt.Errorf("recover epoch %d: %w", m.Epoch, err)
 		}
-		recovered := stats.SnapshotRatings > 0 || stats.Applied > 0 || stats.Windows > 0
-		if recovered {
+		if stats.SnapshotRatings > 0 || stats.Applied > 0 || stats.Windows > 0 {
 			fmt.Printf("recovered %d ratings, %d windows across %d shards (epoch %d)\n",
 				engine.Len(), stats.Windows, shards, m.Epoch)
 		}
-		return &shardWALs{logs: logs, seq: stats.NextSeq, epoch: m.Epoch, recovered: recovered}, nil
+		return &shardWALs{logs: logs, seq: stats.NextSeq, epoch: m.Epoch, replayed: stats.Applied + stats.Windows}, nil
 	}
 
 	// Shard count changed: recover the old epoch (Recover remaps every
@@ -360,7 +348,7 @@ func openShardWALs(root string, shards int, engine *shard.Engine,
 	if err := os.RemoveAll(epochPath(root, m.Epoch)); err != nil {
 		warnf("wal: could not remove retired %s: %v", epochDirName(m.Epoch), err)
 	}
-	w.recovered = stats.SnapshotRatings > 0 || stats.Applied > 0 || stats.Windows > 0
+	w.replayed = stats.Applied + stats.Windows
 	return w, nil
 }
 
@@ -386,56 +374,4 @@ func migrateToEpoch(root string, epoch, shards int, engine *shard.Engine, seq ui
 		return nil, fmt.Errorf("commit epoch %d: %w", epoch, err)
 	}
 	return &shardWALs{logs: logs, seq: seq, epoch: epoch}, nil
-}
-
-// migrateLegacyWAL replays a pre-sharding single log into the engine
-// and migrates it into epoch 1. The legacy segments are not deleted —
-// once the manifest exists they are ignored, and leaving them costs
-// only disk while keeping the migration window crash-safe.
-func migrateLegacyWAL(root string, shards int, engine *shard.Engine,
-	mkOpts func(dir string) wal.Options, warnf func(string, ...any)) (*shardWALs, error) {
-
-	log, rec, err := wal.Open(mkOpts(root))
-	if err != nil {
-		return nil, fmt.Errorf("open legacy wal: %w", err)
-	}
-	// Read-only use: recovery already happened in Open; close before
-	// the epoch takes over so no new frames land in the old layout.
-	if err := log.Close(); err != nil {
-		return nil, err
-	}
-	if rec.Snapshot != nil {
-		if err := engine.LoadSnapshot(bytes.NewReader(rec.Snapshot)); err != nil {
-			warnf("legacy recovery: snapshot unusable, replaying log from scratch: %v", err)
-		}
-	}
-	applied := wal.Replay(replayTarget{sys: engine}, rec.Records, warnf)
-	warnf("wal: migrating legacy log (%d ratings, %d replayed records) to sharded epoch 1", engine.Len(), applied)
-	w, err := migrateToEpoch(root, 1, shards, engine, 1, mkOpts)
-	if err != nil {
-		return nil, err
-	}
-	w.recovered = rec.Snapshot != nil || len(rec.Records) > 0
-	return w, nil
-}
-
-// useShardEngine reports whether the daemon should serve through the
-// engine-backed sharded path: always above one shard, and at exactly
-// one shard when the WAL directory's manifest says the layout is
-// sharded at one — the restart shape a promoted single-shard follower
-// leaves behind. A manifest with MORE shards than requested stays on
-// the legacy path, whose guard refuses it rather than silently serving
-// empty state beside it.
-func useShardEngine(shards int, walDir string) (bool, error) {
-	if shards > 1 {
-		return true, nil
-	}
-	if walDir == "" {
-		return false, nil
-	}
-	m, ok, err := readManifest(walDir)
-	if err != nil {
-		return false, err
-	}
-	return ok && m.Shards == 1, nil
 }

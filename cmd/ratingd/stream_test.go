@@ -2,12 +2,9 @@ package main
 
 import (
 	"sort"
-	"sync"
 	"testing"
 
-	"repro/internal/detector"
 	"repro/internal/rating"
-	"repro/internal/shard"
 	"repro/internal/shard/shardtest"
 )
 
@@ -40,31 +37,18 @@ func submitSeq(t *testing.T, j *shardJournal, rs []rating.Rating) {
 	}
 }
 
-// enableChaosStreaming switches streaming detection on the way run()
-// does: auto windows every 30 rating-days, closed through the journal
-// so barriers are durable, window starts recorded for the assertions.
-func enableChaosStreaming(t *testing.T, e *shard.Engine, j *shardJournal, resumeAfter float64, fired *[][2]float64, mu *sync.Mutex) *shard.Streaming {
+// streamPrimary builds a durable -stream-detect primary whose rating
+// clock closes a maintenance window every 30 rating-days through the
+// journal, so barriers are durable.
+func streamPrimary(t *testing.T, dir string) *daemon {
 	t.Helper()
-	s, err := e.EnableStreaming(shard.StreamConfig{
-		Detector:       detector.Config{Size: 30, Step: 15, Threshold: 0.08},
-		AlertThreshold: 0.3,
-		MaintainEvery:  30,
-		ResumeAfter:    resumeAfter,
-		OnWindowDue: func(start, end float64) {
-			if _, err := j.ProcessWindow(start, end); err != nil {
-				t.Errorf("window [%g,%g): %v", start, end, err)
-				return
-			}
-			mu.Lock()
-			*fired = append(*fired, [2]float64{start, end})
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return walPrimary(t, dir, 2, "-stream-detect", "-stream-window", "30", "-stream-step", "15",
+		"-threshold", "0.08", "-alert-threshold", "0.3", "-maintain-every", "30")
 }
+
+// windows is how many maintenance windows the daemon's journal has
+// logged, recovered ones included.
+func windows(d *daemon) uint64 { return d.journal.NextBarrierSeq() - 1 }
 
 // TestStreamChaosMidWindowCrash kills a -stream-detect daemon mid-way
 // through its second maintenance window — after window [0,30) closed
@@ -91,71 +75,49 @@ func TestStreamChaosMidWindowCrash(t *testing.T) {
 	}
 
 	// Reference: the never-crashed run.
-	var mu sync.Mutex
-	var refFired [][2]float64
-	refEngine, refJ, refWS := openShardDaemon(t, t.TempDir(), 2)
-	refStream := enableChaosStreaming(t, refEngine, refJ, 0, &refFired, &mu)
-	submitSeq(t, refJ, all)
-	refStream.Sync()
-	refStream.Close()
-	wantEngine := engineFingerprint(t, refEngine, 5)
-	wantStream := refStream.Fingerprint()
-	closeShardDaemon(t, refJ, refWS)
-	mu.Lock()
-	if len(refFired) < 2 {
-		t.Fatalf("reference run fired %d windows", len(refFired))
+	ref := streamPrimary(t, t.TempDir())
+	submitSeq(t, ref.journal, all)
+	ref.stream.Sync()
+	closeDaemon(t, ref)
+	wantEngine := engineFingerprint(t, ref.engine, 5)
+	wantStream := ref.stream.Fingerprint()
+	wantWindows := windows(ref)
+	if wantWindows < 2 {
+		t.Fatalf("reference run fired %d windows", wantWindows)
 	}
-	mu.Unlock()
 
 	// Crash run, phase 1: ingest up to the cut, then die abruptly — no
 	// final snapshot, pumps' in-memory suspicion and alert log lost.
 	dir := t.TempDir()
-	var crashFired [][2]float64
-	e1, j1, ws1 := openShardDaemon(t, dir, 2)
-	s1 := enableChaosStreaming(t, e1, j1, 0, &crashFired, &mu)
-	submitSeq(t, j1, prefix)
-	s1.Sync()
-	s1.Close()
-	closeShardDaemon(t, j1, ws1)
-	mu.Lock()
-	if len(crashFired) != 1 || crashFired[0] != [2]float64{0, 30} {
-		t.Fatalf("pre-crash windows: %v, want exactly [0,30)", crashFired)
+	d1 := streamPrimary(t, dir)
+	submitSeq(t, d1.journal, prefix)
+	d1.stream.Sync()
+	if got, end := windows(d1), d1.engine.LastWindowEnd(); got != 1 || end != 30 {
+		t.Fatalf("pre-crash: %d windows up to %g, want exactly [0,30)", got, end)
 	}
-	mu.Unlock()
+	d1.abort()
 
 	// Recovery: the WAL tails must restore the window high-water mark,
 	// streams rebuild from the stores, and the catch-up pass must NOT
 	// re-fire the durable [0,30) — re-charging it would double-apply
 	// Procedure 2 and diverge from the reference trust state.
-	e2, j2, ws2 := openShardDaemon(t, dir, 2)
-	if !ws2.recovered {
-		t.Fatal("no prior state recovered")
-	}
-	if got := e2.LastWindowEnd(); got != 30 {
+	d2 := streamPrimary(t, dir)
+	if got := d2.engine.LastWindowEnd(); got != 30 {
 		t.Fatalf("recovered window high-water %g, want 30", got)
 	}
-	var replayFired [][2]float64
-	s2 := enableChaosStreaming(t, e2, j2, e2.LastWindowEnd(), &replayFired, &mu)
-	submitSeq(t, j2, rest)
-	s2.Sync()
-	s2.Close()
-	defer closeShardDaemon(t, j2, ws2)
+	submitSeq(t, d2.journal, rest)
+	d2.stream.Sync()
+	closeDaemon(t, d2)
 
-	mu.Lock()
-	for _, win := range replayFired {
-		if win[0] < 30 {
-			t.Errorf("recovered run re-fired durable window [%g,%g)", win[0], win[1])
-		}
+	// The recovered run's windows plus the durable one add up to the
+	// reference's count exactly: nothing re-fired, nothing was lost.
+	if got := windows(d2); got != wantWindows {
+		t.Errorf("recovered run logged %d windows, never-crashed run %d", got, wantWindows)
 	}
-	if len(replayFired) == 0 {
-		t.Error("recovered run fired no windows")
-	}
-	mu.Unlock()
-
-	if got := engineFingerprint(t, e2, 5); got != wantEngine {
+	if got := engineFingerprint(t, d2.engine, 5); got != wantEngine {
 		t.Errorf("recovered engine state diverges from never-crashed run:\nwant %q\ngot  %q", wantEngine, got)
 	}
-	if got := s2.Fingerprint(); got != wantStream {
+	if got := d2.stream.Fingerprint(); got != wantStream {
 		t.Errorf("recovered stream state diverges from never-crashed run:\nwant %q\ngot  %q", wantStream, got)
 	}
 }

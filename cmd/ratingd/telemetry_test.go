@@ -6,46 +6,22 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/parallel"
-	"repro/internal/server"
-	"repro/internal/telemetry"
-	"repro/internal/wal"
 )
 
-// newInstrumentedStack wires the full daemon topology — registry, WAL,
-// instrumented system, instrumented server, observability mux — the
-// same way run() does, but against an in-memory filesystem and an
+// newInstrumentedStack builds a single-shard durable primary — the
+// daemon's default shape — and serves its full observability mux on an
 // httptest listener.
-func newInstrumentedStack(t *testing.T, pprofOn bool) (*httptest.Server, *telemetry.Registry) {
+func newInstrumentedStack(t *testing.T, pprofOn bool) *httptest.Server {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	registerProcessMetrics(reg, time.Now())
-	installParallelObserver(reg)
-	t.Cleanup(func() { parallel.SetObserver(nil) })
-
-	fs := faultinject.NewMemFS()
-	log, _, err := wal.Open(wal.Options{Dir: "wal", FS: fs, Metrics: wal.NewMetrics(reg)})
-	if err != nil {
-		t.Fatal(err)
+	args := []string{"-wal", t.TempDir(), "-fsync", "never"}
+	if pprofOn {
+		args = append(args, "-pprof")
 	}
-	t.Cleanup(func() { log.Close() })
-	journal := &walJournal{log: log}
-
-	srv, err := server.New(core.Config{Metrics: core.NewMetrics(reg)},
-		server.WithTelemetry(reg), server.WithJournal(journal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal.sys = srv.System()
-	registerTrustMetrics(reg, srv.System())
-
-	ts := httptest.NewServer(telemetryMux(srv, reg, pprofOn, nil))
+	d := build(t, newPrimary, args...)
+	t.Cleanup(func() { closeDaemon(t, d) })
+	ts := httptest.NewServer(d.handler)
 	t.Cleanup(ts.Close)
-	return ts, reg
+	return ts
 }
 
 // TestMetricsEndpointCoversAllSubsystems is the acceptance check for
@@ -53,7 +29,7 @@ func newInstrumentedStack(t *testing.T, pprofOn bool) (*httptest.Server, *teleme
 // Prometheus text exposing server, WAL, pipeline, trust, parallel, and
 // process metrics.
 func TestMetricsEndpointCoversAllSubsystems(t *testing.T) {
-	ts, _ := newInstrumentedStack(t, false)
+	ts := newInstrumentedStack(t, false)
 
 	// Drive traffic: submit ratings across two objects, run a window.
 	var body strings.Builder
@@ -107,10 +83,11 @@ func TestMetricsEndpointCoversAllSubsystems(t *testing.T) {
 		`http_requests_total{route="/v1/process",code="200"} 1`,
 		`http_request_seconds_bucket{route="/v1/process",le="+Inf"} 1`,
 		"http_inflight_requests 0",
-		// WAL: every rating is its own record, plus one process record.
+		// WAL: every rating is its own record, plus one barrier record.
+		// The startup baseline snapshot rotated the log to segment 1.
 		"wal_appended_records_total 121",
 		"wal_fsync_seconds_count",
-		"wal_segment_seq 0",
+		"wal_segment_seq 1",
 		// Pipeline.
 		"pipeline_windows_total 1",
 		`pipeline_stage_seconds_count{stage="ar_fit"} 2`,
@@ -118,9 +95,10 @@ func TestMetricsEndpointCoversAllSubsystems(t *testing.T) {
 		// Trust: 12 raters all got records; last bin is cumulative-total.
 		"trust_raters 12",
 		`trust_records{le="1"} 12`,
-		// Parallel fan-out observed via the bridge.
-		"parallel_items_total 2",
-		"parallel_runs_total 1",
+		// Parallel fan-out observed via the bridge: the startup WAL open
+		// (one shard log) and the window scan (two objects).
+		"parallel_items_total 3",
+		"parallel_runs_total 2",
 		// Process gauges.
 		"process_uptime_seconds",
 		"process_goroutines",
@@ -147,7 +125,7 @@ func TestMetricsEndpointCoversAllSubsystems(t *testing.T) {
 
 // TestDebugVarsIsValidJSON scrapes /debug/vars and decodes it.
 func TestDebugVarsIsValidJSON(t *testing.T) {
-	ts, _ := newInstrumentedStack(t, false)
+	ts := newInstrumentedStack(t, false)
 	resp, err := ts.Client().Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +147,7 @@ func TestDebugVarsIsValidJSON(t *testing.T) {
 
 // TestPprofGating checks /debug/pprof/ is only mounted behind -pprof.
 func TestPprofGating(t *testing.T) {
-	on, _ := newInstrumentedStack(t, true)
+	on := newInstrumentedStack(t, true)
 	resp, err := on.Client().Get(on.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +157,7 @@ func TestPprofGating(t *testing.T) {
 		t.Fatalf("pprof enabled but index = %d", resp.StatusCode)
 	}
 
-	off, _ := newInstrumentedStack(t, false)
+	off := newInstrumentedStack(t, false)
 	resp, err = off.Client().Get(off.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)

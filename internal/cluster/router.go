@@ -152,10 +152,10 @@ func (rt *Router) Submit(r rating.Rating) error { return rt.SubmitAll([]rating.R
 // split by keyspace owner and forwarded, ascending node order. Members
 // journal before acking, so an acked forward is durable.
 func (rt *Router) SubmitAll(rs []rating.Rating) error {
-	byNode := make(map[int][]server.RatingPayload)
+	byNode := make(map[int][]api.RatingPayload)
 	for _, r := range rs {
 		n := rt.table.OwnerOfObject(r.Object)
-		byNode[n] = append(byNode[n], server.RatingPayload{
+		byNode[n] = append(byNode[n], api.RatingPayload{
 			Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time,
 		})
 	}
@@ -320,7 +320,7 @@ func (rt *Router) trustIn(id rating.RaterID) (float64, error) {
 // ---- server.Backend: cross-member reads ----
 
 // statsFrom fetches one member's stats.
-func (rt *Router) statsFrom(n int, bounds []float64) (server.StatsResponse, error) {
+func (rt *Router) statsFrom(n int, bounds []float64) (api.StatsResponse, error) {
 	ctx := context.Background()
 	if len(bounds) > 0 {
 		return rt.clients[n].StatsWithBounds(ctx, bounds)

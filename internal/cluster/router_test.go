@@ -40,7 +40,7 @@ func TestWrongNodeFollow(t *testing.T) {
 
 	// The client deliberately talks to member 0, which does not own obj.
 	c := server.NewClient(tc.members[0].url, nil)
-	n, err := c.Submit(context.Background(), []server.RatingPayload{
+	n, err := c.Submit(context.Background(), []api.RatingPayload{
 		{Rater: 1, Object: int(obj), Value: 0.5, Time: 1},
 	})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestWrongNodeHopCap(t *testing.T) {
 	srvB.SetCluster(pingPongView{owner: hsA.URL})
 
 	c := server.NewClient(hsA.URL, nil)
-	_, err := c.Submit(context.Background(), []server.RatingPayload{
+	_, err := c.Submit(context.Background(), []api.RatingPayload{
 		{Rater: 1, Object: 5, Value: 0.5, Time: 1},
 	})
 	var apiErr *server.APIError
@@ -191,7 +191,7 @@ func TestRouterShedsDownNode(t *testing.T) {
 	ctx := context.Background()
 
 	submit := func(obj rating.ObjectID, tm float64) error {
-		_, err := c.Submit(ctx, []server.RatingPayload{{Rater: 1, Object: int(obj), Value: 0.5, Time: tm}})
+		_, err := c.Submit(ctx, []api.RatingPayload{{Rater: 1, Object: int(obj), Value: 0.5, Time: tm}})
 		return err
 	}
 	if err := submit(obj0, 1); err != nil {
@@ -294,9 +294,9 @@ func TestSingleNodeClusterMatchesPlainDaemon(t *testing.T) {
 	for _, base := range []string{plain.URL, tc.front.URL} {
 		c := server.NewClient(base, nil)
 		for m, month := range w.Generate() {
-			payloads := make([]server.RatingPayload, len(month.Ratings))
+			payloads := make([]api.RatingPayload, len(month.Ratings))
 			for i, r := range month.Ratings {
-				payloads[i] = server.RatingPayload{
+				payloads[i] = api.RatingPayload{
 					Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time,
 				}
 			}

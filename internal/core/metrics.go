@@ -60,24 +60,29 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// Nil-safe accessors: the System calls these unconditionally; with a
-// nil *Metrics each is one branch and no clock read.
+// Nil-safe accessors: the System and the sharded engine call these
+// unconditionally; with a nil *Metrics each is one branch and no clock
+// read.
 
-func (m *Metrics) stage(name string) telemetry.Span {
+// Stage starts a span for the named pipeline stage.
+func (m *Metrics) Stage(name string) telemetry.Span {
 	if m == nil {
 		return telemetry.Span{}
 	}
 	return m.Pipeline.Start(name)
 }
 
-func (m *Metrics) startWindow() telemetry.Span {
+// StartWindow starts the span timing one whole maintenance window.
+func (m *Metrics) StartWindow() telemetry.Span {
 	if m == nil {
 		return telemetry.Span{}
 	}
 	return m.WindowSeconds.Start()
 }
 
-func (m *Metrics) windowDone(rep *ProcessReport) {
+// WindowDone accounts one completed window: its object count and the
+// per-object considered, filtered, suspicious and degraded totals.
+func (m *Metrics) WindowDone(rep *ProcessReport) {
 	if m == nil {
 		return
 	}

@@ -70,7 +70,7 @@ func (p *Pipeline) ScanObject(ws *detector.Workspace, obj rating.ObjectID, all [
 		return ObjectScan{}, nil
 	}
 
-	filterSpan := p.cfg.Metrics.stage(StageFilter)
+	filterSpan := p.cfg.Metrics.Stage(StageFilter)
 	res, err := p.cfg.Filter.Apply(window)
 	filterSpan.End()
 	if err != nil {
@@ -88,7 +88,7 @@ func (p *Pipeline) ScanObject(ws *detector.Workspace, obj rating.ObjectID, all [
 		Accepted:   res.Accepted,
 		Rejected:   res.Rejected,
 	}
-	fitSpan := p.cfg.Metrics.stage(StageARFit)
+	fitSpan := p.cfg.Metrics.Stage(StageARFit)
 	det, err := detector.DetectWS(res.Accepted, dcfg, ws)
 	fitSpan.End()
 	if err != nil {

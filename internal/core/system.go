@@ -207,7 +207,7 @@ func (s *System) ProcessWindow(start, end float64) (ProcessReport, error) {
 	if end <= start {
 		return ProcessReport{}, fmt.Errorf("core: window [%g,%g)", start, end)
 	}
-	winSpan := s.cfg.Metrics.startWindow()
+	winSpan := s.cfg.Metrics.StartWindow()
 	report := ProcessReport{
 		Start:        start,
 		End:          end,
@@ -239,7 +239,7 @@ func (s *System) ProcessWindow(start, end float64) (ProcessReport, error) {
 		return ProcessReport{}, err
 	}
 
-	chargeSpan := s.cfg.Metrics.stage(StageCharge)
+	chargeSpan := s.cfg.Metrics.Stage(StageCharge)
 	for _, scan := range scans {
 		if !scan.OK {
 			continue
@@ -252,13 +252,13 @@ func (s *System) ProcessWindow(start, end float64) (ProcessReport, error) {
 	}
 	chargeSpan.End()
 
-	trustSpan := s.cfg.Metrics.stage(StageTrustUpdate)
+	trustSpan := s.cfg.Metrics.Stage(StageTrustUpdate)
 	if err := s.manager.UpdateBatch(report.Observations, end); err != nil {
 		return ProcessReport{}, fmt.Errorf("core: %w", err)
 	}
 	trustSpan.End()
 	winSpan.End()
-	s.cfg.Metrics.windowDone(&report)
+	s.cfg.Metrics.WindowDone(&report)
 	return report, nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/mathx"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/randx"
 	"repro/internal/signal"
@@ -301,17 +300,16 @@ func AblationThresholdROC(seed int64, mode Mode, opt Options) (Result, error) {
 
 	// Threshold-free summary: run-level AUC over minimum window errors
 	// (lower error = more attack-like, so scores are negated).
-	var scores []metrics.Score
+	var scores []float64
+	var labels []bool
 	for _, pr := range pairs {
 		scores = append(scores,
-			metrics.Score{Score: -minWindowError(pr.attacked, pr.start, pr.end), Positive: true},
-			metrics.Score{Score: -minWindowError(pr.honest, 0, 1e18), Positive: false},
+			-minWindowError(pr.attacked, pr.start, pr.end),
+			-minWindowError(pr.honest, 0, 1e18),
 		)
+		labels = append(labels, true, false)
 	}
-	auc, err := metrics.AUC(scores)
-	if err != nil {
-		return Result{}, err
-	}
+	auc := stat.AUC(scores, labels)
 
 	return Result{
 		ID:    "ablation-threshold",

@@ -281,7 +281,7 @@ func TestOverloadSoakShedsGracefully(t *testing.T) {
 	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	n, err := rc.Submit(ctx, []RatingPayload{{Rater: 999999, Object: 2, Value: 0.5, Time: 9}})
+	n, err := rc.Submit(ctx, []api.RatingPayload{{Rater: 999999, Object: 2, Value: 0.5, Time: 9}})
 	if err != nil || n != 1 {
 		t.Fatalf("retrying client did not converge: n=%d err=%v", n, err)
 	}
@@ -307,7 +307,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 			})
 			return
 		}
-		_ = json.NewEncoder(w).Encode(SubmitResponse{Accepted: 1})
+		_ = json.NewEncoder(w).Encode(api.SubmitResponse{Accepted: 1})
 	})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
@@ -317,7 +317,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		BaseDelay:   time.Millisecond,
 		Seed:        7,
 	}))
-	n, err := c.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+	n, err := c.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 	if err != nil || n != 1 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}

@@ -183,8 +183,8 @@ func (e *APIError) Error() string {
 }
 
 // Submit sends a batch of ratings and returns how many were accepted.
-func (c *Client) Submit(ctx context.Context, ratings []RatingPayload) (int, error) {
-	var resp SubmitResponse
+func (c *Client) Submit(ctx context.Context, ratings []api.RatingPayload) (int, error) {
+	var resp api.SubmitResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/ratings", ratings, &resp); err != nil {
 		return 0, err
 	}
@@ -192,22 +192,22 @@ func (c *Client) Submit(ctx context.Context, ratings []RatingPayload) (int, erro
 }
 
 // Process runs one maintenance window.
-func (c *Client) Process(ctx context.Context, start, end float64) (ProcessResponse, error) {
-	var resp ProcessResponse
-	err := c.do(ctx, http.MethodPost, "/v1/process", ProcessRequest{Start: start, End: end}, &resp)
+func (c *Client) Process(ctx context.Context, start, end float64) (api.ProcessResponse, error) {
+	var resp api.ProcessResponse
+	err := c.do(ctx, http.MethodPost, "/v1/process", api.ProcessRequest{Start: start, End: end}, &resp)
 	return resp, err
 }
 
 // Aggregate fetches one object's trust-weighted aggregate.
-func (c *Client) Aggregate(ctx context.Context, object int) (AggregateResponse, error) {
-	var resp AggregateResponse
+func (c *Client) Aggregate(ctx context.Context, object int) (api.AggregateResponse, error) {
+	var resp api.AggregateResponse
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/objects/%d/aggregate", object), nil, &resp)
 	return resp, err
 }
 
 // Trust fetches one rater's trust value.
 func (c *Client) Trust(ctx context.Context, rater int) (float64, error) {
-	var resp TrustResponse
+	var resp api.TrustResponse
 	if err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/raters/%d/trust", rater), nil, &resp); err != nil {
 		return 0, err
 	}
@@ -216,7 +216,7 @@ func (c *Client) Trust(ctx context.Context, rater int) (float64, error) {
 
 // Malicious lists the raters currently flagged malicious.
 func (c *Client) Malicious(ctx context.Context) ([]int, error) {
-	var resp MaliciousResponse
+	var resp api.MaliciousResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/malicious", nil, &resp); err != nil {
 		return nil, err
 	}
@@ -226,13 +226,13 @@ func (c *Client) Malicious(ctx context.Context) ([]int, error) {
 // MaliciousPage lists one page of the flagged raters (ascending ID
 // order). limit <= 0 means "from offset to the end". The response's
 // Page field reports the pre-pagination total.
-func (c *Client) MaliciousPage(ctx context.Context, offset, limit int) (MaliciousResponse, error) {
+func (c *Client) MaliciousPage(ctx context.Context, offset, limit int) (api.MaliciousResponse, error) {
 	q := url.Values{}
 	q.Set("offset", strconv.Itoa(offset))
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
 	}
-	var resp MaliciousResponse
+	var resp api.MaliciousResponse
 	err := c.do(ctx, http.MethodGet, "/v1/malicious?"+q.Encode(), nil, &resp)
 	return resp, err
 }
@@ -240,38 +240,38 @@ func (c *Client) MaliciousPage(ctx context.Context, offset, limit int) (Maliciou
 // MaliciousPointRange lists the flagged raters whose keyspace point
 // falls in [lo, hi) — the disjoint slice a cluster router asks each
 // member for before merging the ID-sorted results.
-func (c *Client) MaliciousPointRange(ctx context.Context, lo uint32, hi uint64) (MaliciousResponse, error) {
+func (c *Client) MaliciousPointRange(ctx context.Context, lo uint32, hi uint64) (api.MaliciousResponse, error) {
 	q := url.Values{}
 	q.Set("point_lo", strconv.FormatUint(uint64(lo), 10))
 	q.Set("point_hi", strconv.FormatUint(hi, 10))
-	var resp MaliciousResponse
+	var resp api.MaliciousResponse
 	err := c.do(ctx, http.MethodGet, "/v1/malicious?"+q.Encode(), nil, &resp)
 	return resp, err
 }
 
 // Stats fetches the service's state summary.
-func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	var resp StatsResponse
+func (c *Client) Stats(ctx context.Context) (api.StatsResponse, error) {
+	var resp api.StatsResponse
 	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &resp)
 	return resp, err
 }
 
 // StatsWithBounds fetches the state summary plus a trust distribution
 // binned into the given ascending upper bounds (cumulative counts).
-func (c *Client) StatsWithBounds(ctx context.Context, bounds []float64) (StatsResponse, error) {
+func (c *Client) StatsWithBounds(ctx context.Context, bounds []float64) (api.StatsResponse, error) {
 	parts := make([]string, len(bounds))
 	for i, b := range bounds {
 		parts[i] = strconv.FormatFloat(b, 'g', -1, 64)
 	}
 	q := url.Values{}
 	q.Set("bounds", strings.Join(parts, ","))
-	var resp StatsResponse
+	var resp api.StatsResponse
 	err := c.do(ctx, http.MethodGet, "/v1/stats?"+q.Encode(), nil, &resp)
 	return resp, err
 }
 
 // SubmitStream bulk-ingests NDJSON-framed ratings from body (one
-// RatingPayload object per line) and returns the server's terminal
+// api.RatingPayload object per line) and returns the server's terminal
 // summary plus any per-line rejections. The stream is not retried or
 // deduplicated — body is consumed once — so callers resume from
 // summary.Lines after a failure rather than re-sending blindly. A

@@ -89,7 +89,7 @@ func FuzzParseRatingLine(f *testing.F) {
 		if !ok {
 			return // bailing is always allowed
 		}
-		var strict RatingPayload
+		var strict api.RatingPayload
 		if err := decodeStrict([]byte(line), &strict); err != nil {
 			t.Fatalf("fast path accepted %q but strict decoder rejects: %v", line, err)
 		}

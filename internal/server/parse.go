@@ -9,7 +9,7 @@ import (
 
 // parseRatingLine is the streaming ingest's fast path: a hand-rolled
 // parser for the overwhelmingly common line shape — a flat JSON object
-// whose keys are exactly the RatingPayload fields and whose values are
+// whose keys are exactly the api.RatingPayload fields and whose values are
 // plain numbers. It allocates nothing and returns ok=false for
 // anything it is not certain about (escaped keys, nested values,
 // malformed numbers), in which case the caller re-parses the line

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/randx"
@@ -59,7 +60,7 @@ func TestReadCacheConformance(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		switch rng.Intn(5) {
 		case 0: // submit a small batch
-			batch := []RatingPayload{{
+			batch := []api.RatingPayload{{
 				Rater:  rng.Intn(20) + 1,
 				Object: rng.Intn(4),
 				Value:  math.Round(rng.Float64()*100) / 100,
@@ -114,7 +115,7 @@ func TestReadCachePrecision(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	seed := []RatingPayload{
+	seed := []api.RatingPayload{
 		{Rater: 1, Object: 0, Value: 0.4, Time: 1},
 		{Rater: 2, Object: 0, Value: 0.6, Time: 2},
 		{Rater: 1, Object: 1, Value: 0.9, Time: 1},
@@ -144,7 +145,7 @@ func TestReadCachePrecision(t *testing.T) {
 	}
 
 	// Submit to object 0: only object 0's entry drops.
-	if _, err := client.Submit(ctx, []RatingPayload{{Rater: 3, Object: 0, Value: 0.5, Time: 3}}); err != nil {
+	if _, err := client.Submit(ctx, []api.RatingPayload{{Rater: 3, Object: 0, Value: 0.5, Time: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	base = hits()

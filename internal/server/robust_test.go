@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/rating"
@@ -60,7 +61,7 @@ func TestRetrySubmitExactlyOnce(t *testing.T) {
 		MaxDelay:    5 * time.Millisecond,
 		Seed:        42,
 	}))
-	batch := []RatingPayload{
+	batch := []api.RatingPayload{
 		{Rater: 1, Object: 9, Value: 0.5, Time: 1},
 		{Rater: 2, Object: 9, Value: 0.6, Time: 2},
 		{Rater: 3, Object: 9, Value: 0.7, Time: 3},
@@ -89,7 +90,7 @@ func TestNoRetryPolicySurfacesServerError(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL, ts.Client())
-	_, err = client.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+	_, err = client.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want 503 APIError", err)
@@ -110,7 +111,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client(), WithRetry(RetryPolicy{
 		MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1,
 	}))
-	_, err := client.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+	_, err := client.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 	if err == nil {
 		t.Fatal("400 did not surface as error")
 	}
@@ -132,7 +133,7 @@ func TestRetryHonorsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Submit(ctx, []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+		_, err := client.Submit(ctx, []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -232,7 +233,7 @@ func TestDedupeReplay(t *testing.T) {
 	if res2.Header.Get("X-Request-Replayed") != "true" {
 		t.Fatal("replay not marked")
 	}
-	var resp SubmitResponse
+	var resp api.SubmitResponse
 	if err := json.Unmarshal(b, &resp); err != nil || resp.Accepted != 1 {
 		t.Fatalf("replayed body = %q (%v)", b, err)
 	}
@@ -256,7 +257,7 @@ func TestDedupeDoesNotCacheFailures(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client(), WithRetry(RetryPolicy{
 		MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 3,
 	}))
-	accepted, err := client.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+	accepted, err := client.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 	if err != nil || accepted != 1 {
 		t.Fatalf("submit after journal recovery: accepted=%d err=%v", accepted, err)
 	}
@@ -315,7 +316,7 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	defer ts.Close()
 	client := NewClient(ts.URL, ts.Client())
 
-	_, err = client.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
+	_, err = client.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
 		t.Fatalf("panic surfaced as %v, want 500 APIError", err)
@@ -326,7 +327,7 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	j.mu.Lock()
 	j.panicNext = false
 	j.mu.Unlock()
-	if _, err := client.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}}); err != nil {
+	if _, err := client.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 0.5, Time: 1}}); err != nil {
 		t.Fatalf("submit after recovered panic: %v", err)
 	}
 }
@@ -341,9 +342,9 @@ func TestBodyLimit(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var batch []RatingPayload
+	var batch []api.RatingPayload
 	for i := 0; i < 100; i++ {
-		batch = append(batch, RatingPayload{Rater: i, Object: 1, Value: 0.5, Time: float64(i)})
+		batch = append(batch, api.RatingPayload{Rater: i, Object: 1, Value: 0.5, Time: float64(i)})
 	}
 	payload, _ := json.Marshal(batch)
 	res, err := ts.Client().Post(ts.URL+"/v1/ratings", "application/json", bytes.NewReader(payload))
@@ -407,13 +408,13 @@ func TestSnapshotRoundTripUnderConcurrentTraffic(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				// Unique (rater, time) per rating so duplicates are
 				// detectable in the restored state.
-				r := RatingPayload{
+				r := api.RatingPayload{
 					Rater:  wtr*perWriter + i,
 					Object: 1 + wtr%2,
 					Value:  0.5,
 					Time:   float64(wtr*perWriter + i),
 				}
-				if _, err := client.Submit(ctx, []RatingPayload{r}); err != nil {
+				if _, err := client.Submit(ctx, []api.RatingPayload{r}); err != nil {
 					errs <- err
 					return
 				}

@@ -40,28 +40,6 @@ import (
 	"repro/internal/trust"
 )
 
-// Wire-contract aliases: the DTOs moved to internal/api so the server
-// and the typed client share one versioned surface; these names stay
-// for existing callers (repro facade, daemon tests).
-type (
-	// RatingPayload is the wire form of one rating.
-	RatingPayload = api.RatingPayload
-	// SubmitResponse reports how many ratings were accepted.
-	SubmitResponse = api.SubmitResponse
-	// ProcessRequest is the maintenance-window request body.
-	ProcessRequest = api.ProcessRequest
-	// ProcessResponse summarizes one maintenance pass.
-	ProcessResponse = api.ProcessResponse
-	// AggregateResponse is the wire form of an aggregate.
-	AggregateResponse = api.AggregateResponse
-	// TrustResponse is the wire form of a rater's trust.
-	TrustResponse = api.TrustResponse
-	// MaliciousResponse lists flagged raters.
-	MaliciousResponse = api.MaliciousResponse
-	// StatsResponse summarizes the system's state.
-	StatsResponse = api.StatsResponse
-)
-
 // Backend is the state engine a Server fronts: the single-lock
 // core.SafeSystem or the sharded shard.Engine. Handlers only need
 // this surface, so the wire format and routes are identical for both

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/detector"
 )
@@ -42,9 +43,9 @@ func TestSubmitAndAggregateFlow(t *testing.T) {
 	_, _, client := newTestServer(t)
 	ctx := context.Background()
 
-	var batch []RatingPayload
+	var batch []api.RatingPayload
 	for i := 0; i < 30; i++ {
-		batch = append(batch, RatingPayload{
+		batch = append(batch, api.RatingPayload{
 			Rater: i + 1, Object: 42, Value: 0.8, Time: float64(i),
 		})
 	}
@@ -96,7 +97,7 @@ func TestSubmitAndAggregateFlow(t *testing.T) {
 
 func TestSubmitRejectsInvalid(t *testing.T) {
 	_, _, client := newTestServer(t)
-	_, err := client.Submit(context.Background(), []RatingPayload{{Rater: 1, Object: 1, Value: 3, Time: 0}})
+	_, err := client.Submit(context.Background(), []api.RatingPayload{{Rater: 1, Object: 1, Value: 3, Time: 0}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v", err)
@@ -159,7 +160,7 @@ func TestUnknownRaterNeutralTrust(t *testing.T) {
 func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	_, _, client := newTestServer(t)
 	ctx := context.Background()
-	if _, err := client.Submit(ctx, []RatingPayload{{Rater: 1, Object: 7, Value: 0.6, Time: 1}}); err != nil {
+	if _, err := client.Submit(ctx, []api.RatingPayload{{Rater: 1, Object: 7, Value: 0.6, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -211,7 +212,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				_, err := client.Submit(ctx, []RatingPayload{{
+				_, err := client.Submit(ctx, []api.RatingPayload{{
 					Rater: w*100 + i, Object: w, Value: 0.5, Time: float64(i),
 				}})
 				if err != nil {
@@ -238,7 +239,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Ratings != 0 || stats.Raters != 0 || stats.Malicious != 0 {
 		t.Fatalf("fresh stats = %+v", stats)
 	}
-	if _, err := client.Submit(ctx, []RatingPayload{
+	if _, err := client.Submit(ctx, []api.RatingPayload{
 		{Rater: 1, Object: 1, Value: 0.7, Time: 1},
 		{Rater: 2, Object: 1, Value: 0.6, Time: 2},
 	}); err != nil {

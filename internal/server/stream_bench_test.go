@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/randx"
 	"repro/internal/rating"
@@ -36,7 +37,7 @@ func benchStreamBody(n int) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := 0; i < n; i++ {
-		p := RatingPayload{
+		p := api.RatingPayload{
 			Rater:  rng.Intn(512) + 1,
 			Object: rng.Intn(8),
 			Value:  rng.Float64(),

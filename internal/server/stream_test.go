@@ -22,7 +22,7 @@ import (
 )
 
 // streamBody renders payloads as NDJSON.
-func streamBody(payloads []RatingPayload) string {
+func streamBody(payloads []api.RatingPayload) string {
 	var b strings.Builder
 	enc := json.NewEncoder(&b)
 	for _, p := range payloads {
@@ -31,11 +31,11 @@ func streamBody(payloads []RatingPayload) string {
 	return b.String()
 }
 
-func seededPayloads(n int, seed int64) []RatingPayload {
+func seededPayloads(n int, seed int64) []api.RatingPayload {
 	rng := randx.New(seed)
-	ps := make([]RatingPayload, n)
+	ps := make([]api.RatingPayload, n)
 	for i := range ps {
-		ps[i] = RatingPayload{
+		ps[i] = api.RatingPayload{
 			Rater:  rng.Intn(40) + 1,
 			Object: rng.Intn(8),
 			Value:  math.Round(rng.Float64()*1000) / 1000,
@@ -309,12 +309,12 @@ func streamDirect(t *testing.T, srv *Server, body io.Reader) api.StreamSummary {
 
 // primeAggregate seeds object 1, runs a window, and fills the read
 // cache with its aggregate.
-func primeAggregate(t *testing.T, client *Client) AggregateResponse {
+func primeAggregate(t *testing.T, client *Client) api.AggregateResponse {
 	t.Helper()
 	ctx := context.Background()
-	seed := make([]RatingPayload, 10)
+	seed := make([]api.RatingPayload, 10)
 	for i := range seed {
-		seed[i] = RatingPayload{Rater: i + 1, Object: 1, Value: 0.4 + 0.01*float64(i), Time: float64(i)}
+		seed[i] = api.RatingPayload{Rater: i + 1, Object: 1, Value: 0.4 + 0.01*float64(i), Time: float64(i)}
 	}
 	if _, err := client.Submit(ctx, seed); err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestStreamTerminalDrainsPendingAndInvalidatesCache(t *testing.T) {
 // object 1 is bit-identical to the backend's recompute AND that the
 // recompute actually differs from the pre-stream cached answer (so
 // the equality is not vacuous: a stale cache would serve `before`).
-func requireServedMatchesBackend(t *testing.T, srv *Server, client *Client, before AggregateResponse) {
+func requireServedMatchesBackend(t *testing.T, srv *Server, client *Client, before api.AggregateResponse) {
 	t.Helper()
 	after, err := client.Aggregate(context.Background(), 1)
 	if err != nil {
@@ -547,7 +547,7 @@ func TestParseRatingLineMatchesStrictDecoder(t *testing.T) {
 	}
 	for _, line := range lines {
 		fast, ok := parseRatingLine([]byte(line))
-		var strict RatingPayload
+		var strict api.RatingPayload
 		strictErr := decodeStrict([]byte(line), &strict)
 		if !ok {
 			continue // bailed to the fallback: always correct
@@ -582,7 +582,7 @@ func TestParseRatingLineRejects(t *testing.T) {
 	} {
 		if p, ok := parseRatingLine([]byte(line)); ok {
 			// Acceptance is only a bug if the strict decoder disagrees.
-			var strict RatingPayload
+			var strict api.RatingPayload
 			if err := decodeStrict([]byte(line), &strict); err != nil {
 				t.Fatalf("fast path accepted %q as %+v; strict decoder: %v", line, p, err)
 			}

@@ -207,6 +207,7 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	if end <= start {
 		return core.ProcessReport{}, fmt.Errorf("shard: window [%g,%g)", start, end)
 	}
+	winSpan := e.cfg.Metrics.StartWindow()
 	e.lockAll()
 	defer e.unlockAll()
 
@@ -243,6 +244,7 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 		End:          end,
 		Observations: make(map[rating.RaterID]trust.Observation),
 	}
+	chargeSpan := e.cfg.Metrics.Stage(core.StageCharge)
 	for _, scan := range scans {
 		if !scan.OK {
 			continue
@@ -253,9 +255,11 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	if err := e.pipe.ChargeWindow(report.Observations, scans); err != nil {
 		return core.ProcessReport{}, err
 	}
+	chargeSpan.End()
 
 	sp := e.streaming.Load()
 	var prevMal []rating.RaterID
+	trustSpan := e.cfg.Metrics.Stage(core.StageTrustUpdate)
 	e.trustMu.Lock()
 	if sp != nil {
 		prevMal = e.manager.Malicious()
@@ -290,10 +294,12 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	if err != nil {
 		return core.ProcessReport{}, fmt.Errorf("shard: %w", err)
 	}
+	trustSpan.End()
 	if sp != nil {
 		sp.sink.flagWindow(newMal, newTrust, end)
 	}
-	e.metrics.windowDone(len(report.Objects))
+	winSpan.End()
+	e.cfg.Metrics.WindowDone(&report)
 	return report, nil
 }
 

@@ -8,8 +8,10 @@ import (
 
 // Metrics is the sharded engine's telemetry: per-shard ingest counters
 // keyed by a "shard" label, batch-size distribution, flush outcomes
-// and window counts. A nil *Metrics disables instrumentation (every
-// method is nil-safe), matching the repo's other metric structs.
+// and streaming intake. Window accounting goes to the engine config's
+// core.Metrics, as a System's does. A nil *Metrics disables
+// instrumentation (every method is nil-safe), matching the repo's
+// other metric structs.
 type Metrics struct {
 	// RatingsTotal counts ratings applied per shard.
 	RatingsTotal *telemetry.CounterVec
@@ -19,10 +21,6 @@ type Metrics struct {
 	FlushErrorsTotal *telemetry.CounterVec
 	// BatchSize observes the number of ratings per flushed batch.
 	BatchSize *telemetry.HistogramVec
-	// WindowsTotal counts maintenance windows processed.
-	WindowsTotal *telemetry.Counter
-	// WindowObjects observes objects scanned per window.
-	WindowObjects *telemetry.Histogram
 	// StreamPushedTotal counts ratings accepted into per-object
 	// streams, per shard.
 	StreamPushedTotal *telemetry.CounterVec
@@ -48,8 +46,6 @@ func NewMetrics(r *telemetry.Registry, shards int) *Metrics {
 		BatchesTotal:      r.CounterVec("shard_batches_total", "router batch flushes per shard", "shard"),
 		FlushErrorsTotal:  r.CounterVec("shard_flush_errors_total", "failed router flushes per shard", "shard"),
 		BatchSize:         r.HistogramVec("shard_batch_size", "ratings per flushed batch", []float64{1, 4, 16, 64, 256, 1024}, "shard"),
-		WindowsTotal:      r.Counter("shard_windows_total", "maintenance windows processed"),
-		WindowObjects:     r.Histogram("shard_window_objects", "objects scanned per maintenance window", nil),
 		StreamPushedTotal: r.CounterVec("shard_stream_pushed_total", "ratings accepted into per-object streams", "shard"),
 		StreamLateTotal:   r.CounterVec("shard_stream_late_total", "ratings skipped by the streaming path as behind the stream clock", "shard"),
 		StreamShedTotal:   r.CounterVec("shard_stream_shed_total", "ratings shed by full streaming queues", "shard"),
@@ -118,12 +114,4 @@ func (m *Metrics) alertEmitted(source string) {
 		return
 	}
 	m.AlertsTotal.With(source).Inc()
-}
-
-func (m *Metrics) windowDone(objects int) {
-	if m == nil {
-		return
-	}
-	m.WindowsTotal.Inc()
-	m.WindowObjects.Observe(float64(objects))
 }

@@ -39,20 +39,34 @@ func TestRouterCoalescesBySize(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 64
+	waits := make([]func() error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			// All to one object, so one shard fills fast.
-			if err := r.SubmitOne(mk(1, i)); err != nil {
+			wait, err := r.SubmitAsync([]rating.Rating{mk(1, i)})
+			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
+				return
 			}
+			waits[i] = wait
 		}(i)
 	}
 	wg.Wait()
+	// A drain that carries the batch past a multiple of BatchSize leaves
+	// a tail below it that only Close flushes here, so the submissions
+	// are awaited after Close: awaiting them first can block forever.
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for i, wait := range waits {
+		if wait != nil {
+			if err := wait(); err != nil {
+				t.Errorf("submit %d: %v", i, err)
+			}
+		}
 	}
 	if got := ratings.Load(); got != n {
 		t.Fatalf("flushed %d ratings, want %d", got, n)

@@ -38,6 +38,7 @@
 package repro
 
 import (
+	"repro/internal/api"
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/detector"
@@ -111,7 +112,7 @@ type (
 	// ServiceClient is the typed HTTP client for a Server.
 	ServiceClient = server.Client
 	// RatingPayload is the wire form of one rating.
-	RatingPayload = server.RatingPayload
+	RatingPayload = api.RatingPayload
 )
 
 // NewServer builds the HTTP service.
