@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-soak bench bench-quick allocs profile fuzz chaos chaos-repl chaos-cluster contract matrix stream-conformance ci artifacts benchreport clean
+.PHONY: all build vet fmt test race race-soak bench bench-quick allocs profile fuzz chaos chaos-repl chaos-cluster contract matrix stream-conformance ci artifacts benchreport clean
 
 # Committed shard-scaling floor for `make bench-quick`: the 4-shard
 # batching win measured for BENCH_6 sits at ~4x on the reference box;
@@ -30,6 +30,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -86,13 +90,15 @@ fuzz:
 	$(GO) test -fuzz FuzzShardIndex -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -fuzz FuzzCollusionGraph -fuzztime $(FUZZTIME) ./internal/collusion/
 
-# ci is the gate every change must pass: static checks, a full build,
-# the test suite under the race detector, the non-race allocation
-# pins, a fresh-schedule soak of the sharded engine, a one-shot smoke
-# run of the tab1 macro benchmark (exercises the parallel Monte-Carlo
-# path end to end without benchmark-grade runtimes), the chaos sweep,
-# the detector×attack matrix grid, and the shard-scaling floor check.
+# ci is the gate every change must pass: formatting, static checks, a
+# full build, the test suite under the race detector, the non-race
+# allocation pins, a fresh-schedule soak of the sharded engine, a
+# one-shot smoke run of the tab1 macro benchmark (exercises the
+# parallel Monte-Carlo path end to end without benchmark-grade
+# runtimes), the chaos sweep, the detector×attack matrix grid, and the
+# shard-scaling floor check.
 ci:
+	$(MAKE) fmt
 	$(MAKE) vet
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -55,9 +55,9 @@ func newMember(o options) (*daemon, error) {
 }
 
 // runRouter builds the routing table and the proxy, and serves until
-// interrupted. The trust config must match the members': the router
-// folds window evidence with the same Procedure 2 parameters the
-// members apply.
+// interrupted. Folding window evidence takes no trust parameters (each
+// member applies the fold under its own); the trust config only lets
+// Router.TrustSnapshot rebuild trust from a member's records.
 func runRouter(o options) error {
 	members := splitClusterURLs(o.cluster)
 	table, err := cluster.EvenTable(o.clusterEpoch, members)

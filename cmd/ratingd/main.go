@@ -164,7 +164,7 @@ func parseFlags(args []string) (options, error) {
 
 	fs.IntVar(&o.shards, "shards", 1, "shard workers partitioning state by object")
 	fs.IntVar(&o.batchSize, "batch", 256, "ratings coalesced per shard flush (group commit)")
-	fs.DurationVar(&o.batchInterval, "batch-interval", 2*time.Millisecond, "max wait before a partial batch flushes; negative flushes on size only")
+	fs.DurationVar(&o.batchInterval, "batch-interval", 2*time.Millisecond, "max wait before a partial batch flushes")
 
 	fs.StringVar(&o.walDir, "wal", "", "write-ahead-log directory; empty disables the WAL")
 	fs.StringVar(&fsyncMode, "fsync", "always", "WAL fsync policy: always|interval|never")
@@ -209,6 +209,11 @@ func parseFlags(args []string) (options, error) {
 		o.fsync = wal.SyncNever
 	default:
 		return o, fmt.Errorf("unknown -fsync policy %q", fsyncMode)
+	}
+	if o.batchInterval < 0 {
+		// Size-only flushing would strand a tail below -batch until
+		// unrelated traffic arrives, blocking its submitter.
+		return o, fmt.Errorf("-batch-interval %v: must not be negative", o.batchInterval)
 	}
 	o.clusterSelf = strings.TrimRight(o.clusterSelf, "/")
 	o.follow = strings.TrimRight(o.follow, "/")

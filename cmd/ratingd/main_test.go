@@ -2,6 +2,7 @@ package main
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/shard"
@@ -26,11 +27,11 @@ func build(t *testing.T, ctor func(options) (*daemon, error), args ...string) *d
 }
 
 // walArgs is the command line of a durable daemon with n shards. Every
-// submit flushes at once (-batch 1, no ticker) and the logs skip fsync,
-// which keeps the tests fast and free of timing.
+// submit flushes at once (-batch 1) and the logs skip fsync, which
+// keeps the tests fast and free of timing.
 func walArgs(dir string, n int, extra ...string) []string {
 	return append([]string{"-wal", dir, "-shards", strconv.Itoa(n),
-		"-fsync", "never", "-batch", "1", "-batch-interval=-1ns"}, extra...)
+		"-fsync", "never", "-batch", "1"}, extra...)
 }
 
 // walPrimary builds a durable primary over dir with n shards.
@@ -60,11 +61,21 @@ func engineFingerprint(t *testing.T, e *shard.Engine, objects int) string {
 }
 
 func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-nope"}); err == nil {
-		t.Fatal("bad flag accepted")
-	}
-	if err := run([]string{"-b", "7"}); err == nil {
-		t.Fatal("invalid trust config accepted")
+	parse := func(args []string) error { _, err := parseFlags(args); return err }
+	for _, tc := range []struct {
+		args  []string
+		check func([]string) error
+		want  string // the error names this
+	}{
+		{[]string{"-nope"}, run, "-nope"},
+		{[]string{"-b", "7"}, run, ""},
+		// Checked through parseFlags: a run() that accepted it would
+		// serve instead of returning.
+		{[]string{"-batch-interval", "-1ns"}, parse, "-batch-interval"},
+	} {
+		if err := tc.check(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want a refusal naming %q", tc.args, err, tc.want)
+		}
 	}
 }
 

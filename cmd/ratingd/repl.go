@@ -28,10 +28,11 @@ import (
 )
 
 // newFollower builds the read-replica role: the engine follows the
-// primary at -follow, nothing local is recovered and no journal is
-// installed — the replica gate refuses mutations before they could
-// want one. Any -shards count works (shard.Recover remaps replicated
-// state by hash, so the counts need not match the primary's).
+// primary at -follow, nothing local is recovered and the server keeps
+// its default journal — the replica gate refuses mutations before
+// they could reach it. Any -shards count works (shard.Recover remaps
+// replicated state by hash, so the counts need not match the
+// primary's).
 func newFollower(o options) (*daemon, error) {
 	d, err := newDaemon(o)
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/randx"
 )
 
-func TestFacadeSafeSystemAndSnapshot(t *testing.T) {
-	s, err := repro.NewSafeSystem(repro.Config{})
+func TestFacadeSnapshot(t *testing.T) {
+	s, err := repro.NewSystem(repro.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestFacadeSafeSystemAndSnapshot(t *testing.T) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := repro.NewSafeSystem(repro.Config{})
+	restored, err := repro.NewSystem(repro.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,10 @@ import (
 	"repro/internal/trust"
 )
 
-// RouterConfig customizes a Router.
+// RouterConfig customizes a Router. Member calls go through
+// http.DefaultClient without retries: a router that retries a dead
+// member for seconds cannot shed its range promptly.
 type RouterConfig struct {
-	// HTTPClient drives every member call; nil means
-	// http.DefaultClient.
-	HTTPClient *http.Client
-	// Retry, when MaxAttempts > 1, enables idempotent retries on the
-	// typed member clients. Off by default: a router that retries a
-	// dead member for seconds cannot shed its range promptly.
-	Retry server.RetryPolicy
 	// Trust, when set, lets the router answer TrustSnapshot locally by
 	// rebuilding a manager from a member snapshot's records.
 	Trust *trust.ManagerConfig
@@ -56,7 +51,6 @@ type RouterConfig struct {
 // scatter.
 type Router struct {
 	table    Table
-	hc       *http.Client
 	clients  []*server.Client // one per member, epoch pinned
 	trustCfg *trust.ManagerConfig
 
@@ -69,18 +63,11 @@ func NewRouter(table Table, cfg RouterConfig) (*Router, error) {
 	if err := table.Validate(); err != nil {
 		return nil, err
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	rt := &Router{table: table, hc: hc, trustCfg: cfg.Trust}
+	rt := &Router{table: table, trustCfg: cfg.Trust}
 	epoch := strconv.FormatUint(table.Epoch, 10)
 	for _, n := range table.Nodes {
-		copts := []server.ClientOption{server.WithHeader(api.ClusterEpochHeader, epoch)}
-		if cfg.Retry.MaxAttempts > 1 {
-			copts = append(copts, server.WithRetry(cfg.Retry))
-		}
-		rt.clients = append(rt.clients, server.NewClient(n.URL, hc, copts...))
+		rt.clients = append(rt.clients, server.NewClient(n.URL, http.DefaultClient,
+			server.WithHeader(api.ClusterEpochHeader, epoch)))
 	}
 
 	opts := []server.Option{
@@ -144,9 +131,6 @@ func (rt *Router) unavailable(node int, err error) error {
 }
 
 // ---- server.Backend / server.Journal: mutations ----
-
-// Submit implements server.Backend.
-func (rt *Router) Submit(r rating.Rating) error { return rt.SubmitAll([]rating.Rating{r}) }
 
 // SubmitAll implements server.Backend and server.Journal: the batch is
 // split by keyspace owner and forwarded, ascending node order. Members
@@ -401,9 +385,9 @@ func (rt *Router) mergedMalicious() ([]rating.RaterID, error) {
 	}
 }
 
-// TrustSnapshot implements server.Backend: trust is replicated, so one
-// member's records rebuild the full map. Requires RouterConfig.Trust;
-// nil otherwise (no HTTP route consumes this).
+// TrustSnapshot returns every tracked rater's trust: trust is
+// replicated, so one member's records rebuild the full map. Requires
+// RouterConfig.Trust; nil otherwise (no HTTP route consumes this).
 func (rt *Router) TrustSnapshot() map[rating.RaterID]float64 {
 	if rt.trustCfg == nil {
 		return nil
@@ -641,7 +625,7 @@ func (rt *Router) fetchClusterDoc(n int) (api.ClusterResponse, error) {
 	if err != nil {
 		return api.ClusterResponse{}, err
 	}
-	resp, err := rt.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return api.ClusterResponse{}, err
 	}
@@ -671,7 +655,7 @@ func (rt *Router) postJSON(ctx context.Context, n int, path string, in, out any)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(api.ClusterEpochHeader, strconv.FormatUint(rt.table.Epoch, 10))
-	resp, err := rt.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

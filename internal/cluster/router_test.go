@@ -106,11 +106,7 @@ func (v pingPongView) Doc() api.ClusterResponse        { return api.ClusterRespo
 func TestWrongNodeHopCap(t *testing.T) {
 	// Two servers, each insisting the other is the owner.
 	mk := func() (*server.Server, *httptest.Server) {
-		sys, err := core.NewSafeSystem(core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.NewWith(sys)
+		srv, err := server.New(core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/rating"
 	"repro/internal/randx"
+	"repro/internal/rating"
 	"repro/internal/telemetry"
 )
 

@@ -11,7 +11,7 @@ import (
 // window that has elapsed.
 //
 // The scheduler is as (un)safe for concurrent use as the system it
-// wraps: pair it with SafeSystem externally if needed.
+// wraps: serialize access externally if needed.
 type Scheduler struct {
 	sys *System
 	// width is the maintenance window length in days.

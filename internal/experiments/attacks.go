@@ -44,7 +44,7 @@ func AblationAttacks(seed int64, mode Mode, opt Options) (Result, error) {
 	// flat order, so all of them are pre-drawn at once.
 	seeds := rng.Seeds(len(strats) * runs)
 	type outcome struct {
-		detected               bool
+		detected                bool
 		naiveDamage, propDamage float64
 	}
 

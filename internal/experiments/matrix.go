@@ -34,15 +34,15 @@ import (
 // (persistent, careful raters) so a coordinated bias is separable from
 // noise — the regime where the iterative filter is meaningful at all.
 const (
-	zooGoodVar     = 0.01 // honest rating variance on the zoo background
-	zooAttackBias  = 0.35 // campaign bias above true quality
-	zooAttackVar   = 0.005
-	zooAttackRate  = 4 // unfair ratings/day across the clique
-	zooColluders   = 8
-	zooAStart      = 20
-	zooAEnd        = 44
-	zooWindowDays  = 10
-	zooWindows     = 6
+	zooGoodVar    = 0.01 // honest rating variance on the zoo background
+	zooAttackBias = 0.35 // campaign bias above true quality
+	zooAttackVar  = 0.005
+	zooAttackRate = 4 // unfair ratings/day across the clique
+	zooColluders  = 8
+	zooAStart     = 20
+	zooAEnd       = 44
+	zooWindowDays = 10
+	zooWindows    = 6
 	// zooARThreshold is calibrated for low false alarm on the zoo
 	// background: honest window errors there sit at p5≈0.013 (tight
 	// honest noise fits the AR model well), so the paper's low-error

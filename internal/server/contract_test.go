@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/rating"
 	"repro/internal/repl"
+	"repro/internal/shard"
 	"repro/internal/trust"
 	"repro/internal/wal"
 )
@@ -172,12 +174,28 @@ func checkFixture(t *testing.T, name string, res *http.Response) {
 
 // TestWireContract pins the v1 wire surface — success and every error
 // code — to checked-in fixtures. A field rename, a dropped field, or a
-// code change fails here before any client notices in production.
+// code change fails here before any client notices in production. A
+// one-shard and a four-shard engine answer with the same bytes: the
+// shard count never reaches the wire.
 func TestWireContract(t *testing.T) {
-	srv, err := New(core.Config{Detector: detector.Config{Threshold: 0.05}})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			engine, err := shard.NewEngine(core.Config{Detector: detector.Config{Threshold: 0.05}}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewWith(engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testWireContract(t, srv)
+		})
 	}
+}
+
+// testWireContract seeds srv and checks every v1 route's response
+// against its fixture.
+func testWireContract(t *testing.T, srv *Server) {
 	contractSeed(t, srv.System())
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -378,7 +396,7 @@ func TestWireContractErrorPaths(t *testing.T) {
 	})
 
 	t.Run("conflict", func(t *testing.T) {
-		base, err := core.NewSafeSystem(core.Config{Detector: detector.Config{Threshold: 0.05}})
+		base, err := shard.NewEngine(core.Config{Detector: detector.Config{Threshold: 0.05}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +414,7 @@ func TestWireContractErrorPaths(t *testing.T) {
 	})
 
 	t.Run("internal", func(t *testing.T) {
-		base, err := core.NewSafeSystem(core.Config{Detector: detector.Config{Threshold: 0.05}})
+		base, err := shard.NewEngine(core.Config{Detector: detector.Config{Threshold: 0.05}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +449,7 @@ func TestWireContractErrorPaths(t *testing.T) {
 
 		// End to end: a handler slower than the budget yields 503 with
 		// that exact body.
-		base, err := core.NewSafeSystem(core.Config{Detector: detector.Config{Threshold: 0.05}})
+		base, err := shard.NewEngine(core.Config{Detector: detector.Config{Threshold: 0.05}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,8 +54,9 @@ func (s *Server) SetReplica(info func() ReplicaInfo) {
 	s.replica = info
 }
 
-// SetJournal installs or replaces the journal at runtime. Promotion
-// uses it to hand the server the promoted WAL journal.
+// SetJournal installs or replaces the journal, which must not be nil,
+// at runtime. Promotion uses it to hand the server the promoted WAL
+// journal.
 func (s *Server) SetJournal(j Journal) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()

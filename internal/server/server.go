@@ -1,7 +1,7 @@
 // Package server exposes the trust-enhanced rating system as a small
 // JSON-over-HTTP service — the deployment shape a marketplace backend
-// would actually consume. It wraps a core.SafeSystem, so handlers are
-// safe under concurrent requests.
+// would actually consume. It fronts a Backend that is safe under
+// concurrent requests: a shard.Engine, or a cluster router.
 //
 // Endpoints (v1) — request/response shapes live in internal/api:
 //
@@ -40,18 +40,16 @@ import (
 	"repro/internal/trust"
 )
 
-// Backend is the state engine a Server fronts: the single-lock
-// core.SafeSystem or the sharded shard.Engine. Handlers only need
-// this surface, so the wire format and routes are identical for both
-// deployment shapes.
+// Backend is the state engine a Server fronts: a shard.Engine, or
+// the cluster router that fans out to members serving one. Handlers
+// only need this surface, so the wire format and routes are identical
+// for every deployment shape.
 type Backend interface {
-	Submit(r rating.Rating) error
 	SubmitAll(rs []rating.Rating) error
 	Len() int
 	ProcessWindow(start, end float64) (core.ProcessReport, error)
 	Aggregate(obj rating.ObjectID) (core.AggregateResult, error)
 	TrustIn(id rating.RaterID) float64
-	TrustSnapshot() map[rating.RaterID]float64
 	TrustDistribution(bounds []float64) []int
 	RaterCount() int
 	MaliciousRaters() []rating.RaterID
@@ -62,9 +60,9 @@ type Backend interface {
 // Journal orders durable logging against in-memory application: a
 // daemon that write-ahead-logs mutations implements it so that "append
 // to the log" and "apply to the system" happen atomically with respect
-// to snapshots (see cmd/ratingd). When a Journal is installed, the
-// mutating endpoints route through it instead of touching the
-// SafeSystem directly.
+// to snapshots (see cmd/ratingd). Every mutating endpoint goes through
+// the server's journal; a server built without WithJournal writes
+// through a default one that applies straight to the backend.
 type Journal interface {
 	// SubmitAll logs and applies a batch of pre-validated ratings.
 	SubmitAll(rs []rating.Rating) error
@@ -73,6 +71,12 @@ type Journal interface {
 	// Restore replaces the state with a snapshot and rebases the log.
 	Restore(r io.Reader) error
 }
+
+// directJournal is the journal of a server built without WithJournal:
+// nothing is logged, so mutations apply straight to the backend.
+type directJournal struct{ Backend }
+
+func (j directJournal) Restore(r io.Reader) error { return j.LoadSnapshot(r) }
 
 // AsyncSubmitter is the optional streaming extension of a Journal: a
 // submit that returns once the batch is enqueued (values copied) plus
@@ -198,13 +202,14 @@ func WithStreamBatch(n int) Option {
 	}
 }
 
-// New builds a Server around cfg with a core.SafeSystem backend.
+// New builds a Server around cfg with a one-shard shard.Engine
+// backend, which scores exactly like a core.System.
 func New(cfg core.Config, opts ...Option) (*Server, error) {
-	sys, err := core.NewSafeSystem(cfg)
+	engine, err := shard.NewEngine(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	return NewWith(sys, opts...)
+	return NewWith(engine, opts...)
 }
 
 // NewWith builds a Server around an existing backend — the way a
@@ -224,6 +229,9 @@ func NewWith(backend Backend, opts ...Option) (*Server, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.journal == nil {
+		s.journal = directJournal{backend}
 	}
 	s.routes()
 
@@ -350,16 +358,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if journal := s.getJournal(); journal != nil {
-		if err := journal.SubmitAll(rs); err != nil {
-			// Durability is unavailable; refuse the write so the
-			// client retries rather than accepting state a crash
-			// would silently lose.
-			writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
-			return
-		}
-	} else if err := s.sys.SubmitAll(rs); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+	if err := s.getJournal().SubmitAll(rs); err != nil {
+		// Durability is unavailable; refuse the write so the client
+		// retries rather than accepting state a crash would silently
+		// lose.
+		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
 		return
 	}
 	s.cache.invalidateRatings(rs)
@@ -389,16 +392,9 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 			"this node is a cluster member; maintenance windows run through the cluster router"))
 		return
 	}
-	var rep core.ProcessReport
-	var err error
-	if journal := s.getJournal(); journal != nil {
-		rep, err = journal.ProcessWindow(req.Start, req.End)
-		if err != nil {
-			writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
-			return
-		}
-	} else if rep, err = s.sys.ProcessWindow(req.Start, req.End); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+	rep, err := s.getJournal().ProcessWindow(req.Start, req.End)
+	if err != nil {
+		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
 		return
 	}
 	// A window rewrites trust, which feeds every aggregate and the
@@ -602,11 +598,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	restore := s.sys.LoadSnapshot
-	if journal := s.getJournal(); journal != nil {
-		restore = journal.Restore
-	}
-	if err := restore(r.Body); err != nil {
+	if err := s.getJournal().Restore(r.Body); err != nil {
 		writeError(w, r, bodyErrStatus(err), err)
 		return
 	}

@@ -269,12 +269,7 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 			st.batch, st.objs = st.batch[:0], st.objs[:0]
 			return
 		}
-		var err error
-		if journal != nil {
-			err = journal.SubmitAll(st.batch)
-		} else {
-			err = s.sys.SubmitAll(st.batch)
-		}
+		err := journal.SubmitAll(st.batch)
 		if release != nil {
 			release()
 		}

@@ -53,11 +53,7 @@ func benchStreamBody(n int) []byte {
 // BenchmarkStreamDecode is the stream endpoint's protocol cost per
 // rating: handler-level (no socket), discarding journal.
 func BenchmarkStreamDecode(b *testing.B) {
-	sys, err := core.NewSafeSystem(core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := NewWith(sys, WithJournal(discardJournal{}))
+	srv, err := New(core.Config{}, WithJournal(discardJournal{}))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/detector"
-	"repro/internal/parallel"
 	"repro/internal/rating"
 	"repro/internal/trust"
 )
@@ -210,31 +208,7 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	winSpan := e.cfg.Metrics.StartWindow()
 	e.lockAll()
 	defer e.unlockAll()
-
-	var objects []rating.ObjectID
-	byObject := make(map[rating.ObjectID]*shardState)
-	for _, st := range e.states {
-		for _, obj := range st.store.Objects() {
-			objects = append(objects, obj)
-			byObject[obj] = st
-		}
-	}
-	sort.Slice(objects, func(i, j int) bool { return objects[i] < objects[j] })
-
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	scans, err := parallel.MapLocal(len(objects), workers,
-		detector.NewWorkspace,
-		func(i int, ws *detector.Workspace) (core.ObjectScan, error) {
-			obj := objects[i]
-			all, err := byObject[obj].store.ForObject(obj)
-			if err != nil {
-				return core.ObjectScan{}, fmt.Errorf("shard: %w", err)
-			}
-			return e.pipe.ScanObject(ws, obj, all, start, end)
-		})
+	scans, err := e.scanLocked(start, end)
 	if err != nil {
 		return core.ProcessReport{}, err
 	}
@@ -257,46 +231,8 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	}
 	chargeSpan.End()
 
-	sp := e.streaming.Load()
-	var prevMal []rating.RaterID
-	trustSpan := e.cfg.Metrics.Stage(core.StageTrustUpdate)
-	e.trustMu.Lock()
-	if sp != nil {
-		prevMal = e.manager.Malicious()
-	}
-	err = e.manager.UpdateBatch(report.Observations, end)
-	if err == nil && end > e.lastWindowEnd {
-		e.lastWindowEnd = end
-	}
-	var newMal []rating.RaterID
-	var newTrust map[rating.RaterID]float64
-	if err == nil && sp != nil {
-		// Diff the malicious list so the window close pushes alerts
-		// for newly-flagged raters; reads only, so the charge
-		// arithmetic stays byte-identical to a non-streaming engine.
-		was := make(map[rating.RaterID]bool, len(prevMal))
-		for _, id := range prevMal {
-			was[id] = true
-		}
-		for _, id := range e.manager.Malicious() {
-			if !was[id] {
-				newMal = append(newMal, id)
-			}
-		}
-		if len(newMal) > 0 {
-			newTrust = make(map[rating.RaterID]float64, len(newMal))
-			for _, id := range newMal {
-				newTrust[id] = e.manager.Trust(id)
-			}
-		}
-	}
-	e.trustMu.Unlock()
-	if err != nil {
-		return core.ProcessReport{}, fmt.Errorf("shard: %w", err)
-	}
-	trustSpan.End()
-	if sp != nil {
-		sp.sink.flagWindow(newMal, newTrust, end)
+	if err := e.applyWindow(report.Observations, end, e.cfg.Metrics.Stage(core.StageTrustUpdate)); err != nil {
+		return core.ProcessReport{}, err
 	}
 	winSpan.End()
 	e.cfg.Metrics.WindowDone(&report)
@@ -324,7 +260,9 @@ func (e *Engine) aggregate(obj rating.ObjectID, include func(rating.Rating) bool
 	stored, err := st.store.ForObject(obj)
 	st.mu.Unlock()
 	if err != nil {
-		return core.AggregateResult{}, fmt.Errorf("shard: %w", err)
+		// Worded as core.System words it: the unknown-object message
+		// is part of the wire contract, whatever engine serves it.
+		return core.AggregateResult{}, fmt.Errorf("core: %w", err)
 	}
 	all := make([]rating.Rating, 0, len(stored))
 	for _, r := range stored {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/parallel"
 	"repro/internal/rating"
+	"repro/internal/telemetry"
 	"repro/internal/trust"
 )
 
@@ -60,31 +61,7 @@ func (e *Engine) ScanWindow(start, end float64) ([]ObjectEvidence, error) {
 	}
 	e.lockAll()
 	defer e.unlockAll()
-
-	var objects []rating.ObjectID
-	byObject := make(map[rating.ObjectID]*shardState)
-	for _, st := range e.states {
-		for _, obj := range st.store.Objects() {
-			objects = append(objects, obj)
-			byObject[obj] = st
-		}
-	}
-	sort.Slice(objects, func(i, j int) bool { return objects[i] < objects[j] })
-
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	scans, err := parallel.MapLocal(len(objects), workers,
-		detector.NewWorkspace,
-		func(i int, ws *detector.Workspace) (core.ObjectScan, error) {
-			obj := objects[i]
-			all, err := byObject[obj].store.ForObject(obj)
-			if err != nil {
-				return core.ObjectScan{}, fmt.Errorf("shard: %w", err)
-			}
-			return e.pipe.ScanObject(ws, obj, all, start, end)
-		})
+	scans, err := e.scanLocked(start, end)
 	if err != nil {
 		return nil, err
 	}
@@ -148,13 +125,53 @@ func FoldEvidence(objects []ObjectEvidence) map[rating.RaterID]trust.Observation
 	return obs
 }
 
+// scanLocked runs the scan half of a window — restrict, filter,
+// detect — over every object on every shard, ascending by object ID
+// across shards: the order a single System scans in. The caller holds
+// every shard lock.
+func (e *Engine) scanLocked(start, end float64) ([]core.ObjectScan, error) {
+	var objects []rating.ObjectID
+	byObject := make(map[rating.ObjectID]*shardState)
+	for _, st := range e.states {
+		for _, obj := range st.store.Objects() {
+			objects = append(objects, obj)
+			byObject[obj] = st
+		}
+	}
+	sort.Slice(objects, func(i, j int) bool { return objects[i] < objects[j] })
+
+	workers := e.cfg.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	return parallel.MapLocal(len(objects), workers,
+		detector.NewWorkspace,
+		func(i int, ws *detector.Workspace) (core.ObjectScan, error) {
+			obj := objects[i]
+			all, err := byObject[obj].store.ForObject(obj)
+			if err != nil {
+				return core.ObjectScan{}, fmt.Errorf("shard: %w", err)
+			}
+			return e.pipe.ScanObject(ws, obj, all, start, end)
+		})
+}
+
 // ApplyObservations applies an externally-folded window's observations
 // to the global trust manager — the charge half of a maintenance
 // window, used by cluster members after the router merges every
-// member's scan evidence. The arithmetic is exactly ProcessWindow's
-// UpdateBatch call, so a member applying the merged batch lands on the
-// same trust state as a single system running the whole window.
+// member's scan evidence. It runs the same apply as ProcessWindow, so
+// a member applying the merged batch lands on the same trust state as
+// a single system running the whole window.
 func (e *Engine) ApplyObservations(obs map[rating.RaterID]trust.Observation, end float64) error {
+	return e.applyWindow(obs, end, telemetry.Span{})
+}
+
+// applyWindow charges a window's observations to the global trust
+// manager at time end and ends span. With streaming detection on, it
+// then pushes an alert for every rater the charge newly flagged; the
+// diff behind the alerts only reads the manager, so the charge
+// arithmetic is the same with or without streaming.
+func (e *Engine) applyWindow(obs map[rating.RaterID]trust.Observation, end float64, span telemetry.Span) error {
 	sp := e.streaming.Load()
 	var prevMal []rating.RaterID
 	e.trustMu.Lock()
@@ -188,6 +205,7 @@ func (e *Engine) ApplyObservations(obs map[rating.RaterID]trust.Observation, end
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
+	span.End()
 	if sp != nil {
 		sp.sink.flagWindow(newMal, newTrust, end)
 	}

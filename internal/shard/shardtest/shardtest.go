@@ -19,8 +19,8 @@ import (
 	"repro/internal/rating"
 )
 
-// System is the surface the harness drives. *core.System,
-// *core.SafeSystem and *shard.Engine all satisfy it.
+// System is the surface the harness drives. *core.System and
+// *shard.Engine both satisfy it.
 type System interface {
 	SubmitAll(rs []rating.Rating) error
 	ProcessWindow(start, end float64) (core.ProcessReport, error)

@@ -873,9 +873,9 @@ func sortInts(s []int) {
 	}
 }
 
-// Target consumes replayed records. *core.System and *core.SafeSystem
-// satisfy it via a thin adapter (see cmd/ratingd); keeping the
-// interface this narrow lets wal avoid importing core.
+// Target consumes replayed records. A *core.System satisfies it via a
+// thin adapter (see cmd/benchreport); keeping the interface this
+// narrow lets wal avoid importing core.
 type Target interface {
 	Submit(r rating.Rating) error
 	Process(start, end float64) error

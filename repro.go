@@ -86,14 +86,6 @@ func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }
 // ErrNoTrustedRaters when every rater is at the trust floor.
 var NoFallback = core.NoFallback
 
-// SafeSystem is a mutex-guarded System for concurrent use (the HTTP
-// service is built on it). It mirrors System's API and adds snapshot
-// persistence under the lock.
-type SafeSystem = core.SafeSystem
-
-// NewSafeSystem builds a concurrency-safe System.
-func NewSafeSystem(cfg Config) (*SafeSystem, error) { return core.NewSafeSystem(cfg) }
-
 // Scheduler drives a System's maintenance on a fixed cadence: feed it
 // the current time via AdvanceTo and it runs every complete window.
 type Scheduler = core.Scheduler
@@ -104,7 +96,8 @@ func NewScheduler(sys *System, start, width float64) (*Scheduler, error) {
 	return core.NewScheduler(sys, start, width)
 }
 
-// HTTP service over a SafeSystem (see cmd/ratingd for the daemon).
+// HTTP service over a one-shard engine that scores exactly like a
+// System (see cmd/ratingd for the daemon).
 type (
 	// Server exposes the system as a JSON-over-HTTP service; it
 	// implements http.Handler.
