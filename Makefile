@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race race-soak bench bench-quick allocs profile fuzz chaos chaos-repl chaos-cluster contract matrix stream-conformance ci artifacts benchreport clean
+.PHONY: all build vet perfbench-vet fmt test race race-soak bench bench-quick allocs profile fuzz chaos chaos-repl chaos-cluster contract matrix stream-conformance ci artifacts benchreport clean
 
 # Committed shard-scaling floor for `make bench-quick`: the 4-shard
 # batching win measured for BENCH_6 sits at ~4x on the reference box;
@@ -30,6 +30,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet compiles and vets the benchmark driver, its own module
+# (`replace repro => ../`) that root-level build and vet never reach,
+# against the packages it measures.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # fmt fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
@@ -100,6 +106,7 @@ fuzz:
 ci:
 	$(MAKE) fmt
 	$(MAKE) vet
+	$(MAKE) perfbench-vet
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) allocs

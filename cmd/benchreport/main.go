@@ -131,7 +131,7 @@ type TelemetryStats struct {
 
 // WALReplayStats measures crash-recovery throughput: how fast a
 // write-ahead log of accepted ratings is read back, checksum-verified,
-// decoded, and re-applied at startup.
+// decoded, and re-applied at startup through shard.Recover.
 type WALReplayStats struct {
 	Records       int     `json:"records"`
 	WallNS        int64   `json:"wall_ns"`
@@ -400,20 +400,11 @@ func atNumCPU(f func() error) error {
 	return f()
 }
 
-// replaySink absorbs replayed WAL records into a real system store, so
-// the benchmark times the same apply path a restarting daemon runs.
-type replaySink struct{ sys *core.System }
-
-func (t replaySink) Submit(r rating.Rating) error { return t.sys.Submit(r) }
-
-func (t replaySink) Process(start, end float64) error {
-	_, err := t.sys.ProcessWindow(start, end)
-	return err
-}
-
 // measureWALReplay generates a synthetic log of n accepted ratings
-// (setup, untimed), then times recovery: open the log, verify and
-// decode every frame, and replay into a fresh system.
+// (setup, untimed), then times the recovery a restarting
+// `ratingd -shards 1` runs: open the log, verify and decode every
+// frame, and replay it through shard.Recover into a fresh one-shard
+// engine.
 func measureWALReplay(n int, seed int64) (WALReplayStats, error) {
 	dir, err := os.MkdirTemp("", "benchwal")
 	if err != nil {
@@ -435,21 +426,19 @@ func measureWALReplay(n int, seed int64) (WALReplayStats, error) {
 			Value:  rng.Float64(),
 			Time:   float64(i) * 1e-3,
 		}))
-		if len(recs) == batch {
-			if err := log.AppendAll(recs); err != nil {
+		if len(recs) == batch || i == n-1 {
+			// SyncNever: Close below makes the log durable.
+			if _, err := log.AppendAllBuffered(recs); err != nil {
 				return WALReplayStats{}, err
 			}
 			recs = recs[:0]
 		}
 	}
-	if err := log.AppendAll(recs); err != nil {
-		return WALReplayStats{}, err
-	}
 	if err := log.Close(); err != nil {
 		return WALReplayStats{}, err
 	}
 
-	sys, err := core.NewSystem(core.Config{})
+	engine, err := shard.NewEngine(core.Config{}, 1)
 	if err != nil {
 		return WALReplayStats{}, err
 	}
@@ -458,13 +447,16 @@ func measureWALReplay(n int, seed int64) (WALReplayStats, error) {
 	if err != nil {
 		return WALReplayStats{}, err
 	}
-	applied := wal.Replay(replaySink{sys: sys}, rec.Records, nil)
+	stats, err := shard.Recover(engine, []shard.RecoveredShard{{Snapshot: rec.Snapshot, Records: rec.Records}}, nil)
 	wall := time.Since(began)
-	if err := reopened.Close(); err != nil {
+	if cerr := reopened.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return WALReplayStats{}, err
 	}
-	if applied != n {
-		return WALReplayStats{}, fmt.Errorf("replayed %d of %d records", applied, n)
+	if stats.Applied != n {
+		return WALReplayStats{}, fmt.Errorf("replayed %d of %d records", stats.Applied, n)
 	}
 	return WALReplayStats{
 		Records:       n,

@@ -81,7 +81,11 @@ func (j *benchReplJournal) submit(rs []rating.Rating) error {
 		split[s] = append(split[s], r)
 	}
 	for s, recs := range byShard {
-		if err := j.logs[s].AppendAll(recs); err != nil {
+		token, err := j.logs[s].AppendAllBuffered(recs)
+		if err != nil {
+			return err
+		}
+		if err := j.logs[s].Commit(token); err != nil {
 			return err
 		}
 		if err := j.engine.SubmitShard(s, split[s]); err != nil {

@@ -155,7 +155,7 @@ func (d *daemon) servePrimary() error {
 	if m := d.member; m != nil {
 		// The journal is the member's snapshotter, so an apply
 		// broadcast is durable before it is acked (member WALs never
-		// hold process records).
+		// hold window records).
 		m.SetSnapshotter(d.journal)
 		opts = append(opts,
 			server.WithCluster(m),

@@ -215,6 +215,18 @@ func parseFlags(args []string) (options, error) {
 		// unrelated traffic arrives, blocking its submitter.
 		return o, fmt.Errorf("-batch-interval %v: must not be negative", o.batchInterval)
 	}
+	if o.batchSize < 0 {
+		return o, fmt.Errorf("-batch %d: must not be negative", o.batchSize)
+	}
+	if o.segmentBytes < 0 {
+		// Every append would find its segment full and rotate.
+		return o, fmt.Errorf("-wal-segment-bytes %d: must not be negative", o.segmentBytes)
+	}
+	if o.fsync == wal.SyncInterval && o.fsyncInterval <= 0 {
+		// The background fsync loop needs a positive cadence; without
+		// one, appended records would never be fsynced.
+		return o, fmt.Errorf("-fsync-interval %v: must be positive under -fsync interval", o.fsyncInterval)
+	}
 	o.clusterSelf = strings.TrimRight(o.clusterSelf, "/")
 	o.follow = strings.TrimRight(o.follow, "/")
 	switch {

@@ -72,6 +72,9 @@ func TestRunBadFlags(t *testing.T) {
 		// Checked through parseFlags: a run() that accepted it would
 		// serve instead of returning.
 		{[]string{"-batch-interval", "-1ns"}, parse, "-batch-interval"},
+		{[]string{"-batch", "-1"}, parse, "-batch"},
+		{[]string{"-wal-segment-bytes", "-1"}, parse, "-wal-segment-bytes"},
+		{[]string{"-fsync", "interval", "-fsync-interval", "0"}, parse, "-fsync-interval"},
 	} {
 		if err := tc.check(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want a refusal naming %q", tc.args, err, tc.want)

@@ -124,7 +124,7 @@ func TestShardDaemonRefusesLegacyWAL(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := log.Append(wal.ProcessRecord(0, 30)); err != nil {
+			if err := log.Append(wal.BarrierRecord(1, 0, 30)); err != nil {
 				t.Fatal(err)
 			}
 			if err := log.Close(); err != nil {

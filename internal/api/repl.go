@@ -20,8 +20,6 @@ const (
 	// Seq; the follower aligns all shard streams at Seq, then runs the
 	// window [Start, End).
 	FrameBarrier = "barrier"
-	// FrameProcess: a single-log maintenance window (unsharded WAL).
-	FrameProcess = "process"
 	// FrameSegment: the cursor rolled into a new segment; no payload.
 	FrameSegment = "segment"
 	// FrameHeartbeat: nothing new; refreshes total/ts so an idle
@@ -45,7 +43,7 @@ type ReplFrame struct {
 	// TS is the primary's wall clock, unix seconds (fractional).
 	TS      float64         `json:"ts"`
 	Records []RatingPayload `json:"records,omitempty"`
-	// Seq/Start/End describe barrier and process frames.
+	// Seq/Start/End describe barrier frames.
 	Seq   uint64  `json:"seq,omitempty"`
 	Start float64 `json:"start,omitempty"`
 	End   float64 `json:"end,omitempty"`

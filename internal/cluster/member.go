@@ -18,7 +18,7 @@ import (
 // acked: the daemon's shard journal implements it (shard snapshots
 // carry the full global trust record set, so a snapshot after
 // ApplyObservations persists the merged window without ever writing a
-// process record into a member WAL — replaying one locally would
+// window record into a member WAL — replaying one locally would
 // recompute the window from this node's objects only and diverge).
 type Snapshotter interface {
 	Snapshot() error
@@ -223,7 +223,7 @@ func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	if m.snap != nil {
 		// The charge must be durable before the ack: a member WAL never
-		// holds a process record (replaying one here would refold the
+		// holds a window record (replaying one here would refold the
 		// window from local objects only), so the snapshot is what
 		// carries the applied trust across a crash.
 		if err := m.snap.Snapshot(); err != nil {

@@ -465,24 +465,6 @@ func (f *Follower) applyFrame(shardIdx int, frame api.ReplFrame) error {
 		if err := f.advance(shardIdx, frame, 1); err != nil {
 			return err
 		}
-	case api.FrameProcess:
-		// A plain process window only exists in unsharded logs; with
-		// several streams there is no alignment token, so bail.
-		f.mu.Lock()
-		single := f.shards == 1
-		f.mu.Unlock()
-		if !single {
-			return fmt.Errorf("%w: process frame on %d-shard stream", errReset, frame.Shard)
-		}
-		if _, err := f.cfg.Engine.ProcessWindow(frame.Start, frame.End); err != nil {
-			f.cfg.Warnf("repl: replicated window [%g,%g): %v", frame.Start, frame.End, err)
-		}
-		if f.cfg.OnWindow != nil {
-			f.cfg.OnWindow()
-		}
-		if err := f.advance(shardIdx, frame, 1); err != nil {
-			return err
-		}
 	case api.FrameSegment, api.FrameHeartbeat:
 		if err := f.advance(shardIdx, frame, 0); err != nil {
 			return err

@@ -97,7 +97,11 @@ func (p *primaryNode) SubmitAll(rs []rating.Rating) error {
 		if len(recs) == 0 {
 			continue
 		}
-		if err := p.logs[i].AppendAll(recs); err != nil {
+		token, err := p.logs[i].AppendAllBuffered(recs)
+		if err != nil {
+			return err
+		}
+		if err := p.logs[i].Commit(token); err != nil {
 			return err
 		}
 	}

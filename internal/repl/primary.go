@@ -199,9 +199,6 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 		case len(recs) > 0 && recs[0].Type == wal.TypeBarrier:
 			frame.Type = api.FrameBarrier
 			frame.Seq, frame.Start, frame.End = recs[0].Seq, recs[0].Start, recs[0].End
-		case len(recs) > 0 && recs[0].Type == wal.TypeProcess:
-			frame.Type = api.FrameProcess
-			frame.Start, frame.End = recs[0].Start, recs[0].End
 		case len(recs) > 0:
 			frame.Type = api.FrameRecords
 			frame.Records = make([]api.RatingPayload, len(recs))

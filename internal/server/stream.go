@@ -136,7 +136,7 @@ func (d *idleDeadlineReader) Read(p []byte) (int, error) {
 
 // handleSubmitStream is POST /v1/ratings:stream: one rating per NDJSON
 // line in, a streamed NDJSON result out. Valid lines coalesce into
-// group-commit batches fed to the Journal (per-batch WAL AppendAll on
+// group-commit batches fed to the Journal (per-batch WAL Commit on
 // the durable path); invalid lines are rejected individually with an
 // api.StreamLineError, and the response always ends with one
 // api.StreamSummary line. The endpoint deliberately skips the

@@ -231,20 +231,11 @@ func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args 
 					continue
 				}
 				cursors[i]++
-				switch rec.Type {
-				case wal.TypeRating:
-					if err := e.Submit(rec.Rating); err != nil {
-						warnf("shard: replay log %d rating: %v", i, err)
-						stats.Skipped++
-					} else {
-						stats.Applied++
-					}
-				default:
-					// TypeProcess never appears in shard logs (windows
-					// are barriers there); tolerate it as a window on
-					// this shard alone would be wrong, so skip loudly.
-					warnf("shard: replay log %d: unexpected record type %d", i, rec.Type)
+				if err := e.Submit(rec.Rating); err != nil {
+					warnf("shard: replay log %d rating: %v", i, err)
 					stats.Skipped++
+				} else {
+					stats.Applied++
 				}
 			}
 		}

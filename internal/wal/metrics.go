@@ -8,18 +8,18 @@ import (
 // (the default) disables instrumentation entirely; individual nil
 // fields are also fine, since telemetry metrics no-op when nil.
 type Metrics struct {
-	// AppendSeconds times each Append/AppendAll frame write (excluding
-	// the fsync, which FsyncSeconds owns).
+	// AppendSeconds times each segment write (excluding the fsync,
+	// which FsyncSeconds owns).
 	AppendSeconds *telemetry.Histogram
 	// FsyncSeconds times every fsync of the active segment, whichever
 	// policy triggered it.
 	FsyncSeconds *telemetry.Histogram
 	// SnapshotSeconds times whole snapshot+compaction passes.
 	SnapshotSeconds *telemetry.Histogram
-	// AppendedRecords counts records acknowledged by Append/AppendAll.
+	// AppendedRecords counts records written by AppendAllBuffered.
 	AppendedRecords *telemetry.Counter
-	// AppendErrors counts failed appends (records the caller must
-	// treat as not logged).
+	// AppendErrors counts failed appends and commits (records the
+	// caller must treat as not logged), each failing call once.
 	AppendErrors *telemetry.Counter
 	// Rotations counts segment rotations.
 	Rotations *telemetry.Counter
@@ -31,8 +31,8 @@ type Metrics struct {
 	RecoveredRecords *telemetry.Counter
 	// TornSegments counts segments truncated during recovery.
 	TornSegments *telemetry.Counter
-	// ReplayedRecords counts records applied by Replay; incremented by
-	// the recovery driver (see cmd/ratingd), not by this package.
+	// ReplayedRecords counts recovered records re-applied; incremented
+	// by the recovery driver (see cmd/ratingd), not by this package.
 	ReplayedRecords *telemetry.Counter
 }
 

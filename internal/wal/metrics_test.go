@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -27,7 +28,11 @@ func TestMetricsCountAppendsAndRecovery(t *testing.T) {
 	if err := log.Append(RatingRecord(r)); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.AppendAll([]Record{RatingRecord(r), ProcessRecord(0, 30)}); err != nil {
+	tok, err := log.AppendAllBuffered([]Record{RatingRecord(r), BarrierRecord(1, 0, 30)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Commit(tok); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -37,7 +42,7 @@ func TestMetricsCountAppendsAndRecovery(t *testing.T) {
 	if got := m.AppendedRecords.Value(); got != 3 {
 		t.Fatalf("appended = %d, want 3", got)
 	}
-	if m.AppendSeconds.Count() != 2 { // one Append + one AppendAll write
+	if m.AppendSeconds.Count() != 2 { // one Append + one AppendAllBuffered write
 		t.Fatalf("append latencies = %d, want 2", m.AppendSeconds.Count())
 	}
 	if m.FsyncSeconds.Count() == 0 {
@@ -111,5 +116,87 @@ func TestMetricsCountTornRecovery(t *testing.T) {
 	}
 	if got := m.TornSegments.Value(); got != 1 {
 		t.Fatalf("torn counter = %d, want 1", got)
+	}
+}
+
+// TestMetricsCountFailedCommits checks that wal_append_errors_total
+// counts each call that fails under SyncAlways exactly once, on both
+// write paths: an fsync failure inside Append, an fsync failure inside
+// Commit, and records lost to a failed rotation sync. A closed log's
+// ErrClosed is not an append failure and stays uncounted.
+func TestMetricsCountFailedCommits(t *testing.T) {
+	failSyncs := func(n int) faultinject.Injector {
+		return func(op faultinject.Op) *faultinject.Fault {
+			if op.Kind == "sync" && n != 0 {
+				n--
+				return &faultinject.Fault{Err: faultinject.ErrInjected}
+			}
+			return nil
+		}
+	}
+	buffered := func(l *Log) (SyncToken, error) { return l.AppendAllBuffered([]Record{mkRating(0)}) }
+	commit := func(l *Log) error {
+		tok, err := buffered(l)
+		if err != nil {
+			return err
+		}
+		return l.Commit(tok)
+	}
+	for _, tc := range []struct {
+		name     string
+		segBytes int64
+		// fail injects its fault and returns the failing call's error.
+		fail func(l *Log, fs *faultinject.MemFS) error
+		want error
+	}{
+		{"append/fsync", 1 << 20, func(l *Log, fs *faultinject.MemFS) error {
+			fs.SetInjector(failSyncs(-1))
+			return l.Append(mkRating(0))
+		}, faultinject.ErrInjected},
+		{"buffered/fsync", 1 << 20, func(l *Log, fs *faultinject.MemFS) error {
+			fs.SetInjector(failSyncs(-1))
+			return commit(l)
+		}, faultinject.ErrInjected},
+		{"buffered/rotation-sync", 1, func(l *Log, fs *faultinject.MemFS) error {
+			t1, err := buffered(l)
+			if err != nil {
+				return err
+			}
+			// The next append rotates; its sync of the outgoing
+			// segment fails, so t1's record may be gone.
+			fs.SetInjector(failSyncs(1))
+			if _, err := buffered(l); err != nil {
+				return err
+			}
+			return l.Commit(t1)
+		}, errRotationLoss},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := faultinject.NewMemFS()
+			m := NewMetrics(telemetry.NewRegistry())
+			opts := testOptions(fs)
+			opts.SegmentBytes = tc.segBytes
+			opts.Metrics = m
+			l, _, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.fail(l, fs); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if got := m.AppendErrors.Value(); got != 1 {
+				t.Fatalf("append errors = %d after one failed call, want 1", got)
+			}
+			fs.SetInjector(nil)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := commit(l); !errors.Is(err, ErrClosed) {
+				t.Fatalf("append after close: %v", err)
+			}
+			if got := m.AppendErrors.Value(); got != 1 {
+				t.Fatalf("append errors = %d after ErrClosed, want 1", got)
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ var ErrSegmentGone = errors.New("wal: segment gone; re-bootstrap from snapshot")
 // replication tail reader: safe to call concurrently with appends,
 // and it never returns bytes that haven't passed the CRC.
 //
-// Batching contract: TypeBarrier and TypeProcess records are returned
+// Batching contract: TypeBarrier records are returned
 // alone (a batch of exactly one), so a follower can apply every
 // rating before a window and never a rating past one. Plain rating
 // batches are capped at maxRecords (<= 0 means no cap).
@@ -88,7 +88,7 @@ func (l *Log) ReadFrom(cur Cursor, maxRecords int) ([]Record, Cursor, error) {
 				}
 				break // sealed tear: terminal; the rest is garbage
 			}
-			if rec.Type == TypeBarrier || rec.Type == TypeProcess {
+			if rec.Type == TypeBarrier {
 				if len(out) > 0 {
 					return out, cur, nil // the window starts its own batch
 				}

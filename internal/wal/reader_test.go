@@ -133,8 +133,8 @@ func TestReadFromRotatedAwaySegmentGone(t *testing.T) {
 	}
 }
 
-// Barriers and process windows are returned alone, so a follower can
-// align windows across shards without splitting a batch itself.
+// Barriers are returned alone, so a follower can align windows across
+// shards without splitting a batch itself.
 func TestReadFromBarrierBatching(t *testing.T) {
 	fsys := faultinject.NewMemFS()
 	l := openTestLog(t, fsys, 1<<20)

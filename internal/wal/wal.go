@@ -45,16 +45,17 @@ import (
 // RecordType discriminates log records.
 type RecordType uint8
 
+// Type 2 was the single-log maintenance window of the pre-sharding
+// layout. It is retired and decodes as an unknown record type; do not
+// reuse it.
 const (
 	// TypeRating is one accepted rating.
 	TypeRating RecordType = 1
-	// TypeProcess is one maintenance window [Start, End).
-	TypeProcess RecordType = 2
-	// TypeBarrier is a maintenance window broadcast to every shard log
-	// of a sharded deployment. The sequence number is the cross-log
-	// alignment point: recovery merges per-shard tails by pairing
-	// barriers with equal Seq, so a crash mid-broadcast (a barrier
-	// present in some logs but not others) is detectable.
+	// TypeBarrier is a maintenance window [Start, End) broadcast to
+	// every shard log. The sequence number is the cross-log alignment
+	// point: recovery merges per-shard tails by pairing barriers with
+	// equal Seq, so a crash mid-broadcast (a barrier present in some
+	// logs but not others) is detectable.
 	TypeBarrier RecordType = 3
 )
 
@@ -62,18 +63,13 @@ const (
 type Record struct {
 	Type       RecordType
 	Rating     rating.Rating // valid when Type == TypeRating
-	Start, End float64       // valid when Type == TypeProcess or TypeBarrier
+	Start, End float64       // valid when Type == TypeBarrier
 	Seq        uint64        // valid when Type == TypeBarrier
 }
 
 // RatingRecord wraps a rating as a log record.
 func RatingRecord(r rating.Rating) Record {
 	return Record{Type: TypeRating, Rating: r}
-}
-
-// ProcessRecord wraps a maintenance window as a log record.
-func ProcessRecord(start, end float64) Record {
-	return Record{Type: TypeProcess, Start: start, End: end}
 }
 
 // BarrierRecord wraps a maintenance window as a shard-log barrier with
@@ -86,11 +82,11 @@ func BarrierRecord(seq uint64, start, end float64) Record {
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs inside every Append: a nil return means the
-	// record is on stable storage.
+	// SyncAlways fsyncs inside every Append and Commit: a nil return
+	// means the records are on stable storage.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval never fsyncs inside Append; the owner calls Sync
-	// on its own schedule and bounds the loss window by it.
+	// SyncInterval never fsyncs inside Append or Commit; the owner
+	// calls Sync on its own schedule and bounds the loss window by it.
 	SyncInterval
 	// SyncNever never fsyncs; crashes lose whatever the OS had not
 	// written back. Useful for benchmarks and tests.
@@ -369,11 +365,9 @@ func (l *Log) rotate() error {
 	if l.cur != nil {
 		if l.dirty {
 			if err := l.cur.Sync(); err != nil {
-				// The outgoing segment's unsynced tail may be lost. For
-				// the synchronous append paths nothing was acknowledged
-				// yet, but buffered appends awaiting Commit must learn
-				// their records are gone: poison every generation
-				// written so far.
+				// The outgoing segment's unsynced tail may be lost.
+				// Appends awaiting Commit must learn their records are
+				// gone: poison every generation written so far.
 				l.opts.Warnf("wal: sync on rotate: %v", err)
 				l.failedGen.Store(l.writeGen)
 			} else {
@@ -392,22 +386,54 @@ func (l *Log) rotate() error {
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: closed")
 
-// Append frames rec and writes it to the log. Under SyncAlways, a nil
-// return means the record is durable. On error the record must be
-// treated as not logged; the log itself remains usable (the damaged
-// segment is sealed and the next append rotates past it).
+// errRotationLoss is Commit's answer for records a failed rotation
+// sync may have lost.
+var errRotationLoss = errors.New("wal: commit: records lost in failed rotation sync")
+
+// Append writes rec and commits it. Under SyncAlways, a nil return
+// means the record is durable. On error the record must be treated as
+// not logged; the log itself remains usable (the damaged segment is
+// sealed and the next append rotates past it).
 func (l *Log) Append(rec Record) error {
+	t, err := l.AppendAllBuffered([]Record{rec})
+	if err != nil {
+		return err
+	}
+	return l.Commit(t)
+}
+
+// SyncToken identifies a buffered append for Commit. The zero token
+// commits trivially.
+type SyncToken struct {
+	gen uint64
+}
+
+// AppendAllBuffered frames every record and writes them in a single
+// Write, so the batch is all-or-nothing: on error none of the records
+// may be treated as logged. It never fsyncs — even under SyncAlways —
+// and instead returns a token for Commit. Splitting the write from
+// the sync is what enables group commit: several batches can be
+// written back to back and made durable by one fsync, whoever's
+// Commit runs first acting as the leader for all of them.
+func (l *Log) AppendAllBuffered(recs []Record) (SyncToken, error) {
+	if len(recs) == 0 {
+		return SyncToken{}, nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return SyncToken{}, ErrClosed
 	}
 	if l.cur == nil || l.sealed || l.curSize >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
-			return err
+			l.opts.Metrics.appendFailed()
+			return SyncToken{}, err
 		}
 	}
-	l.buf = appendFrame(l.buf[:0], rec)
+	l.buf = l.buf[:0]
+	for _, rec := range recs {
+		l.buf = appendFrame(l.buf, rec)
+	}
 	sp := l.opts.Metrics.startAppend()
 	n, err := l.cur.Write(l.buf)
 	l.curSize += int64(n)
@@ -422,115 +448,7 @@ func (l *Log) Append(rec Record) error {
 			l.sealed = true
 		}
 		l.opts.Metrics.appendFailed()
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	sp.End()
-	l.dirty = true
-	l.appended.Add(1)
-	l.opts.Metrics.segment(l.seq, l.curSize)
-	if l.opts.Policy == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			l.opts.Metrics.appendFailed()
-			return err
-		}
-	}
-	l.opts.Metrics.appended(1)
-	return nil
-}
-
-// AppendAll frames every record and writes them in a single Write, so
-// the batch is all-or-nothing under the same truncate-or-seal
-// discipline as Append: on error none of the records may be treated
-// as logged. Under SyncAlways, a nil return means all of them are
-// durable.
-func (l *Log) AppendAll(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.cur == nil || l.sealed || l.curSize >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	l.buf = l.buf[:0]
-	for _, rec := range recs {
-		l.buf = appendFrame(l.buf, rec)
-	}
-	sp := l.opts.Metrics.startAppend()
-	n, err := l.cur.Write(l.buf)
-	l.curSize += int64(n)
-	if err != nil {
-		want := l.curSize - int64(n)
-		if terr := l.cur.Truncate(want); terr == nil {
-			l.curSize = want
-		} else {
-			l.sealed = true
-		}
-		l.opts.Metrics.appendFailed()
-		return fmt.Errorf("wal: append batch: %w", err)
-	}
-	sp.End()
-	l.dirty = true
-	l.appended.Add(uint64(len(recs)))
-	l.opts.Metrics.segment(l.seq, l.curSize)
-	if l.opts.Policy == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			l.opts.Metrics.appendFailed()
-			return err
-		}
-	}
-	l.opts.Metrics.appended(len(recs))
-	return nil
-}
-
-// SyncToken identifies a buffered append for Commit. The zero token
-// commits trivially.
-type SyncToken struct {
-	gen uint64
-}
-
-// AppendAllBuffered frames every record and writes them in a single
-// Write like AppendAll, but never fsyncs — even under SyncAlways —
-// and instead returns a token for Commit. Splitting the write from
-// the sync is what enables group commit: several batches can be
-// written back to back and made durable by one fsync, whoever's
-// Commit runs first acting as the leader for all of them. On error
-// none of the records may be treated as logged.
-func (l *Log) AppendAllBuffered(recs []Record) (SyncToken, error) {
-	if len(recs) == 0 {
-		return SyncToken{}, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return SyncToken{}, ErrClosed
-	}
-	if l.cur == nil || l.sealed || l.curSize >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return SyncToken{}, err
-		}
-	}
-	l.buf = l.buf[:0]
-	for _, rec := range recs {
-		l.buf = appendFrame(l.buf, rec)
-	}
-	sp := l.opts.Metrics.startAppend()
-	n, err := l.cur.Write(l.buf)
-	l.curSize += int64(n)
-	if err != nil {
-		want := l.curSize - int64(n)
-		if terr := l.cur.Truncate(want); terr == nil {
-			l.curSize = want
-		} else {
-			l.sealed = true
-		}
-		l.opts.Metrics.appendFailed()
-		return SyncToken{}, fmt.Errorf("wal: append batch: %w", err)
+		return SyncToken{}, fmt.Errorf("wal: append: %w", err)
 	}
 	sp.End()
 	l.dirty = true
@@ -547,15 +465,21 @@ func (l *Log) AppendAllBuffered(recs []Record) (SyncToken, error) {
 // policies' loss windows. Concurrent commits elect one fsync leader;
 // the leader's single fsync covers every write that preceded it, and
 // the followers observe that and return without touching the file.
-func (l *Log) Commit(t SyncToken) error {
+// Every failure but ErrClosed counts as a failed append.
+func (l *Log) Commit(t SyncToken) (err error) {
 	if t.gen == 0 || l.opts.Policy != SyncAlways {
 		return nil
 	}
+	defer func() {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			l.opts.Metrics.appendFailed()
+		}
+	}()
 	// Fast path: a leader's fsync already covered this generation.
 	// Lost generations are checked first so they stay errors even
 	// after syncedGen advances past them.
 	if l.failedGen.Load() >= t.gen {
-		return fmt.Errorf("wal: commit: records lost in failed rotation sync")
+		return errRotationLoss
 	}
 	if l.syncedGen.Load() >= t.gen {
 		return nil
@@ -563,7 +487,7 @@ func (l *Log) Commit(t SyncToken) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	if l.failedGen.Load() >= t.gen {
-		return fmt.Errorf("wal: commit: records lost in failed rotation sync")
+		return errRotationLoss
 	}
 	if l.syncedGen.Load() >= t.gen {
 		return nil
@@ -575,13 +499,13 @@ func (l *Log) Commit(t SyncToken) error {
 	}
 	cover := l.writeGen
 	failed := l.failedGen.Load()
-	err := l.syncLocked()
+	err = l.syncLocked()
 	l.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	if failed >= t.gen {
-		return fmt.Errorf("wal: commit: records lost in failed rotation sync")
+		return errRotationLoss
 	}
 	l.syncedGen.Store(cover)
 	return nil
@@ -790,9 +714,6 @@ func appendFrame(buf []byte, rec Record) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(rec.Rating.Object)))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Rating.Value))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Rating.Time))
-	case TypeProcess:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Start))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.End))
 	case TypeBarrier:
 		buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Start))
@@ -841,15 +762,6 @@ func decodeRecord(payload []byte) (Record, error) {
 				Time:   math.Float64frombits(binary.LittleEndian.Uint64(payload[25:])),
 			},
 		}, nil
-	case TypeProcess:
-		if len(payload) != 1+2*8 {
-			return Record{}, fmt.Errorf("process record length %d", len(payload))
-		}
-		return Record{
-			Type:  TypeProcess,
-			Start: math.Float64frombits(binary.LittleEndian.Uint64(payload[1:])),
-			End:   math.Float64frombits(binary.LittleEndian.Uint64(payload[9:])),
-		}, nil
 	case TypeBarrier:
 		if len(payload) != 1+3*8 {
 			return Record{}, fmt.Errorf("barrier record length %d", len(payload))
@@ -871,44 +783,4 @@ func sortInts(s []int) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// Target consumes replayed records. A *core.System satisfies it via a
-// thin adapter (see cmd/benchreport); keeping the interface this
-// narrow lets wal avoid importing core.
-type Target interface {
-	Submit(r rating.Rating) error
-	Process(start, end float64) error
-}
-
-// Replay applies recs to t in order. Individual record failures are
-// warned and skipped — recovery prefers serving most of the state
-// over refusing to start — and the count of applied records is
-// returned.
-func Replay(t Target, recs []Record, warnf func(format string, args ...any)) int {
-	if warnf == nil {
-		warnf = func(string, ...any) {}
-	}
-	applied := 0
-	for i, rec := range recs {
-		var err error
-		switch rec.Type {
-		case TypeRating:
-			err = t.Submit(rec.Rating)
-		case TypeProcess:
-			err = t.Process(rec.Start, rec.End)
-		case TypeBarrier:
-			// A lone shard log replays its barriers as plain windows;
-			// multi-log alignment is the shard recovery's job.
-			err = t.Process(rec.Start, rec.End)
-		default:
-			err = fmt.Errorf("unknown record type %d", rec.Type)
-		}
-		if err != nil {
-			warnf("wal: replay record %d: %v", i, err)
-			continue
-		}
-		applied++
-	}
-	return applied
 }

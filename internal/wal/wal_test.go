@@ -49,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := mkRating(i)
 		if i%10 == 9 {
-			r = ProcessRecord(float64(i-10), float64(i))
+			r = BarrierRecord(uint64(i/10+1), float64(i-10), float64(i))
 		}
 		want = append(want, r)
 		if err := l.Append(r); err != nil {
@@ -300,8 +300,8 @@ func TestOrphanTempFileRemoved(t *testing.T) {
 func TestRecordEncodingExhaustive(t *testing.T) {
 	cases := []Record{
 		RatingRecord(rating.Rating{Rater: -1, Object: 1 << 40, Value: 0.123456789, Time: -7.5}),
-		ProcessRecord(0, 30),
-		ProcessRecord(-1e300, 1e300),
+		BarrierRecord(1, 0, 30),
+		BarrierRecord(2, -1e300, 1e300),
 		BarrierRecord(0, 0, 30),
 		BarrierRecord(1<<63, -7.25, 1e300),
 	}
