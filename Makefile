@@ -53,7 +53,7 @@ race:
 # invariance, and the sharded daemon's journal round trips.
 race-soak:
 	$(GO) test -race -count=1 -run 'Soak|Invariance|Router|ShardDaemon|ShardJournal' \
-		./internal/shard/ ./cmd/ratingd/
+		./internal/shard/ ./cmd/ratingd/ ./internal/journal/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -157,7 +157,7 @@ contract:
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
 		-run 'Chaos|Crash|Torn|Recover|Fault|Inject|Durab|Overload' \
-		./internal/wal/ ./internal/faultinject/ ./cmd/ratingd/ ./internal/server/
+		./internal/wal/ ./internal/faultinject/ ./cmd/ratingd/ ./internal/server/ ./internal/journal/
 
 # chaos-repl soaks the replication path under the race detector:
 # primary killed mid-batch (promotion must lose zero acked records),

@@ -65,6 +65,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/journal"
 	"repro/internal/parallel"
 	"repro/internal/randx"
 	"repro/internal/rating"
@@ -400,11 +401,11 @@ func atNumCPU(f func() error) error {
 	return f()
 }
 
-// measureWALReplay generates a synthetic log of n accepted ratings
-// (setup, untimed), then times the recovery a restarting
-// `ratingd -shards 1` runs: open the log, verify and decode every
-// frame, and replay it through shard.Recover into a fresh one-shard
-// engine.
+// measureWALReplay writes n ratings through a one-shard journal and
+// stops it without a final snapshot, as a crash would (setup,
+// untimed), then times the startup a restarting `ratingd -shards 1`
+// runs: journal.Open, which opens the log, verifies and decodes every
+// frame, and replays it through shard.Recover into a fresh engine.
 func measureWALReplay(n int, seed int64) (WALReplayStats, error) {
 	dir, err := os.MkdirTemp("", "benchwal")
 	if err != nil {
@@ -412,49 +413,45 @@ func measureWALReplay(n int, seed int64) (WALReplayStats, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	log, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
+	cfg := journal.Config{Dir: dir, WAL: wal.Options{Policy: wal.SyncNever}}
+	engine, err := shard.NewEngine(core.Config{}, 1)
+	if err != nil {
+		return WALReplayStats{}, err
+	}
+	j, _, err := journal.Open(engine, cfg)
 	if err != nil {
 		return WALReplayStats{}, err
 	}
 	rng := randx.New(seed)
 	const batch = 256
-	recs := make([]wal.Record, 0, batch)
+	rs := make([]rating.Rating, 0, batch)
 	for i := 0; i < n; i++ {
-		recs = append(recs, wal.RatingRecord(rating.Rating{
+		rs = append(rs, rating.Rating{
 			Rater:  rating.RaterID(rng.Intn(500)),
 			Object: rating.ObjectID(rng.Intn(50)),
 			Value:  rng.Float64(),
 			Time:   float64(i) * 1e-3,
-		}))
-		if len(recs) == batch || i == n-1 {
-			// SyncNever: Close below makes the log durable.
-			if _, err := log.AppendAllBuffered(recs); err != nil {
+		})
+		if len(rs) == batch || i == n-1 {
+			if err := j.SubmitAll(rs); err != nil {
+				j.Abort()
 				return WALReplayStats{}, err
 			}
-			recs = recs[:0]
+			rs = rs[:0]
 		}
 	}
-	if err := log.Close(); err != nil {
-		return WALReplayStats{}, err
-	}
+	j.Abort() // SyncNever: closing the log makes it durable
 
-	engine, err := shard.NewEngine(core.Config{}, 1)
-	if err != nil {
+	if engine, err = shard.NewEngine(core.Config{}, 1); err != nil {
 		return WALReplayStats{}, err
 	}
 	began := time.Now()
-	reopened, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
-	if err != nil {
-		return WALReplayStats{}, err
-	}
-	stats, err := shard.Recover(engine, []shard.RecoveredShard{{Snapshot: rec.Snapshot, Records: rec.Records}}, nil)
+	j, stats, err := journal.Open(engine, cfg)
 	wall := time.Since(began)
-	if cerr := reopened.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return WALReplayStats{}, err
 	}
+	j.Abort()
 	if stats.Applied != n {
 		return WALReplayStats{}, fmt.Errorf("replayed %d of %d records", stats.Applied, n)
 	}

@@ -3,16 +3,14 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/randx"
 	"repro/internal/rating"
 	"repro/internal/repl"
@@ -38,61 +36,6 @@ type ReplicationStats struct {
 	SteadyLagSecsP50  float64 `json:"steady_lag_seconds_p50"`
 	SteadyLagSecsP99  float64 `json:"steady_lag_seconds_p99"`
 	WallNS            int64   `json:"wall_ns"`
-}
-
-// benchReplJournal is the minimal primary-side journal the benchmark
-// needs: per-shard WAL appends mirrored into the engine, and barrier-
-// height/snapshot support for follower bootstraps.
-type benchReplJournal struct {
-	mu     sync.Mutex
-	engine *shard.Engine
-	logs   []*wal.Log
-	seq    uint64
-}
-
-func (j *benchReplJournal) NextBarrierSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
-
-func (j *benchReplJournal) Snapshot() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for i, l := range j.logs {
-		i := i
-		if err := l.Snapshot(func(w io.Writer) error {
-			return shard.WriteShardSnapshot(j.engine, i, j.seq-1, w)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (j *benchReplJournal) submit(rs []rating.Rating) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	byShard := make(map[int][]wal.Record, len(j.logs))
-	split := make(map[int][]rating.Rating, len(j.logs))
-	for _, r := range rs {
-		s := j.engine.ShardFor(r.Object)
-		byShard[s] = append(byShard[s], wal.RatingRecord(r))
-		split[s] = append(split[s], r)
-	}
-	for s, recs := range byShard {
-		token, err := j.logs[s].AppendAllBuffered(recs)
-		if err != nil {
-			return err
-		}
-		if err := j.logs[s].Commit(token); err != nil {
-			return err
-		}
-		if err := j.engine.SubmitShard(s, split[s]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func percentile(sorted []float64, p float64) float64 {
@@ -121,20 +64,17 @@ func measureReplication(n int, seed int64) (ReplicationStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	logs := make([]*wal.Log, shards)
-	for i := range logs {
-		if logs[i], _, err = wal.Open(wal.Options{
-			Dir: filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), Policy: wal.SyncNever,
-		}); err != nil {
-			return stats, err
-		}
-		defer logs[i].Close()
+	// BatchSize 1: each submission flushes as it lands, not on a tick.
+	j, _, err := journal.Open(engine, journal.Config{Dir: dir, WAL: wal.Options{Policy: wal.SyncNever}, BatchSize: 1})
+	if err != nil {
+		return stats, err
 	}
-	journal := &benchReplJournal{engine: engine, logs: logs, seq: 1}
+	defer j.Abort()
 
 	primary := repl.NewPrimary(repl.PrimaryConfig{
-		Epoch: 1, Logs: logs, Journal: journal,
-		LongPoll: 500 * time.Millisecond, Poll: 200 * time.Microsecond,
+		Journal:   j,
+		LongPoll:  500 * time.Millisecond,
+		Poll:      200 * time.Microsecond,
 		Heartbeat: 50 * time.Millisecond,
 	})
 	mux := http.NewServeMux()
@@ -198,13 +138,13 @@ func measureReplication(n int, seed int64) (ReplicationStats, error) {
 			Time:   rng.Float64() * 365,
 		})
 		if len(rs) == chunk {
-			if err := journal.submit(rs); err != nil {
+			if err := j.SubmitAll(rs); err != nil {
 				return stats, err
 			}
 			rs = rs[:0]
 		}
 	}
-	if err := journal.submit(rs); err != nil {
+	if err := j.SubmitAll(rs); err != nil {
 		return stats, err
 	}
 	if err := waitUntil("catch-up", caughtUpTo(n)); err != nil {
@@ -256,7 +196,7 @@ func measureReplication(n int, seed int64) (ReplicationStats, error) {
 				Time:   rng.Float64() * 365,
 			}
 		}
-		if err := journal.submit(batch); err != nil {
+		if err := j.SubmitAll(batch); err != nil {
 			return stats, err
 		}
 		time.Sleep(pace)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http/httptest"
 	"runtime"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/randx"
 	"repro/internal/rating"
 	"repro/internal/server"
@@ -55,49 +55,24 @@ type ServingStats struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
-// benchJournal adapts an engine+router pair to the server's Journal
-// and AsyncSubmitter, mirroring the daemon's sharded wiring minus the
-// WAL (this benchmark isolates protocol cost, not fsync cost).
-type benchJournal struct {
-	engine *shard.Engine
-	router *shard.Router
-}
-
-func (j *benchJournal) SubmitAll(rs []rating.Rating) error { return j.router.Submit(rs) }
-
-func (j *benchJournal) SubmitAsync(rs []rating.Rating) (func() error, error) {
-	return j.router.SubmitAsync(rs)
-}
-
-func (j *benchJournal) ProcessWindow(start, end float64) (core.ProcessReport, error) {
-	if err := j.router.Flush(); err != nil {
-		return core.ProcessReport{}, err
-	}
-	return j.engine.ProcessWindow(start, end)
-}
-
-func (j *benchJournal) Restore(r io.Reader) error { return j.engine.LoadSnapshot(r) }
-
-// newServingBackend builds a 4-shard engine fronted by a batching
-// router and an HTTP server, the daemon's deployment shape.
-func newServingBackend(shards int, opts ...server.Option) (*shard.Engine, *shard.Router, *httptest.Server, error) {
+// newServingBackend builds a sharded engine fronted by the daemon's
+// journal (no WAL: this benchmark isolates protocol cost, not fsync
+// cost) and an HTTP server, the daemon's deployment shape.
+func newServingBackend(shards int, opts ...server.Option) (*shard.Engine, *journal.Journal, *httptest.Server, error) {
 	engine, err := shard.NewEngine(core.Config{}, shards)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	router, err := shard.NewRouter(shard.RouterConfig{
-		Shards: shards, BatchSize: 256, Flush: engine.SubmitShard,
-	})
+	j, _, err := journal.Open(engine, journal.Config{BatchSize: 256})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	j := &benchJournal{engine: engine, router: router}
 	srv, err := server.NewWith(engine, append([]server.Option{server.WithJournal(j)}, opts...)...)
 	if err != nil {
-		router.Close()
+		j.Abort()
 		return nil, nil, nil, err
 	}
-	return engine, router, httptest.NewServer(srv), nil
+	return engine, j, httptest.NewServer(srv), nil
 }
 
 // measureServing times the streaming-vs-unary ingest paths and the
@@ -135,7 +110,7 @@ func measureServing(n int, seed int64) (ServingStats, error) {
 	ctx := context.Background()
 
 	// --- Unary ingest: concurrent chunked POSTs of JSON arrays. ---
-	engine, router, ts, err := newServingBackend(shards)
+	engine, j, ts, err := newServingBackend(shards)
 	if err != nil {
 		return stats, err
 	}
@@ -169,14 +144,11 @@ func measureServing(n int, seed int64) (ServingStats, error) {
 		}(w)
 	}
 	wg.Wait()
-	if err := router.Flush(); err != nil {
+	if err := j.Close(); err != nil { // drains the router
 		return stats, err
 	}
 	unaryWall := time.Since(began)
 	ts.Close()
-	if err := router.Close(); err != nil {
-		return stats, err
-	}
 	for _, err := range errs {
 		if err != nil {
 			return stats, err
@@ -203,7 +175,7 @@ func measureServing(n int, seed int64) (ServingStats, error) {
 		}
 		bodies[c] = bytes.NewReader(buf.Bytes())
 	}
-	engine, router, ts, err = newServingBackend(shards)
+	engine, j, ts, err = newServingBackend(shards)
 	if err != nil {
 		return stats, err
 	}
@@ -227,14 +199,11 @@ func measureServing(n int, seed int64) (ServingStats, error) {
 		}(c)
 	}
 	swg.Wait()
-	if err := router.Flush(); err != nil {
+	if err := j.Close(); err != nil {
 		return stats, err
 	}
 	streamWall := time.Since(began)
 	ts.Close()
-	if err := router.Close(); err != nil {
-		return stats, err
-	}
 	for _, err := range streamErrs {
 		if err != nil {
 			return stats, err

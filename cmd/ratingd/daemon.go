@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
+	"repro/internal/journal"
 	"repro/internal/parallel"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -34,7 +35,7 @@ type daemon struct {
 	srv     *server.Server
 	handler http.Handler
 
-	journal *shardJournal    // primaries and members; a follower's comes with promotion
+	journal *journal.Journal // primaries and members; a follower's comes with promotion
 	member  *cluster.Member  // members only
 	stream  *shard.Streaming // -stream-detect only
 	node    *replNode        // followers only
@@ -86,61 +87,27 @@ func openPrimary(o options) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &shardWALs{seq: 1}
-	if o.walDir != "" {
-		if w, err = openShardWALs(o.walDir, o.shards, d.engine, d.walOptions); err != nil {
-			d.abort()
-			return nil, err
-		}
-		d.walM.ReplayedRecords.Add(uint64(w.replayed))
-	}
-	if d.journal, err = d.newJournal(w); err != nil {
+	j, stats, err := journal.Open(d.engine, d.journalConfig())
+	if err != nil {
 		d.abort()
 		return nil, err
 	}
+	d.journal = j
+	if stats.SnapshotRatings > 0 || stats.Applied > 0 || stats.Windows > 0 {
+		fmt.Printf("recovered %d ratings, %d windows across %d shards (epoch %d)\n",
+			d.engine.Len(), stats.Windows, o.shards, j.Epoch())
+	}
+	d.walM.ReplayedRecords.Add(uint64(stats.Applied + stats.Windows))
 	return d, nil
-}
-
-// newJournal fronts the engine with a journal over w's logs (none
-// without a WAL) and its batching router; it owns the logs from here
-// on. The router runs even without a WAL: batching is what amortizes
-// per-submission store merges across shards. Primaries and promoted
-// followers both build their journal here.
-func (d *daemon) newJournal(w *shardWALs) (*shardJournal, error) {
-	j := &shardJournal{
-		engine: d.engine,
-		logs:   w.logs,
-		seq:    w.seq,
-		epoch:  w.epoch,
-		recs:   make([][]wal.Record, d.engine.Shards()),
-	}
-	router, err := shard.NewRouter(shard.RouterConfig{
-		Shards:    d.engine.Shards(),
-		BatchSize: d.o.batchSize,
-		Interval:  d.o.batchInterval,
-		Flush:     j.flush,
-		Metrics:   d.shardM,
-	})
-	if err != nil {
-		closeLogSet(w.logs)
-		return nil, err
-	}
-	j.router = router
-	return j, nil
 }
 
 // replRoutes serves the journal's logs to followers: stream, bootstrap
 // snapshot and status under /v1/repl.
-func (d *daemon) replRoutes(j *shardJournal) func(*http.ServeMux) {
+func (d *daemon) replRoutes(j *journal.Journal) func(*http.ServeMux) {
 	if d.replM == nil {
 		d.replM = repl.NewMetrics(d.reg)
 	}
-	return repl.NewPrimary(repl.PrimaryConfig{
-		Epoch:   j.epoch,
-		Logs:    j.logs,
-		Journal: j,
-		Metrics: d.replM,
-	}).Routes
+	return repl.NewPrimary(repl.PrimaryConfig{Journal: j, Metrics: d.replM}).Routes
 }
 
 // servePrimary builds the API over the journal-fronted engine, makes
@@ -175,7 +142,7 @@ func (d *daemon) servePrimary() error {
 		// node never saw ratings from; drop every cached read.
 		d.member.SetOnApply(d.srv.InvalidateAll)
 	}
-	if d.journal.logs != nil {
+	if d.journal.Logs() != nil {
 		mounts = append(mounts, d.replRoutes(d.journal))
 		// The recovered state becomes the logs' baseline, so a crash
 		// before the first background snapshot replays little.
@@ -258,7 +225,7 @@ func (d *daemon) enableStreaming() error {
 // periodic snapshot+compaction and the telemetry summary. Closing d.bg
 // stops them.
 func (d *daemon) startBackground() {
-	if j := d.journal; j != nil && j.logs != nil {
+	if j := d.journal; j != nil && j.Logs() != nil {
 		if d.o.fsync == wal.SyncInterval && d.o.fsyncInterval > 0 {
 			d.every(d.o.fsyncInterval, "background fsync", j.Sync)
 		}
@@ -310,7 +277,7 @@ func (d *daemon) close() error {
 		errs = append(errs, d.node.close())
 	}
 	if d.journal != nil {
-		errs = append(errs, d.journal.close())
+		errs = append(errs, d.journal.Close())
 	}
 	return errors.Join(errs...)
 }
@@ -323,7 +290,7 @@ func (d *daemon) abort() {
 		d.node.follower.Stop()
 	}
 	if d.journal != nil {
-		d.journal.abort()
+		d.journal.Abort()
 	}
 }
 
@@ -336,13 +303,19 @@ func (d *daemon) stopBackground() {
 	parallel.SetObserver(nil)
 }
 
-// walOptions is the WAL configuration for one log directory.
-func (d *daemon) walOptions(dir string) wal.Options {
-	return wal.Options{
-		Dir:          dir,
-		Policy:       d.o.fsync,
-		SegmentBytes: d.o.segmentBytes,
-		Warnf:        warnf,
-		Metrics:      d.walM,
+// journalConfig is the journal configuration the flags set; a
+// promoted follower's journal uses it too.
+func (d *daemon) journalConfig() journal.Config {
+	return journal.Config{
+		Dir: d.o.walDir,
+		WAL: wal.Options{
+			Policy:       d.o.fsync,
+			SegmentBytes: d.o.segmentBytes,
+			Warnf:        warnf,
+			Metrics:      d.walM,
+		},
+		BatchSize:     d.o.batchSize,
+		BatchInterval: d.o.batchInterval,
+		Metrics:       d.shardM,
 	}
 }

@@ -129,20 +129,3 @@ func TestShardDaemonRestoreRebasesLog(t *testing.T) {
 		t.Fatalf("pre-restore rater left trust residue: %g", tr)
 	}
 }
-
-// A failing log append must refuse the batch without applying it.
-func TestShardJournalFailureRefusesWrite(t *testing.T) {
-	d := walPrimary(t, t.TempDir(), 1)
-	defer d.abort()
-	// Close the log out from under the journal: every append now fails.
-	if err := d.journal.logs[0].Close(); err != nil {
-		t.Fatal(err)
-	}
-	err := d.journal.SubmitAll([]rating.Rating{{Rater: 1, Object: 1, Value: 0.5, Time: 1}})
-	if err == nil {
-		t.Fatal("append on closed log accepted")
-	}
-	if got := d.engine.Len(); got != 0 {
-		t.Fatalf("unjournaled rating applied: %d", got)
-	}
-}

@@ -17,12 +17,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/journal"
 	"repro/internal/repl"
 	"repro/internal/server"
 )
@@ -39,7 +39,7 @@ func newFollower(o options) (*daemon, error) {
 		return nil, err
 	}
 	if o.walDir != "" {
-		m, ok, err := readManifest(o.walDir)
+		m, ok, err := journal.ReadManifest(o.walDir)
 		if err != nil {
 			d.abort()
 			return nil, err
@@ -81,15 +81,15 @@ func newFollower(o options) (*daemon, error) {
 }
 
 // replNode owns a follower daemon's replication role and its /v1/repl
-// routes. Promotion builds the journal through the primary's code
-// (daemon.newJournal, daemon.replRoutes).
+// routes. Promotion builds the journal with the primary's
+// configuration (daemon.journalConfig, daemon.replRoutes).
 type replNode struct {
 	d        *daemon
 	follower *repl.Follower
 
 	mu      sync.Mutex
-	journal *shardJournal  // non-nil once promoted
-	primMux *http.ServeMux // promoted primary's repl routes; nil without a WAL
+	journal *journal.Journal // non-nil once promoted
+	primMux *http.ServeMux   // promoted primary's repl routes; nil without a WAL
 }
 
 // replicaInfo is the server's per-request staleness sample while the
@@ -168,18 +168,8 @@ func (n *replNode) handlePromote(w http.ResponseWriter, r *http.Request) {
 // statusLocked reports the promoted role; before promotion the
 // follower's own Status is authoritative.
 func (n *replNode) statusLocked() api.ReplStatusResponse {
-	st := api.ReplStatusResponse{
-		Role:       api.RolePrimary,
-		Epoch:      n.journal.epoch,
-		Shards:     n.d.engine.Shards(),
-		BarrierSeq: n.journal.NextBarrierSeq() - 1,
-	}
-	for i, l := range n.journal.logs {
-		tail := l.Tail()
-		st.Cursors = append(st.Cursors, api.ReplCursor{
-			Shard: i, Seg: tail.Seg, Off: tail.Off, Records: l.AppendedRecords(),
-		})
-	}
+	st := repl.Status(n.journal)
+	st.Shards = n.d.engine.Shards() // without -wal there are no logs to count
 	return st
 }
 
@@ -203,27 +193,11 @@ func (n *replNode) promote(why string) (api.ReplStatusResponse, error) {
 	// Stop replication; the engine is left at the last complete
 	// barrier plus fully-applied batches, never a half-applied window.
 	seq := n.follower.Promote()
-	w := &shardWALs{seq: seq, epoch: n.follower.Epoch() + 1}
-	if dir := n.d.o.walDir; dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return api.ReplStatusResponse{}, err
-		}
-		// Never reuse an epoch a stale local manifest already names —
-		// a follower re-pointed here before promotion may have left one.
-		if m, ok, err := readManifest(dir); err == nil && ok && m.Epoch >= w.epoch {
-			w.epoch = m.Epoch + 1
-		}
-		committed, err := migrateToEpoch(dir, w.epoch, n.d.engine.Shards(), n.d.engine, seq, n.d.walOptions)
-		if err != nil {
-			return api.ReplStatusResponse{}, fmt.Errorf("commit promoted epoch %d: %w", w.epoch, err)
-		}
-		w = committed
-	}
-	j, err := n.d.newJournal(w)
+	j, err := journal.Promote(n.d.engine, n.d.journalConfig(), n.follower.Epoch()+1, seq)
 	if err != nil {
 		return api.ReplStatusResponse{}, err
 	}
-	if j.logs != nil {
+	if j.Logs() != nil {
 		n.primMux = http.NewServeMux()
 		n.d.replRoutes(j)(n.primMux)
 	}
@@ -232,7 +206,7 @@ func (n *replNode) promote(why string) (api.ReplStatusResponse, error) {
 	n.d.srv.SetJournal(j)
 	n.d.srv.SetReplica(nil)
 	n.journal = j
-	warnf("repl: promoted to primary (epoch %d, next barrier %d)", j.epoch, seq)
+	warnf("repl: promoted to primary (epoch %d, next barrier %d)", j.Epoch(), seq)
 	return n.statusLocked(), nil
 }
 
@@ -276,7 +250,7 @@ func (n *replNode) close() error {
 	if n.journal == nil {
 		return nil
 	}
-	return n.journal.close()
+	return n.journal.Close()
 }
 
 // promoteRemote is the `ratingd -promote <url>` one-shot: ask the

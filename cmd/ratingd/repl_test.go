@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/journal"
 	"repro/internal/server"
 )
 
@@ -154,7 +155,7 @@ func TestDaemonFollowerServesAndPromotes(t *testing.T) {
 	if st.Role != api.RolePrimary || st.Epoch != 2 || st.BarrierSeq != 1 {
 		t.Fatalf("promoted status: %+v", st)
 	}
-	if m, ok, err := readManifest(f.walDir); err != nil || !ok || m.Epoch != 2 || m.Shards != 2 {
+	if m, ok, err := journal.ReadManifest(f.walDir); err != nil || !ok || m.Epoch != 2 || m.Shards != 2 {
 		t.Fatalf("promoted manifest: %+v ok=%v err=%v", m, ok, err)
 	}
 

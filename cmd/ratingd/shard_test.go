@@ -2,16 +2,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/rating"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -72,15 +71,15 @@ func TestShardDaemonShardCountMigration(t *testing.T) {
 			if got := engineFingerprint(t, d2.engine, 5); got != want {
 				t.Fatalf("migrated state diverges:\nwant %q\ngot  %q", want, got)
 			}
-			m, ok, err := readManifest(dir)
+			m, ok, err := journal.ReadManifest(dir)
 			if err != nil || !ok {
 				t.Fatalf("manifest after migration: ok=%v err=%v", ok, err)
 			}
 			if m.Epoch != 2 || m.Shards != tc.to {
 				t.Fatalf("manifest = %+v, want epoch 2 shards %d", m, tc.to)
 			}
-			if _, err := os.Stat(epochPath(dir, 1)); !os.IsNotExist(err) {
-				t.Fatalf("retired epoch 1 still present (err=%v)", err)
+			if epochs, err := journal.Epochs(dir); err != nil || len(epochs) != 1 || epochs[0] != 2 {
+				t.Fatalf("epochs on disk %v (err=%v), want only the migrated epoch 2", epochs, err)
 			}
 			closeDaemon(t, d2)
 
@@ -145,7 +144,7 @@ func TestShardDaemonRefusesLegacyWAL(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < tc.shards; i++ {
-					el, _, err := wal.Open(testWALOpts(shardWALPath(dir, 1, i)))
+					el, _, err := wal.Open(testWALOpts(journal.ShardDir(dir, 1, i)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -173,40 +172,13 @@ func TestShardDaemonRefusesLegacyWAL(t *testing.T) {
 			} else if !strings.Contains(err.Error(), "pre-sharding") {
 				t.Fatalf("refusal %q does not name the layout", err)
 			}
-			if _, ok, err := readManifest(dir); ok || err != nil {
+			if _, ok, err := journal.ReadManifest(dir); ok || err != nil {
 				t.Fatalf("refused dir gained a manifest (ok=%v err=%v)", ok, err)
 			}
-			if epochs, err := scanEpochs(dir); len(epochs) != wantEpochs || err != nil {
+			if epochs, err := journal.Epochs(dir); len(epochs) != wantEpochs || err != nil {
 				t.Fatalf("refused dir has epochs %v, want %d (err=%v)", epochs, wantEpochs, err)
 			}
 		})
-	}
-}
-
-// A barrier broadcast that fails after reaching some logs wedges the
-// journal: accepting more writes would turn a recoverable torn
-// barrier into an unrecoverable mid-stream inconsistency.
-func TestShardJournalWedgesOnPartialBarrier(t *testing.T) {
-	d := walPrimary(t, t.TempDir(), 2)
-	defer d.abort()
-	j := d.journal
-
-	if err := j.SubmitAll([]rating.Rating{{Rater: 1, Object: 0, Value: 0.5, Time: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// Kill shard 1's log out from under the journal: the barrier lands
-	// in log 0, then fails — a partial broadcast.
-	if err := j.logs[1].Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.ProcessWindow(0, 30); err == nil {
-		t.Fatal("partial barrier broadcast did not error")
-	}
-	if err := j.flush(0, []rating.Rating{{Rater: 2, Object: 0, Value: 0.6, Time: 2}}); !errors.Is(err, errJournalWedged) {
-		t.Fatalf("flush after partial barrier = %v, want errJournalWedged", err)
-	}
-	if _, err := j.ProcessWindow(0, 30); !errors.Is(err, errJournalWedged) {
-		t.Fatalf("window after partial barrier = %v, want errJournalWedged", err)
 	}
 }
 
@@ -259,17 +231,17 @@ func TestShardedDirAtOneShardReopens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The shape promotion writes: a fresh fully-snapshotted 1-shard
-	// epoch committed by the manifest flip.
-	w, err := migrateToEpoch(dir, 2, 1, engine, 1, testWALOpts)
+	// Promotion writes a fresh fully-snapshotted 1-shard epoch
+	// committed by the manifest flip.
+	j, err := journal.Promote(engine, journal.Config{Dir: dir, WAL: wal.Options{Policy: wal.SyncNever}}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeLogSet(w.logs)
+	j.Abort()
 
 	d := walPrimary(t, dir, 1)
 	defer closeDaemon(t, d)
-	if d.journal.epoch != 2 || d.engine.Len() != 12 {
-		t.Fatalf("epoch=%d len=%d, want 2/12", d.journal.epoch, d.engine.Len())
+	if d.journal.Epoch() != 2 || d.engine.Len() != 12 {
+		t.Fatalf("epoch=%d len=%d, want 2/12", d.journal.Epoch(), d.engine.Len())
 	}
 }

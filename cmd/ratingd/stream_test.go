@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/rating"
 	"repro/internal/shard/shardtest"
 )
@@ -28,7 +29,7 @@ func chaosStreamWorkload() []rating.Rating {
 // window close while an earlier-time rating on another shard is still
 // in flight — fine for a live system, but the chaos comparison needs
 // every window to see identical evidence in both runs.
-func submitSeq(t *testing.T, j *shardJournal, rs []rating.Rating) {
+func submitSeq(t *testing.T, j *journal.Journal, rs []rating.Rating) {
 	t.Helper()
 	for i := range rs {
 		if err := j.SubmitAll(rs[i : i+1]); err != nil {

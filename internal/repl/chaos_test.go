@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/repl"
 	"repro/internal/shard/shardtest"
 	"repro/internal/telemetry"
+	"repro/internal/wal"
 )
 
 // TestChaosReplPrimaryKillPromote drains the follower, then kills the
@@ -96,6 +98,98 @@ func TestChaosReplPrimaryKillPromote(t *testing.T) {
 	}
 	if _, err := fn.engine.ProcessWindow(months[1].Start, months[1].End); err != nil {
 		t.Fatalf("post-promotion window: %v", err)
+	}
+}
+
+// TestChaosReplRefusedCommitResetsFollower fails one commit fsync of a
+// -fsync always primary with a follower tailing it, then writes more
+// ratings than were refused and a window; the follower must end equal
+// to the primary at zero lag. In "streamed" the follower has already
+// applied the batch the commit refuses, as it may between a flush's
+// append and its commit: the refused offsets are never reused, so it
+// must re-bootstrap rather than resume inside later frames and skip
+// them. In "journal" the flush is refused before the follower reads
+// it: the refused records must leave the primary's appended count, or
+// the follower's lag never reaches zero.
+func TestChaosReplRefusedCommitResetsFollower(t *testing.T) {
+	for _, streamed := range []bool{true, false} {
+		name := map[bool]string{true: "streamed", false: "journal"}[streamed]
+		t.Run(name, func(t *testing.T) {
+			w := shardtest.Workload{Seed: 71, Months: 2}
+			months := w.Generate()
+			fs := faultinject.NewMemFS()
+			p := newPrimaryNodeWAL(t, 1, wal.Options{FS: fs, Policy: wal.SyncAlways})
+			metrics := repl.NewMetrics(telemetry.NewRegistry())
+			fn := newFollowerNode(t, 1, p.url(), func(cfg *repl.FollowerConfig) {
+				cfg.Metrics = metrics
+			})
+			if err := p.SubmitAll(months[0].Ratings); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.ProcessWindow(months[0].Start, months[0].End); err != nil {
+				t.Fatal(err)
+			}
+			fn.waitAligned(1, 10*time.Second)
+
+			refused := months[1].Ratings[:40]
+			failSync := func() {
+				fired := false
+				fs.SetInjector(func(op faultinject.Op) *faultinject.Fault {
+					if op.Kind == "sync" && !fired {
+						fired = true
+						return &faultinject.Fault{Err: faultinject.ErrInjected}
+					}
+					return nil
+				})
+			}
+			if streamed {
+				// The journal's flush, paused between its append and
+				// its commit until the follower has applied the batch.
+				recs := make([]wal.Record, len(refused))
+				for i, r := range refused {
+					recs[i] = wal.RatingRecord(r)
+				}
+				log := p.Logs()[0]
+				tok, err := log.AppendAllBuffered(recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 10*time.Second, "unsynced batch streamed", func() bool {
+					return fn.engine.Len() == p.engine.Len()+len(refused)
+				})
+				failSync()
+				if err := log.Commit(tok); err == nil {
+					t.Fatal("commit with a failed fsync returned nil")
+				}
+			} else {
+				failSync()
+				if err := p.SubmitAll(refused); err == nil {
+					t.Fatal("submit with a failed fsync returned nil")
+				}
+			}
+
+			if err := p.SubmitAll(months[1].Ratings[len(refused):]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.ProcessWindow(months[1].Start, months[1].End); err != nil {
+				t.Fatal(err)
+			}
+			fn.waitAligned(2, 10*time.Second)
+			want, err := shardtest.Fingerprint(p, w.Objects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := shardtest.Fingerprint(fn.engine, w.Objects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("follower diverged after a refused commit:\n--- primary\n%s--- follower\n%s", want, got)
+			}
+			if n := metrics.Bootstraps.Value(); streamed && n < 2 {
+				t.Fatalf("bootstraps = %d, want a re-bootstrap after the refused commit", n)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 package repl_test
 
-// Test harness: a miniature primary node — shard.Engine + per-shard
-// WALs + a barrier-broadcasting journal mirroring cmd/ratingd's
-// shardJournal — served over httptest, plus a follower wrapper and a
-// byte-level flaky TCP proxy for the chaos suite.
+// Test harness: a miniature primary node — shard.Engine behind the
+// daemon's per-shard WAL journal (internal/journal) — served over
+// httptest, plus a follower wrapper and a byte-level flaky TCP proxy
+// for the chaos suite.
 
 import (
 	"context"
@@ -13,54 +13,50 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/rating"
 	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
+// primaryNode writes through its journal (SubmitAll, ProcessWindow,
+// Snapshot) and reads from its engine, so it is a shardtest.System the
+// conformance harness can drive directly.
 type primaryNode struct {
-	t      *testing.T
+	*journal.Journal
 	engine *shard.Engine
-	logs   []*wal.Log
-
-	mu  sync.Mutex
-	seq uint64 // next barrier sequence
 
 	srv       *httptest.Server
 	closeOnce sync.Once
 }
 
 func newPrimaryNode(t *testing.T, shards int) *primaryNode {
+	return newPrimaryNodeWAL(t, shards, wal.Options{Policy: wal.SyncNever})
+}
+
+// newPrimaryNodeWAL is newPrimaryNode with its shard logs opened under
+// opts.
+func newPrimaryNodeWAL(t *testing.T, shards int, opts wal.Options) *primaryNode {
 	t.Helper()
 	engine, err := shard.NewEngine(core.Config{}, shards)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	dir := t.TempDir()
-	logs := make([]*wal.Log, shards)
-	for i := range logs {
-		l, _, err := wal.Open(wal.Options{
-			Dir:    filepath.Join(dir, fmt.Sprintf("shard-%04d", i)),
-			Policy: wal.SyncNever,
-		})
-		if err != nil {
-			t.Fatalf("wal %d: %v", i, err)
-		}
-		logs[i] = l
+	j, _, err := journal.Open(engine, journal.Config{Dir: t.TempDir(), WAL: opts})
+	if err != nil {
+		t.Fatalf("journal: %v", err)
 	}
-	p := &primaryNode{t: t, engine: engine, logs: logs, seq: 1}
+	t.Cleanup(j.Abort)
+	p := &primaryNode{Journal: j, engine: engine}
 	rp := repl.NewPrimary(repl.PrimaryConfig{
-		Epoch:     1,
-		Logs:      logs,
-		Journal:   p,
+		Journal:   j,
 		LongPoll:  2 * time.Second,
 		Poll:      time.Millisecond,
 		Heartbeat: 20 * time.Millisecond,
@@ -83,70 +79,6 @@ func (p *primaryNode) kill() {
 
 func (p *primaryNode) url() string { return p.srv.URL }
 
-// SubmitAll appends the batch to the shard logs, then applies it —
-// the same [log, apply] atomicity shardJournal provides.
-func (p *primaryNode) SubmitAll(rs []rating.Rating) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	groups := make([][]wal.Record, len(p.logs))
-	for _, r := range rs {
-		i := p.engine.ShardFor(r.Object)
-		groups[i] = append(groups[i], wal.RatingRecord(r))
-	}
-	for i, recs := range groups {
-		if len(recs) == 0 {
-			continue
-		}
-		token, err := p.logs[i].AppendAllBuffered(recs)
-		if err != nil {
-			return err
-		}
-		if err := p.logs[i].Commit(token); err != nil {
-			return err
-		}
-	}
-	return p.engine.SubmitAll(rs)
-}
-
-// ProcessWindow broadcasts a barrier to every shard log, then runs
-// the window.
-func (p *primaryNode) ProcessWindow(start, end float64) (core.ProcessReport, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, l := range p.logs {
-		if err := l.Append(wal.BarrierRecord(p.seq, start, end)); err != nil {
-			return core.ProcessReport{}, err
-		}
-	}
-	p.seq++
-	return p.engine.ProcessWindow(start, end)
-}
-
-// Snapshot implements repl.Journal: rebase every shard log on the
-// current state at the current barrier height.
-func (p *primaryNode) Snapshot() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	barrier := p.seq - 1
-	for i, l := range p.logs {
-		i := i
-		if err := l.Snapshot(func(w io.Writer) error {
-			return shard.WriteShardSnapshot(p.engine, i, barrier, w)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *primaryNode) NextBarrierSeq() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.seq
-}
-
-// shardtest.System delegation, so the conformance harness can drive
-// the node directly.
 func (p *primaryNode) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	return p.engine.Aggregate(obj)
 }

@@ -10,7 +10,7 @@
 // its in-memory state is byte-identical to the primary's at every
 // barrier. Promotion truncates to the last complete barrier and flips
 // the follower into a primary through the existing epoch/manifest
-// machinery (cmd/ratingd wires that part).
+// machinery (internal/journal.Promote; cmd/ratingd wires it).
 package repl
 
 import (
@@ -23,10 +23,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Journal is the primary-side coordination surface repl needs from
-// the daemon's WAL journal: a way to cut a fresh verified snapshot
-// (bootstrap) and the barrier height it reflects.
+// Journal is the primary-side surface repl needs from the daemon's WAL
+// journal (internal/journal): the logs it serves, a way to cut a fresh
+// verified snapshot (bootstrap) and the barrier height it reflects.
 type Journal interface {
+	// Epoch is the manifest epoch being served; a follower cursor from
+	// another epoch is refused (409) so it re-bootstraps.
+	Epoch() int
+	// Logs are the per-shard WALs, indexed by shard.
+	Logs() []*wal.Log
 	// Snapshot rebases every shard log on the current state.
 	Snapshot() error
 	// NextBarrierSeq returns the sequence the next maintenance barrier
@@ -36,12 +41,8 @@ type Journal interface {
 
 // PrimaryConfig configures a replication primary.
 type PrimaryConfig struct {
-	// Epoch is the WAL manifest epoch being served; a follower cursor
-	// from another epoch is refused (409) so it re-bootstraps.
-	Epoch int
-	// Logs are the per-shard WALs, indexed by shard.
-	Logs []*wal.Log
-	// Journal cuts bootstrap snapshots and reports barrier height.
+	// Journal holds the served logs, cuts bootstrap snapshots and
+	// reports barrier height.
 	Journal Journal
 	Metrics *Metrics
 	// LongPoll bounds one stream response (default 20s); Poll is the
@@ -81,7 +82,7 @@ type Primary struct {
 	cfg PrimaryConfig
 }
 
-// NewPrimary returns a Primary serving cfg's logs.
+// NewPrimary returns a Primary serving cfg.Journal's logs.
 func NewPrimary(cfg PrimaryConfig) *Primary {
 	return &Primary{cfg: cfg.withDefaults()}
 }
@@ -93,22 +94,28 @@ func (p *Primary) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/repl/status", p.handleStatus)
 }
 
-// handleStatus reports the primary's epoch, barrier height and per-
-// shard tail cursors.
+// handleStatus serves the primary's Status.
 func (p *Primary) handleStatus(w http.ResponseWriter, r *http.Request) {
-	resp := api.ReplStatusResponse{
+	writeJSON(w, http.StatusOK, Status(p.cfg.Journal))
+}
+
+// Status is a primary's replication status over j: its epoch, barrier
+// height and per-shard tail cursors.
+func Status(j Journal) api.ReplStatusResponse {
+	logs := j.Logs()
+	st := api.ReplStatusResponse{
 		Role:       api.RolePrimary,
-		Epoch:      p.cfg.Epoch,
-		Shards:     len(p.cfg.Logs),
-		BarrierSeq: p.cfg.Journal.NextBarrierSeq() - 1,
+		Epoch:      j.Epoch(),
+		Shards:     len(logs),
+		BarrierSeq: j.NextBarrierSeq() - 1,
 	}
-	for i, l := range p.cfg.Logs {
+	for i, l := range logs {
 		tail := l.Tail()
-		resp.Cursors = append(resp.Cursors, api.ReplCursor{
+		st.Cursors = append(st.Cursors, api.ReplCursor{
 			Shard: i, Seg: tail.Seg, Off: tail.Off, Records: l.AppendedRecords(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return st
 }
 
 // handleSnapshot cuts a fresh snapshot of every shard log and serves
@@ -122,13 +129,14 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("snapshot for bootstrap: %v", err))
 		return
 	}
+	logs := p.cfg.Journal.Logs()
 	resp := api.ReplBootstrapResponse{
-		Epoch:      p.cfg.Epoch,
-		Shards:     len(p.cfg.Logs),
+		Epoch:      p.cfg.Journal.Epoch(),
+		Shards:     len(logs),
 		BarrierSeq: p.cfg.Journal.NextBarrierSeq() - 1,
 		TS:         float64(p.cfg.Now().UnixNano()) / 1e9,
 	}
-	for i, l := range p.cfg.Logs {
+	for i, l := range logs {
 		data, cur, ft, err := l.LatestSnapshot()
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable,
@@ -148,16 +156,17 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // disconnect); the follower reconnects with the last frame's cursor.
 func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	logs := p.cfg.Journal.Logs()
 	shard, err := strconv.Atoi(q.Get("shard"))
-	if err != nil || shard < 0 || shard >= len(p.cfg.Logs) {
+	if err != nil || shard < 0 || shard >= len(logs) {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Sprintf("shard %q out of range [0,%d)", q.Get("shard"), len(p.cfg.Logs)))
+			fmt.Sprintf("shard %q out of range [0,%d)", q.Get("shard"), len(logs)))
 		return
 	}
 	epoch, err := strconv.Atoi(q.Get("epoch"))
-	if err != nil || epoch != p.cfg.Epoch {
+	if err != nil || epoch != p.cfg.Journal.Epoch() {
 		writeErr(w, http.StatusConflict, api.CodeConflict,
-			fmt.Sprintf("epoch %q != primary epoch %d; re-bootstrap", q.Get("epoch"), p.cfg.Epoch))
+			fmt.Sprintf("epoch %q != primary epoch %d; re-bootstrap", q.Get("epoch"), p.cfg.Journal.Epoch()))
 		return
 	}
 	seg, serr := strconv.Atoi(q.Get("seg"))
@@ -169,7 +178,7 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	p.cfg.Metrics.Streams.Inc()
 
-	log := p.cfg.Logs[shard]
+	log := logs[shard]
 	cur := wal.Cursor{Seg: seg, Off: off}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -554,9 +554,12 @@ func TestWireContractAlerts(t *testing.T) {
 }
 
 // contractReplJournal is the minimal primary-side journal for the
-// /v1/repl/status fixture: a fresh daemon at barrier height zero.
-type contractReplJournal struct{}
+// /v1/repl/status fixture: a fresh one-shard daemon at epoch 1 and
+// barrier height zero.
+type contractReplJournal struct{ log *wal.Log }
 
+func (contractReplJournal) Epoch() int             { return 1 }
+func (j contractReplJournal) Logs() []*wal.Log     { return []*wal.Log{j.log} }
 func (contractReplJournal) Snapshot() error        { return nil }
 func (contractReplJournal) NextBarrierSeq() uint64 { return 1 }
 
@@ -608,9 +611,7 @@ func TestWireContractReplica(t *testing.T) {
 	}
 	t.Cleanup(func() { log.Close() })
 	mux := http.NewServeMux()
-	repl.NewPrimary(repl.PrimaryConfig{
-		Epoch: 1, Logs: []*wal.Log{log}, Journal: contractReplJournal{},
-	}).Routes(mux)
+	repl.NewPrimary(repl.PrimaryConfig{Journal: contractReplJournal{log}}).Routes(mux)
 	tsRepl := httptest.NewServer(mux)
 	t.Cleanup(tsRepl.Close)
 	res, err = tsRepl.Client().Get(tsRepl.URL + "/v1/repl/status")

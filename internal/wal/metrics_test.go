@@ -150,11 +150,11 @@ func TestMetricsCountFailedCommits(t *testing.T) {
 		want error
 	}{
 		{"append/fsync", 1 << 20, func(l *Log, fs *faultinject.MemFS) error {
-			fs.SetInjector(failSyncs(-1))
+			fs.SetInjector(failSyncs(1))
 			return l.Append(mkRating(0))
 		}, faultinject.ErrInjected},
 		{"buffered/fsync", 1 << 20, func(l *Log, fs *faultinject.MemFS) error {
-			fs.SetInjector(failSyncs(-1))
+			fs.SetInjector(failSyncs(1))
 			return commit(l)
 		}, faultinject.ErrInjected},
 		{"buffered/rotation-sync", 1, func(l *Log, fs *faultinject.MemFS) error {
@@ -169,7 +169,7 @@ func TestMetricsCountFailedCommits(t *testing.T) {
 				return err
 			}
 			return l.Commit(t1)
-		}, errRotationLoss},
+		}, errUndone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := faultinject.NewMemFS()

@@ -145,28 +145,36 @@ type Recovery struct {
 type Log struct {
 	opts Options
 
-	mu       sync.Mutex
-	seq      int // current segment index
-	cur      faultinject.File
-	curSize  int64
-	dirty    bool // bytes written since the last successful sync
-	sealed   bool // current segment had a failed append; rotate before reuse
-	closed   bool
-	buf      []byte
-	writeGen uint64 // generation of the latest buffered append (under mu)
+	mu         sync.Mutex
+	seq        int // current segment index
+	cur        faultinject.File
+	curSize    int64
+	syncedSize int64 // current segment's size as of its last good sync
+	dirty      bool  // bytes written since the last successful sync
+	sealed     bool  // current segment had a failed append or undo; rotate before reuse
+	closed     bool
+	stuck      error // a failed sync could not be undone; rotate and Close refuse
+	buf        []byte
+	writeGen   uint64 // generation of the latest buffered append (under mu)
+	unsynced   uint64 // records written since the last good sync
+
+	// undone[k] is syncedGen when undo k (from 0) ran, see undoLocked:
+	// of the generations written since the undo before it, exactly
+	// those above it were refused.
+	undone []uint64
 
 	// Group-commit state for AppendAllBuffered/Commit. syncMu elects
 	// one fsync leader at a time; syncedGen is the highest write
 	// generation known durable (so followers whose generation a
-	// leader's fsync already covered return without touching the file);
-	// failedGen marks generations that may have been lost when a
-	// rotation's best-effort sync of the outgoing segment failed.
+	// leader's fsync already covered return without touching the
+	// file); undos mirrors len(undone) for Commit's lock-free fast
+	// path.
 	syncMu    sync.Mutex
 	syncedGen atomic.Uint64
-	failedGen atomic.Uint64
+	undos     atomic.Int64
 
 	// appended counts records written by this process (recovery replay
-	// excluded). Snapshot footers record it as the follower lag
+	// and undone records excluded). Snapshot footers record it as the follower lag
 	// baseline, so it is only comparable within one log lifetime.
 	appended atomic.Uint64
 }
@@ -354,25 +362,23 @@ func (l *Log) openSegment() error {
 		return fmt.Errorf("wal: sync dir for segment %d: %w", l.seq, err)
 	}
 	l.cur = f
+	l.syncedSize = l.curSize
 	l.sealed = false
 	l.dirty = false
 	l.opts.Metrics.segment(l.seq, l.curSize)
 	return nil
 }
 
-// rotate seals the current segment and opens the next one.
+// rotate seals the current segment and opens the next one. A tail
+// whose sync failed rotates only once undone: an acknowledged tail
+// (not SyncAlways) or a stuck log's stays, and rotate refuses.
 func (l *Log) rotate() error {
 	if l.cur != nil {
-		if l.dirty {
-			if err := l.cur.Sync(); err != nil {
-				// The outgoing segment's unsynced tail may be lost.
-				// Appends awaiting Commit must learn their records are
-				// gone: poison every generation written so far.
-				l.opts.Warnf("wal: sync on rotate: %v", err)
-				l.failedGen.Store(l.writeGen)
-			} else {
-				l.dirty = false
+		if err := l.syncLocked(); err != nil {
+			if l.dirty {
+				return err
 			}
+			l.opts.Warnf("wal: sync on rotate: %v", err)
 		}
 		_ = l.cur.Close()
 		l.cur = nil
@@ -386,14 +392,14 @@ func (l *Log) rotate() error {
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: closed")
 
-// errRotationLoss is Commit's answer for records a failed rotation
-// sync may have lost.
-var errRotationLoss = errors.New("wal: commit: records lost in failed rotation sync")
+// errUndone is Commit's answer for records a failed sync undid.
+var errUndone = errors.New("wal: commit: records undone after a failed sync")
 
 // Append writes rec and commits it. Under SyncAlways, a nil return
 // means the record is durable. On error the record must be treated as
 // not logged; the log itself remains usable (the damaged segment is
-// sealed and the next append rotates past it).
+// sealed and the next append rotates past it) unless it is stuck (see
+// undoLocked).
 func (l *Log) Append(rec Record) error {
 	t, err := l.AppendAllBuffered([]Record{rec})
 	if err != nil {
@@ -405,7 +411,8 @@ func (l *Log) Append(rec Record) error {
 // SyncToken identifies a buffered append for Commit. The zero token
 // commits trivially.
 type SyncToken struct {
-	gen uint64
+	gen   uint64
+	undos int // len(undone) when the append was written
 }
 
 // AppendAllBuffered frames every record and writes them in a single
@@ -453,19 +460,21 @@ func (l *Log) AppendAllBuffered(recs []Record) (SyncToken, error) {
 	sp.End()
 	l.dirty = true
 	l.writeGen++
+	l.unsynced += uint64(len(recs))
 	l.appended.Add(uint64(len(recs)))
 	l.opts.Metrics.segment(l.seq, l.curSize)
 	l.opts.Metrics.appended(len(recs))
-	return SyncToken{gen: l.writeGen}, nil
+	return SyncToken{gen: l.writeGen, undos: len(l.undone)}, nil
 }
 
 // Commit makes a buffered append durable under SyncAlways: a nil
-// return means the token's records are on stable storage. Under
-// SyncInterval and SyncNever it is a no-op, preserving those
-// policies' loss windows. Concurrent commits elect one fsync leader;
-// the leader's single fsync covers every write that preceded it, and
-// the followers observe that and return without touching the file.
-// Every failure but ErrClosed counts as a failed append.
+// return means the token's records are on stable storage, and an
+// error means they never will be (see undoLocked). Under SyncInterval
+// and SyncNever it is a no-op, preserving those policies' loss
+// windows. Concurrent commits elect one fsync leader; the leader's
+// single fsync covers every write that preceded it, and the followers
+// observe that and return without touching the file. Every failure
+// but ErrClosed counts as a failed append.
 func (l *Log) Commit(t SyncToken) (err error) {
 	if t.gen == 0 || l.opts.Policy != SyncAlways {
 		return nil
@@ -475,43 +484,35 @@ func (l *Log) Commit(t SyncToken) (err error) {
 			l.opts.Metrics.appendFailed()
 		}
 	}()
-	// Fast path: a leader's fsync already covered this generation.
-	// Lost generations are checked first so they stay errors even
-	// after syncedGen advances past them.
-	if l.failedGen.Load() >= t.gen {
-		return errRotationLoss
-	}
-	if l.syncedGen.Load() >= t.gen {
+	// Fast path: a leader's fsync already covered this generation and
+	// no undo has run since it was written. syncedGen is read first:
+	// an undo is counted before any later sync can advance it.
+	if l.syncedGen.Load() >= t.gen && l.undos.Load() == int64(t.undos) {
 		return nil
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	if l.failedGen.Load() >= t.gen {
-		return errRotationLoss
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.undone) > t.undos {
+		// The first undo after the append decided it for good.
+		if t.gen <= l.undone[t.undos] {
+			return nil
+		}
+		return errUndone
 	}
 	if l.syncedGen.Load() >= t.gen {
 		return nil
 	}
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return ErrClosed
 	}
-	cover := l.writeGen
-	failed := l.failedGen.Load()
-	err = l.syncLocked()
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if failed >= t.gen {
-		return errRotationLoss
-	}
-	l.syncedGen.Store(cover)
-	return nil
+	return l.syncLocked()
 }
 
-// Sync fsyncs any unsynced appends.
+// Sync fsyncs any unsynced appends. On failure, under SyncAlways they
+// are undone (see undoLocked); under the other policies they were
+// acknowledged already and stay for the next Sync.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -522,16 +523,52 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
+	if l.stuck != nil {
+		return l.stuck
+	}
 	if !l.dirty || l.cur == nil {
 		return nil
 	}
 	sp := l.opts.Metrics.startFsync()
 	if err := l.cur.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+		err = fmt.Errorf("wal: sync: %w", err)
+		if l.opts.Policy != SyncAlways {
+			return err // acknowledged already: the next sync retries
+		}
+		return l.undoLocked(err)
 	}
 	sp.End()
 	l.dirty = false
+	l.syncedSize = l.curSize
+	l.syncedGen.Store(l.writeGen)
+	l.unsynced = 0
 	return nil
+}
+
+// undoLocked answers a failed SyncAlways sync: it truncates the
+// segment back to what the last good sync covered, syncs and seals it,
+// so no later sync makes the refused tail durable and no later frame
+// reuses its offsets (a reader past them gets ErrSegmentGone). Exactly
+// the generations written since that sync are refused and leave
+// AppendedRecords; earlier ones keep committing nil. If the truncate or
+// its sync fails too, the refused bytes may reach the disk, so the log
+// is stuck: every later append, commit, sync and Close fails.
+func (l *Log) undoLocked(err error) error {
+	l.undone = append(l.undone, l.syncedGen.Load())
+	l.undos.Store(int64(len(l.undone)))
+	l.sealed = true
+	uerr := l.cur.Truncate(l.syncedSize)
+	if uerr == nil {
+		uerr = l.cur.Sync()
+	}
+	if uerr != nil {
+		l.stuck = fmt.Errorf("wal: stuck until restart: undo of failed sync: %w", uerr)
+		return err
+	}
+	l.appended.Add(-l.unsynced)
+	l.curSize, l.dirty, l.unsynced = l.syncedSize, false, 0
+	l.opts.Metrics.segment(l.seq, l.curSize)
+	return err
 }
 
 // Snapshot makes the state written by write the log's new baseline:
@@ -620,7 +657,8 @@ func (l *Log) Snapshot(write func(io.Writer) error) error {
 	return nil
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log; a stuck log skips the sync, which
+// could make its refused tail durable, and reports why it is stuck.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -628,9 +666,9 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	var err error
+	err := l.stuck
 	if l.cur != nil {
-		if l.dirty {
+		if l.dirty && err == nil {
 			err = l.cur.Sync()
 		}
 		if cerr := l.cur.Close(); err == nil {
@@ -649,7 +687,7 @@ func (l *Log) SegmentSeq() int {
 }
 
 // AppendedRecords returns the count of records appended by this
-// process (recovery replay excluded). Together with a snapshot
+// process (recovery replay and undone records excluded). Together with a snapshot
 // footer's Records baseline it measures replication lag; the counts
 // are only comparable within one log lifetime.
 func (l *Log) AppendedRecords() uint64 { return l.appended.Load() }
