@@ -1,19 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet perfbench-vet fmt test race race-soak bench bench-quick allocs profile fuzz chaos chaos-repl chaos-cluster contract matrix stream-conformance ci artifacts benchreport clean
-
-# Committed shard-scaling floor for `make bench-quick`: the 4-shard
-# batching win measured for BENCH_6 sits at ~4x on the reference box;
-# 3.0 leaves noise headroom while still catching any real regression
-# of the lock-free ingest path.
-MIN_SPEEDUP4 ?= 3.0
-
-# Committed streaming detection-latency floor for `make bench-quick`:
-# the online path's worst detected-attack latency in the deterministic
-# zoo comparison sits at ~8.7 rating-days; 12 leaves headroom while
-# still failing if streaming ever slips past it on an attack it
-# catches, or loses an attack the batch path catches.
-MAX_STREAM_LATENCY ?= 12
+.PHONY: all build vet perfbench-vet fmt test race race-soak bench allocs fuzz chaos chaos-repl chaos-cluster contract matrix stream-conformance ci artifacts clean
 
 # Per-target budget for the fuzz sweep; go-fuzz corpora live in
 # testdata/fuzz and regressions found there replay in plain `go test`.
@@ -58,28 +45,12 @@ race-soak:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-quick is the ingest-perf smoke: just the shard-scaling section
-# of the benchreport, gated on the committed speedup floor. It fails —
-# and so fails `make ci` — if the lock-free ingest path's 4-shard win
-# regresses below MIN_SPEEDUP4.
-bench-quick:
-	$(GO) run ./cmd/benchreport -run tab1 -walrecords 0 -telemetryreps 0 \
-		-servingratings 0 -replratings 0 -detection "" -streamratings 0 \
-		-clusterratings 0 \
-		-minspeedup4 $(MIN_SPEEDUP4) -maxstreamlatency $(MAX_STREAM_LATENCY) \
-		-out /dev/null
-
 # allocs runs the steady-state allocation pins (testing.AllocsPerRun),
 # which only exist in non-race builds — the race runtime's bookkeeping
 # would drown the counts — so ci needs this plain pass on top of its
 # race pass.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/shard/
-
-# profile writes CPU and heap profiles of the full benchreport run;
-# inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
-profile:
-	$(GO) run ./cmd/benchreport -out /dev/null -cpuprofile cpu.prof -memprofile mem.prof
 
 # fuzz runs each fuzz target for FUZZTIME: WAL frame parsing and record
 # decoding (corrupt bytes must error, never panic), the server's
@@ -99,10 +70,11 @@ fuzz:
 # ci is the gate every change must pass: formatting, static checks, a
 # full build, the test suite under the race detector, the non-race
 # allocation pins, a fresh-schedule soak of the sharded engine, a
-# one-shot smoke run of the tab1 macro benchmark (exercises the
-# parallel Monte-Carlo path end to end without benchmark-grade
-# runtimes), the chaos sweep, the detector×attack matrix grid, and the
-# shard-scaling floor check.
+# one-shot smoke run of the tab1 macro benchmark, serial and parallel
+# (exercises the parallel Monte-Carlo path end to end without
+# benchmark-grade runtimes), the chaos sweep, the detector×attack
+# matrix grid, and one-shot runs of the replication catch-up and
+# cluster window-exchange benchmarks.
 ci:
 	$(MAKE) fmt
 	$(MAKE) vet
@@ -113,12 +85,13 @@ ci:
 	$(MAKE) race-soak
 	$(MAKE) stream-conformance
 	$(MAKE) contract
-	$(GO) test -run=NONE -bench=BenchmarkTab1 -benchtime=1x .
+	$(GO) test -run=NONE -bench='Experiments/^tab1$$|Tab1DetectionRatesParallel' -benchtime=1x .
 	$(MAKE) chaos
 	$(MAKE) chaos-repl
 	$(MAKE) chaos-cluster
 	$(MAKE) matrix
-	$(MAKE) bench-quick
+	$(GO) test -run=NONE -bench=BenchmarkFollowerCatchup -benchtime=1x ./internal/repl/
+	$(GO) test -run=NONE -bench=BenchmarkRouterWindowExchange -benchtime=1x ./internal/cluster/
 
 # matrix prints the detector×attack benchmark grid: every detector
 # stack (AR charging, collusion graph, iterative filtering, combined)
@@ -183,9 +156,6 @@ chaos-cluster:
 
 artifacts:
 	$(GO) run ./cmd/experiments -run all -mode full -csv artifacts/
-
-benchreport:
-	$(GO) run ./cmd/benchreport -out BENCH_10.json
 
 clean:
 	rm -rf artifacts/

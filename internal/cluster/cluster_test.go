@@ -61,7 +61,7 @@ type testCluster struct {
 
 // newTestCluster builds an n-node cluster, each member running a
 // shard.Engine with the given shard count.
-func newTestCluster(t *testing.T, nodes, shards int) *testCluster {
+func newTestCluster(t testing.TB, nodes, shards int) *testCluster {
 	t.Helper()
 	return newTestClusterTable(t, nodes, shards, nil)
 }
@@ -69,7 +69,7 @@ func newTestCluster(t *testing.T, nodes, shards int) *testCluster {
 // newTestClusterTable is newTestCluster with an optional custom range
 // assignment: mkTable receives the member URLs and returns the table
 // (nil means EvenTable at epoch 1).
-func newTestClusterTable(t *testing.T, nodes, shards int, mkTable func(urls []string) Table) *testCluster {
+func newTestClusterTable(t testing.TB, nodes, shards int, mkTable func(urls []string) Table) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	urls := make([]string, nodes)

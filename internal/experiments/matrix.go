@@ -266,7 +266,7 @@ func matrixRun(runSeed int64, det matrixDetector, strat attack.Strategy) (matrix
 }
 
 // RunMatrix executes the full grid and returns it in typed form (the
-// registry wrapper Matrix formats it; cmd/benchreport embeds it).
+// registry wrapper Matrix formats it; TestGoldenMatrix pins it).
 func RunMatrix(seed int64, mode Mode, opt Options) (MatrixResult, error) {
 	runs := runsFor(mode, 15, 3)
 	dets := matrixDetectors()

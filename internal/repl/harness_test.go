@@ -37,13 +37,13 @@ type primaryNode struct {
 	closeOnce sync.Once
 }
 
-func newPrimaryNode(t *testing.T, shards int) *primaryNode {
+func newPrimaryNode(t testing.TB, shards int) *primaryNode {
 	return newPrimaryNodeWAL(t, shards, wal.Options{Policy: wal.SyncNever})
 }
 
 // newPrimaryNodeWAL is newPrimaryNode with its shard logs opened under
 // opts.
-func newPrimaryNodeWAL(t *testing.T, shards int, opts wal.Options) *primaryNode {
+func newPrimaryNodeWAL(t testing.TB, shards int, opts wal.Options) *primaryNode {
 	t.Helper()
 	engine, err := shard.NewEngine(core.Config{}, shards)
 	if err != nil {
@@ -87,14 +87,14 @@ func (p *primaryNode) MaliciousRaters() []rating.RaterID         { return p.engi
 func (p *primaryNode) Len() int                                  { return p.engine.Len() }
 
 type followerNode struct {
-	t       *testing.T
+	t       testing.TB
 	engine  *shard.Engine
 	f       *repl.Follower
 	metrics *repl.Metrics
 	runDone chan struct{}
 }
 
-func newFollowerNode(t *testing.T, shards int, primaryURL string, tweak func(*repl.FollowerConfig)) *followerNode {
+func newFollowerNode(t testing.TB, shards int, primaryURL string, tweak func(*repl.FollowerConfig)) *followerNode {
 	t.Helper()
 	engine, err := shard.NewEngine(core.Config{}, shards)
 	if err != nil {
@@ -130,7 +130,7 @@ func newFollowerNode(t *testing.T, shards int, primaryURL string, tweak func(*re
 }
 
 // waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/randx"
 	"repro/internal/rating"
 	"repro/internal/shard"
 )
@@ -76,6 +77,107 @@ func TestRouterCoalescesBySize(t *testing.T) {
 	// be 64.
 	if got := flushes.Load(); got > n/8+1 {
 		t.Fatalf("%d flushes for %d ratings at batch size 8 — no coalescing", got, n)
+	}
+}
+
+// Sharding pays on one core because a shard's batch spans only its own
+// objects: a flush costs one Store.mergeObject per distinct object, so
+// 256 ratings over 12 objects merge 4x less often than 256 over 48.
+// With the ticker off, only size, Flush and Close flush, so every flush
+// but each shard's last is full and the merge ratio is at least 3.9.
+func TestRouterShardingCutsMerges(t *testing.T) {
+	const (
+		n         = 122880
+		objects   = 48
+		raters    = 512
+		batchSize = 256
+	)
+	rng := randx.New(1)
+	rs := make([]rating.Rating, n)
+	for i := range rs {
+		rs[i] = rating.Rating{
+			Rater:  rating.RaterID(rng.Intn(raters) + 1),
+			Object: rating.ObjectID(rng.Intn(objects)),
+			Value:  rng.Float64(),
+			// Scrambled event time, so every flush merges into the
+			// middle of each object's history.
+			Time: rng.Float64() * 365,
+		}
+	}
+	merges := func(shards int) int {
+		engine, err := shard.NewEngine(core.Config{}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each shard's flushes run on its own worker, so the per-shard
+		// slots need no lock; Close orders them before the reads below.
+		sizes := make([][]int, shards)
+		merged := make([]int, shards)
+		r, err := shard.NewRouter(shard.RouterConfig{
+			Shards:    shards,
+			BatchSize: batchSize,
+			Interval:  -1,
+			Flush: func(s int, batch []rating.Rating) error {
+				distinct := make(map[rating.ObjectID]bool)
+				for _, rt := range batch {
+					distinct[rt.Object] = true
+				}
+				sizes[s] = append(sizes[s], len(batch))
+				merged[s] += len(distinct)
+				return engine.SubmitShard(s, batch)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var waits []func() error
+		for lo := 0; lo < n; lo += batchSize {
+			chunk := rs[lo : lo+batchSize]
+			if shards == 1 {
+				// One blocking chunk per flush: exactly n/256 flushes.
+				if err := r.Submit(chunk); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			wait, err := r.SubmitAsync(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits = append(waits, wait)
+		}
+		// A shard's tail below the batch size flushes only on Close, so
+		// the submissions are awaited after it.
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, wait := range waits {
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		total, flushes, short := 0, 0, 0
+		for s, ss := range sizes {
+			for i, size := range ss {
+				if i < len(ss)-1 && size < batchSize {
+					short++
+				}
+			}
+			total += merged[s]
+			flushes += len(ss)
+		}
+		if short > 0 {
+			t.Errorf("%d shards: %d of %d flushes below %d ratings before their shard's last", shards, short, flushes, batchSize)
+		}
+		if got := engine.Len(); got != n {
+			t.Fatalf("%d shards: engine holds %d of %d ratings", shards, got, n)
+		}
+		t.Logf("%d shards: %d flushes, %d merges", shards, flushes, total)
+		return total
+	}
+	one, four := merges(1), merges(4)
+	if ratio := float64(one) / float64(four); ratio < 3 {
+		t.Fatalf("merges: %d at 1 shard, %d at 4 shards (ratio %.2f, want >= 3)", one, four, ratio)
 	}
 }
 
