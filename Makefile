@@ -105,13 +105,11 @@ matrix:
 
 # stream-conformance pins the streaming detection path to the batch
 # oracle under the race detector: byte-identical fingerprints across
-# shard counts with the aux detectors live, the incremental collusion
-# accumulator's property equivalence with batch Detect, and the
-# mid-window crash — recovery must replay to the exact suspicion and
-# trust state of a run that never died.
+# shard counts with the window-level aux detectors live, the detection
+# latency floor, and the mid-window crash — recovery must replay to
+# the exact suspicion and trust state of a run that never died.
 stream-conformance:
 	$(GO) test -race -count=1 -run 'TestStream' ./internal/shard/
-	$(GO) test -race -count=1 -run 'TestAccumulator' ./internal/collusion/
 	$(GO) test -race -count=1 -run 'TestStreamChaosMidWindowCrash' ./cmd/ratingd/
 
 # contract replays the checked-in wire-contract fixtures: every v1

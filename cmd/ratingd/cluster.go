@@ -55,9 +55,7 @@ func newMember(o options) (*daemon, error) {
 }
 
 // runRouter builds the routing table and the proxy, and serves until
-// interrupted. Folding window evidence takes no trust parameters (each
-// member applies the fold under its own); the trust config only lets
-// Router.TrustSnapshot rebuild trust from a member's records.
+// interrupted.
 func runRouter(o options) error {
 	members := splitClusterURLs(o.cluster)
 	table, err := cluster.EvenTable(o.clusterEpoch, members)
@@ -67,9 +65,7 @@ func runRouter(o options) error {
 	reg := telemetry.NewRegistry()
 	registerProcessMetrics(reg, time.Now())
 
-	tc := o.coreConfig().Trust
 	rt, err := cluster.NewRouter(table, cluster.RouterConfig{
-		Trust: &tc,
 		ServerOptions: []server.Option{
 			server.WithMaxBodyBytes(o.maxBody),
 			server.WithRequestTimeout(o.reqTimeout),

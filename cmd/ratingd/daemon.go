@@ -113,10 +113,13 @@ func (d *daemon) replRoutes(j *journal.Journal) func(*http.ServeMux) {
 // servePrimary builds the API over the journal-fronted engine, makes
 // the recovered state the log baseline, and starts streaming detection
 // and the background loops. A member adds its ownership checks and
-// scan/apply routes.
+// scan/apply routes. GET /v1 reports what this node serves.
 func (d *daemon) servePrimary() error {
 	var (
-		opts   = []server.Option{server.WithJournal(d.journal)}
+		opts = []server.Option{
+			server.WithJournal(d.journal),
+			server.WithFeatures(primaryFeatures(d.journal, d.o.streamDetect, d.member != nil)),
+		}
 		mounts []func(*http.ServeMux)
 	)
 	if m := d.member; m != nil {
@@ -124,14 +127,7 @@ func (d *daemon) servePrimary() error {
 		// broadcast is durable before it is acked (member WALs never
 		// hold window records).
 		m.SetSnapshotter(d.journal)
-		opts = append(opts,
-			server.WithCluster(m),
-			server.WithFeatures(api.DiscoveryFeatures{
-				StreamIngest: true,
-				StreamDetect: d.o.streamDetect,
-				Cluster:      true,
-			}),
-		)
+		opts = append(opts, server.WithCluster(m))
 		mounts = append(mounts, m.Routes)
 	}
 	if err := d.newServer(opts...); err != nil {
@@ -158,6 +154,18 @@ func (d *daemon) servePrimary() error {
 	d.handler = telemetryMux(d.srv, d.reg, d.o.pprof, mounts...)
 	d.startBackground()
 	return nil
+}
+
+// primaryFeatures is the discovery document's feature set for a
+// primary over j: replication is served exactly when j has logs (the
+// /v1/repl stream and snapshot routes read them).
+func primaryFeatures(j *journal.Journal, streamDetect, member bool) api.DiscoveryFeatures {
+	return api.DiscoveryFeatures{
+		StreamIngest: true,
+		StreamDetect: streamDetect,
+		Replication:  j.Logs() != nil,
+		Cluster:      member,
+	}
 }
 
 // newServer builds the API server over the engine with the flag-set

@@ -205,6 +205,8 @@ func (n *replNode) promote(why string) (api.ReplStatusResponse, error) {
 	// next request admitted past the cleared gate writes through it.
 	n.d.srv.SetJournal(j)
 	n.d.srv.SetReplica(nil)
+	// Followers run no stream detection and join no cluster.
+	n.d.srv.SetFeatures(primaryFeatures(j, false, false))
 	n.journal = j
 	warnf("repl: promoted to primary (epoch %d, next barrier %d)", j.Epoch(), seq)
 	return n.statusLocked(), nil

@@ -87,6 +87,18 @@ func replStatus(t *testing.T, base string) api.ReplStatusResponse {
 	return st
 }
 
+// features reads the feature flags of h's discovery document.
+func features(t *testing.T, h http.Handler) api.DiscoveryFeatures {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1", nil))
+	var doc api.DiscoveryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /v1: %d %v (%s)", rec.Code, err, rec.Body)
+	}
+	return doc.Features
+}
+
 func waitDaemon(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -103,6 +115,7 @@ func waitDaemon(t *testing.T, d time.Duration, what string, cond func() bool) {
 // WAL primary, serves byte-identical lag-stamped reads, refuses writes
 // with a redirect to the primary, and — promoted via the one-shot
 // client — commits a fresh WAL epoch and starts accepting writes.
+// GET /v1 reports replication exactly while the node serves it.
 func TestDaemonFollowerServesAndPromotes(t *testing.T) {
 	p := startPrimaryDaemon(t, 2)
 
@@ -146,6 +159,12 @@ func TestDaemonFollowerServesAndPromotes(t *testing.T) {
 	if res, data := getBody(t, f.ts.URL+"/v1/repl/snapshot"); res.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("follower bootstrap-serve: %d %s", res.StatusCode, data)
 	}
+	if got := features(t, p.d.handler); !got.Replication || got.StreamDetect || got.Cluster {
+		t.Fatalf("primary features %+v", got)
+	}
+	if got := features(t, f.d.handler); got.Replication {
+		t.Fatalf("follower features %+v", got)
+	}
 
 	// Promote through the `ratingd -promote <url>` one-shot path.
 	if err := promoteRemote(f.ts.URL); err != nil {
@@ -157,6 +176,9 @@ func TestDaemonFollowerServesAndPromotes(t *testing.T) {
 	}
 	if m, ok, err := journal.ReadManifest(f.walDir); err != nil || !ok || m.Epoch != 2 || m.Shards != 2 {
 		t.Fatalf("promoted manifest: %+v ok=%v err=%v", m, ok, err)
+	}
+	if got := features(t, f.d.handler); !got.Replication || !got.StreamIngest {
+		t.Fatalf("promoted features %+v", got)
 	}
 
 	// The promoted node accepts writes and windows through its new WAL.

@@ -77,6 +77,9 @@ func TestStreamChaosMidWindowCrash(t *testing.T) {
 
 	// Reference: the never-crashed run.
 	ref := streamPrimary(t, t.TempDir())
+	if got := features(t, ref.handler); !got.StreamDetect || !got.Replication {
+		t.Fatalf("-stream-detect primary features %+v", got)
+	}
 	submitSeq(t, ref.journal, all)
 	ref.stream.Sync()
 	closeDaemon(t, ref)

@@ -149,13 +149,11 @@ type Alert struct {
 	// Rater is the flagged rater.
 	Rater int `json:"rater"`
 	// Source names the detection path that flagged the rater:
-	// "stream" (online AR detector), "window" (authoritative
-	// maintenance-window charging) or "collusion" (incremental
-	// collusion graph).
+	// "stream" (online AR detector) or "window" (authoritative
+	// maintenance-window charging).
 	Source string `json:"source"`
 	// Suspicion is the evidence level at flag time; its meaning is
-	// per-source (accrued stream suspicion, post-window trust, or
-	// collusion suspicion mass).
+	// per-source (accrued stream suspicion or post-window trust).
 	Suspicion float64 `json:"suspicion"`
 	// FirstFlagged is the rating-clock time (days) of the evidence
 	// that tripped the flag.

@@ -13,9 +13,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/rating"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/trust"
 )
 
 // memberNode is one in-process cluster member.
@@ -58,6 +58,26 @@ type testCluster struct {
 	router  *Router
 	front   *httptest.Server // the router's public HTTP face
 }
+
+// routed drives a router as a shardtest.System. No v1 route serves the
+// whole trust map, so TrustSnapshot takes the rater set from one
+// member's engine (trust is replicated) and reads every value through
+// the router's per-rater trust path.
+type routed struct {
+	*Router
+	raters *shard.Engine
+}
+
+func (r routed) TrustSnapshot() map[rating.RaterID]float64 {
+	snap := r.raters.TrustSnapshot()
+	for id := range snap {
+		snap[id] = r.TrustIn(id)
+	}
+	return snap
+}
+
+// system is the cluster as the shardtest harness drives it.
+func (tc *testCluster) system() routed { return routed{tc.router, tc.members[0].eng} }
 
 // newTestCluster builds an n-node cluster, each member running a
 // shard.Engine with the given shard count.
@@ -121,7 +141,7 @@ func newTestClusterTable(t testing.TB, nodes, shards int, mkTable func(urls []st
 		n.up()
 	}
 
-	router, err := NewRouter(tc.table, RouterConfig{Trust: &trust.ManagerConfig{}})
+	router, err := NewRouter(tc.table, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestClusterConformance(t *testing.T) {
 				want := oracleTrace(t, w)
 
 				tc := newTestCluster(t, nodes, shards)
-				got, err := shardtest.Run(tc.router, w)
+				got, err := shardtest.Run(tc.system(), w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,7 +81,7 @@ func TestClusterConformanceEmptyRange(t *testing.T) {
 			{URL: urls[2], Lo: 1 << 31, Hi: 1 << 32},
 		}}
 	})
-	got, err := shardtest.Run(tc.router, w)
+	got, err := shardtest.Run(tc.system(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestClusterConformanceEmptyRange(t *testing.T) {
 func TestClusterSnapshotRoundTrip(t *testing.T) {
 	w := shardtest.Workload{Seed: 81, Months: 1, PerMonth: 200}
 	src := newTestCluster(t, 2, 2)
-	if _, err := shardtest.Run(src.router, w); err != nil {
+	if _, err := shardtest.Run(src.system(), w); err != nil {
 		t.Fatal(err)
 	}
-	srcFP, err := shardtest.Fingerprint(src.router, w.Objects)
+	srcFP, err := shardtest.Fingerprint(src.system(), w.Objects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	if err := dst.router.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dstFP, err := shardtest.Fingerprint(dst.router, w.Objects)
+	dstFP, err := shardtest.Fingerprint(dst.system(), w.Objects)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"repro/internal/api"
 	"repro/internal/rating"
@@ -116,30 +115,8 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, e *api.Error) 
 	writeJSON(w, status, e)
 }
 
-// checkEpoch enforces X-Cluster-Epoch pinning on the internal routes,
-// mirroring the server's clusterGate.
-func (m *Member) checkEpoch(w http.ResponseWriter, r *http.Request) bool {
-	pinned := r.Header.Get(api.ClusterEpochHeader)
-	if pinned == "" {
-		return true
-	}
-	epoch, err := strconv.ParseUint(pinned, 10, 64)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
-			"%s %q: must be a non-negative integer", api.ClusterEpochHeader, pinned))
-		return false
-	}
-	if epoch != m.table.Epoch {
-		writeErr(w, r, http.StatusConflict, api.NewError(api.CodeStaleEpoch,
-			"request pinned cluster epoch %d but this node's table is epoch %d; refresh from GET /v1/cluster",
-			epoch, m.table.Epoch))
-		return false
-	}
-	return true
-}
-
 func (m *Member) handleScan(w http.ResponseWriter, r *http.Request) {
-	if !m.checkEpoch(w, r) {
+	if !server.CheckEpoch(w, r, m.table.Epoch) {
 		return
 	}
 	var req api.ClusterScanRequest
@@ -183,7 +160,7 @@ func (m *Member) handleScan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
-	if !m.checkEpoch(w, r) {
+	if !server.CheckEpoch(w, r, m.table.Epoch) {
 		return
 	}
 	var req api.ClusterApplyRequest

@@ -23,9 +23,6 @@ import (
 // http.DefaultClient without retries: a router that retries a dead
 // member for seconds cannot shed its range promptly.
 type RouterConfig struct {
-	// Trust, when set, lets the router answer TrustSnapshot locally by
-	// rebuilding a manager from a member snapshot's records.
-	Trust *trust.ManagerConfig
 	// ServerOptions is appended to the router's inner Server options
 	// (telemetry, timeouts, body caps, admission).
 	ServerOptions []server.Option
@@ -50,9 +47,8 @@ type RouterConfig struct {
 // sheds the range rather than serving wrong answers from a partial
 // scatter.
 type Router struct {
-	table    Table
-	clients  []*server.Client // one per member, epoch pinned
-	trustCfg *trust.ManagerConfig
+	table   Table
+	clients []*server.Client // one per member, epoch pinned
 
 	inner *server.Server
 	mux   *http.ServeMux
@@ -63,7 +59,7 @@ func NewRouter(table Table, cfg RouterConfig) (*Router, error) {
 	if err := table.Validate(); err != nil {
 		return nil, err
 	}
-	rt := &Router{table: table, trustCfg: cfg.Trust}
+	rt := &Router{table: table}
 	epoch := strconv.FormatUint(table.Epoch, 10)
 	for _, n := range table.Nodes {
 		rt.clients = append(rt.clients, server.NewClient(n.URL, http.DefaultClient,
@@ -106,21 +102,9 @@ func (rt *Router) Table() Table { return rt.table }
 // ServeHTTP implements http.Handler: the router-wide epoch gate, then
 // the intercept mux.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if pinned := r.Header.Get(api.ClusterEpochHeader); pinned != "" {
-		epoch, err := strconv.ParseUint(pinned, 10, 64)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
-				"%s %q: must be a non-negative integer", api.ClusterEpochHeader, pinned))
-			return
-		}
-		if epoch != rt.table.Epoch {
-			writeErr(w, r, http.StatusConflict, api.NewError(api.CodeStaleEpoch,
-				"request pinned cluster epoch %d but this node's table is epoch %d; refresh from GET /v1/cluster",
-				epoch, rt.table.Epoch))
-			return
-		}
+	if server.CheckEpoch(w, r, rt.table.Epoch) {
+		rt.mux.ServeHTTP(w, r)
 	}
-	rt.mux.ServeHTTP(w, r)
 }
 
 // unavailable wraps a member failure so the inner handlers map it to a
@@ -383,27 +367,6 @@ func (rt *Router) mergedMalicious() ([]rating.RaterID, error) {
 		out = append(out, rating.RaterID(best))
 		idx[bestList]++
 	}
-}
-
-// TrustSnapshot returns every tracked rater's trust: trust is
-// replicated, so one member's records rebuild the full map. Requires
-// RouterConfig.Trust; nil otherwise (no HTTP route consumes this).
-func (rt *Router) TrustSnapshot() map[rating.RaterID]float64 {
-	if rt.trustCfg == nil {
-		return nil
-	}
-	v, err := rt.memberView(0)
-	if err != nil {
-		return nil
-	}
-	m, err := trust.NewManager(*rt.trustCfg)
-	if err != nil {
-		return nil
-	}
-	if err := m.Restore(v.Records); err != nil {
-		return nil
-	}
-	return m.Snapshot()
 }
 
 // TrustDistribution implements server.Backend; any member answers for

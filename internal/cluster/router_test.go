@@ -130,49 +130,61 @@ func TestWrongNodeHopCap(t *testing.T) {
 }
 
 // TestStaleEpochPinning: a request pinning the wrong epoch is refused
-// with the typed 409 on members and on the router; pinning the live
-// epoch passes.
+// with the typed 409 — version-stamped, request ID echoed — on a
+// member's public and internal routes and on the router, and a stale
+// apply changes nothing; pinning the live epoch passes and a garbage
+// pin is a 400.
 func TestStaleEpochPinning(t *testing.T) {
 	tc := newTestCluster(t, 2, 2)
-	for _, base := range []string{tc.members[0].url, tc.front.URL} {
-		req, _ := http.NewRequest(http.MethodGet, base+"/v1/stats", nil)
-		req.Header.Set(api.ClusterEpochHeader, "99")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+	eng := tc.members[0].eng
+	targets := []struct{ method, url, body string }{
+		{http.MethodGet, tc.members[0].url + "/v1/stats", ""},
+		{http.MethodGet, tc.front.URL + "/v1/stats", ""},
+		{http.MethodPost, tc.members[0].url + "/v1/cluster/apply",
+			`{"start":0,"end":30,"observations":[{"rater":1,"n":2,"f":0,"s":1,"mass":0.5}]}`},
+	}
+	for _, tg := range targets {
+		do := func(epoch string) (*http.Response, []byte) {
+			t.Helper()
+			req, _ := http.NewRequest(tg.method, tg.url, strings.NewReader(tg.body))
+			req.Header.Set(api.ClusterEpochHeader, epoch)
+			req.Header.Set(api.RequestIDHeader, "req-epoch")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			return resp, data
 		}
+		name := tg.method + " " + tg.url
+
+		before := eng.LastWindowEnd()
+		resp, data := do("99")
 		var e api.Error
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-			t.Fatal(err)
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("%s: %v (%s)", name, err, data)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusConflict || e.Code != api.CodeStaleEpoch {
-			t.Fatalf("%s: status %d code %q, want 409 stale_epoch", base, resp.StatusCode, e.Code)
+			t.Fatalf("%s: status %d code %q, want 409 stale_epoch", name, resp.StatusCode, e.Code)
+		}
+		if v := resp.Header.Get(api.VersionHeader); v != api.Version || e.RequestID != "req-epoch" {
+			t.Fatalf("%s: %s=%q request_id=%q", name, api.VersionHeader, v, e.RequestID)
+		}
+		if got := eng.LastWindowEnd(); got != before {
+			t.Fatalf("%s: stale pin moved the window high-water %g -> %g", name, before, got)
 		}
 
-		req, _ = http.NewRequest(http.MethodGet, base+"/v1/stats", nil)
-		req.Header.Set(api.ClusterEpochHeader, "1")
-		resp, err = http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		if resp, data := do("1"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: pinned current epoch refused with %d %s", name, resp.StatusCode, data)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: pinned current epoch refused with %d", base, resp.StatusCode)
+		if resp, _ := do("not-a-number"); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: garbage epoch answered %d, want 400", name, resp.StatusCode)
 		}
-
-		req, _ = http.NewRequest(http.MethodGet, base+"/v1/stats", nil)
-		req.Header.Set(api.ClusterEpochHeader, "not-a-number")
-		resp, err = http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: garbage epoch answered %d, want 400", base, resp.StatusCode)
-		}
+	}
+	// The apply body was valid: the live-epoch pin applied it.
+	if got := eng.LastWindowEnd(); got != 30 {
+		t.Fatalf("window high-water %g after the live-epoch apply, want 30", got)
 	}
 }
 
@@ -350,7 +362,7 @@ func TestSingleNodeClusterMatchesPlainDaemon(t *testing.T) {
 func TestMergedPaginationAcrossNodes(t *testing.T) {
 	w := shardtest.Workload{Seed: 91, Months: 2, PerMonth: 250, Malicious: 6}
 	tc := newTestCluster(t, 3, 2)
-	if _, err := shardtest.Run(tc.router, w); err != nil {
+	if _, err := shardtest.Run(tc.system(), w); err != nil {
 		t.Fatal(err)
 	}
 

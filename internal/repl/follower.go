@@ -24,11 +24,7 @@ type FollowerConfig struct {
 	PrimaryURL string
 	// Engine receives the replicated state. The follower owns its
 	// mutations: nothing else may write to it while Run is active.
-	Engine *shard.Engine
-	// Client issues the HTTP requests; nil means a fresh client with
-	// no overall timeout (streams long-poll; per-frame liveness is the
-	// FrameTimeout watchdog's job).
-	Client  *http.Client
+	Engine  *shard.Engine
 	Metrics *Metrics
 	// Seed drives the reconnect backoff jitter. Followers sharing a
 	// seed still diverge per shard (and per follower via PrimaryURL
@@ -54,9 +50,6 @@ type FollowerConfig struct {
 }
 
 func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.ReconnectMin == 0 {
 		c.ReconnectMin = 50 * time.Millisecond
 	}
@@ -75,6 +68,11 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	c.Metrics = c.Metrics.orNoop()
 	return c
 }
+
+// followerClient issues every follower request. It has no overall
+// timeout: streams long-poll, and per-frame liveness is the
+// FrameTimeout watchdog's job.
+var followerClient = &http.Client{}
 
 var (
 	errStopped = errors.New("repl: follower stopped")
@@ -246,7 +244,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := followerClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -378,7 +376,7 @@ func (f *Follower) streamOnce(ctx context.Context, shardIdx, epoch int, cur wal.
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := followerClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -47,12 +47,10 @@ type PrimaryConfig struct {
 	Metrics *Metrics
 	// LongPoll bounds one stream response (default 20s); Poll is the
 	// idle re-read interval (default 20ms); Heartbeat the idle frame
-	// interval (default 3s); MaxBatch the records per frame (default
-	// 512).
+	// interval (default 3s).
 	LongPoll  time.Duration
 	Poll      time.Duration
 	Heartbeat time.Duration
-	MaxBatch  int
 	// Now is a test seam; nil means time.Now.
 	Now func() time.Time
 }
@@ -67,15 +65,15 @@ func (c PrimaryConfig) withDefaults() PrimaryConfig {
 	if c.Heartbeat == 0 {
 		c.Heartbeat = 3 * time.Second
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 512
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	c.Metrics = c.Metrics.orNoop()
 	return c
 }
+
+// maxFrameRecords caps the WAL records one stream frame carries.
+const maxFrameRecords = 512
 
 // Primary serves the replication endpoints over the daemon's WAL.
 type Primary struct {
@@ -189,7 +187,7 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 	deadline := p.cfg.Now().Add(p.cfg.LongPoll)
 	lastSent := p.cfg.Now()
 	for {
-		recs, next, rerr := log.ReadFrom(cur, p.cfg.MaxBatch)
+		recs, next, rerr := log.ReadFrom(cur, maxFrameRecords)
 		frame := api.ReplFrame{
 			Shard: shard, Seg: next.Seg, Off: next.Off,
 			Total: log.AppendedRecords(),

@@ -63,7 +63,7 @@ func WithFeatures(f api.DiscoveryFeatures) Option {
 }
 
 // SetFeatures replaces the discovery feature flags at runtime
-// (promotion and late streaming enablement change them).
+// (promotion changes them).
 func (s *Server) SetFeatures(f api.DiscoveryFeatures) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
@@ -87,33 +87,44 @@ func stampVersion(next http.Handler) http.Handler {
 	})
 }
 
-// clusterGate enforces epoch pinning: a request carrying
-// X-Cluster-Epoch on a cluster member must match the member's table
-// or be refused with a typed 409, so a router holding a stale table
-// never silently misroutes. With no cluster view installed the header
-// is ignored (a standalone daemon has no epoch to disagree with).
+// CheckEpoch enforces X-Cluster-Epoch pinning for a node whose routing
+// table is at epoch have, and reports whether the request may proceed.
+// A pin on another epoch is refused with a typed 409 (stale_epoch), so
+// a router holding a stale table never silently misroutes; a malformed
+// pin gets a 400; an unpinned request passes. The refusal stamps
+// X-Api-Version itself, because the cluster-internal routes that call
+// it mount outside the server's middleware.
+func CheckEpoch(w http.ResponseWriter, r *http.Request, have uint64) bool {
+	pinned := r.Header.Get(api.ClusterEpochHeader)
+	if pinned == "" {
+		return true
+	}
+	epoch, err := strconv.ParseUint(pinned, 10, 64)
+	status := http.StatusConflict
+	var e *api.Error
+	switch {
+	case err != nil:
+		status = http.StatusBadRequest
+		e = api.NewError(api.CodeBadRequest,
+			"%s %q: must be a non-negative integer", api.ClusterEpochHeader, pinned)
+	case epoch != have:
+		e = api.NewError(api.CodeStaleEpoch,
+			"request pinned cluster epoch %d but this node's table is epoch %d; refresh from GET /v1/cluster",
+			epoch, have)
+	default:
+		return true
+	}
+	w.Header().Set(api.VersionHeader, api.Version)
+	writeEnvelope(w, r, status, e)
+	return false
+}
+
+// clusterGate applies CheckEpoch on a cluster member. With no cluster
+// view installed the header is ignored (a standalone daemon has no
+// epoch to disagree with).
 func (s *Server) clusterGate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pinned := r.Header.Get(api.ClusterEpochHeader)
-		if pinned == "" {
-			next.ServeHTTP(w, r)
-			return
-		}
-		view := s.getCluster()
-		if view == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		epoch, err := strconv.ParseUint(pinned, 10, 64)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest,
-				fmt.Errorf("%s %q: must be a non-negative integer", api.ClusterEpochHeader, pinned))
-			return
-		}
-		if have := view.Epoch(); epoch != have {
-			writeEnvelope(w, r, http.StatusConflict, api.NewError(api.CodeStaleEpoch,
-				"request pinned cluster epoch %d but this node's table is epoch %d; refresh from GET /v1/cluster",
-				epoch, have))
+		if view := s.getCluster(); view != nil && !CheckEpoch(w, r, view.Epoch()) {
 			return
 		}
 		next.ServeHTTP(w, r)

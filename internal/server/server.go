@@ -159,16 +159,6 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.reqTimeout = d }
 }
 
-// WithDedupeCapacity sizes the idempotency cache (default 1024
-// request IDs).
-func WithDedupeCapacity(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.dedupe = newDedupeCache(n)
-		}
-	}
-}
-
 // WithReadCache sizes the aggregate/malicious read cache (default
 // 4096 objects). n < 0 disables caching entirely; cached responses
 // are bit-identical to uncached ones (see readcache.go), so this is a

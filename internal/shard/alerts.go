@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,10 +17,6 @@ const (
 	// rater's trust dropped below the malicious threshold at a
 	// maintenance-window close.
 	AlertSourceWindow = "window"
-	// AlertSourceCollusion is the incremental collusion graph: a
-	// snapshot assigned the rater suspicion mass at or above the alert
-	// threshold.
-	AlertSourceCollusion = "collusion"
 )
 
 // Alert is one newly-flagged rater. A rater is alerted at most once
@@ -36,13 +31,11 @@ type Alert struct {
 	// Source is one of the AlertSource constants.
 	Source string
 	// Suspicion is the evidence level at flag time: accrued stream
-	// suspicion (stream), collusion suspicion mass (collusion), or the
-	// rater's post-window trust (window).
+	// suspicion (stream) or the rater's post-window trust (window).
 	Suspicion float64
 	// FirstFlagged is the rating-clock time (days) of the evidence
 	// that tripped the flag: the rating completing the suspicious
-	// window (stream), the maintenance-window end (window), or the
-	// newest rating time seen at snapshot (collusion).
+	// window (stream) or the maintenance-window end (window).
 	FirstFlagged float64
 	// Wall is the wall-clock flag time.
 	Wall time.Time
@@ -151,35 +144,6 @@ func (a *AlertLog) flagWindow(ids []rating.RaterID, trust map[rating.RaterID]flo
 		a.appendLocked(Alert{
 			Rater: id, Source: AlertSourceWindow,
 			Suspicion: trust[id], FirstFlagged: end,
-		})
-	}
-	a.mu.Unlock()
-}
-
-// flagCollusion records raters whose collusion suspicion mass reached
-// the threshold in an incremental snapshot taken with newest rating
-// time at.
-func (a *AlertLog) flagCollusion(susp map[rating.RaterID]float64, at float64) {
-	if len(susp) == 0 {
-		return
-	}
-	ids := make([]rating.RaterID, 0, len(susp))
-	for id, s := range susp {
-		if s >= a.threshold {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	a.mu.Lock()
-	for _, id := range ids {
-		k := flagKey{AlertSourceCollusion, id}
-		if a.flagged[k] {
-			continue
-		}
-		a.flagged[k] = true
-		a.appendLocked(Alert{
-			Rater: id, Source: AlertSourceCollusion,
-			Suspicion: susp[id], FirstFlagged: at,
 		})
 	}
 	a.mu.Unlock()

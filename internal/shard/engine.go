@@ -31,8 +31,8 @@ import (
 // lock in ascending index order, so a window still sees a consistent
 // cross-shard state while distinct shards ingest fully in parallel
 // the rest of the time. Per-shard rating counts are mirrored in
-// atomic counters so Len/ShardLen (stats, telemetry) never touch a
-// shard lock while ingest runs.
+// atomic counters so Len (stats, telemetry) never touches a shard
+// lock while ingest runs.
 type Engine struct {
 	cfg  core.Config
 	pipe *core.Pipeline
@@ -172,14 +172,6 @@ func (e *Engine) Len() int {
 	return int(total)
 }
 
-// ShardLen returns shard i's rating count (lock-free; see Len).
-func (e *Engine) ShardLen(i int) int {
-	if i < 0 || i >= len(e.states) {
-		return 0
-	}
-	return int(e.states[i].count.Load())
-}
-
 // lockAll acquires every shard lock in ascending index order — the
 // canonical order every multi-shard locker uses, so cross-shard
 // freezes never deadlock against each other.
@@ -241,20 +233,6 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 
 // Aggregate returns the object's trust-enhanced aggregate.
 func (e *Engine) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
-	return e.aggregate(obj, func(rating.Rating) bool { return true })
-}
-
-// AggregateWindow returns the aggregate over ratings in [start, end).
-func (e *Engine) AggregateWindow(obj rating.ObjectID, start, end float64) (core.AggregateResult, error) {
-	if end <= start {
-		return core.AggregateResult{}, fmt.Errorf("shard: aggregate window [%g,%g)", start, end)
-	}
-	return e.aggregate(obj, func(r rating.Rating) bool {
-		return r.Time >= start && r.Time < end
-	})
-}
-
-func (e *Engine) aggregate(obj rating.ObjectID, include func(rating.Rating) bool) (core.AggregateResult, error) {
 	st := e.states[e.ShardFor(obj)]
 	st.mu.Lock()
 	stored, err := st.store.ForObject(obj)
@@ -264,15 +242,10 @@ func (e *Engine) aggregate(obj rating.ObjectID, include func(rating.Rating) bool
 		// is part of the wire contract, whatever engine serves it.
 		return core.AggregateResult{}, fmt.Errorf("core: %w", err)
 	}
-	all := make([]rating.Rating, 0, len(stored))
-	for _, r := range stored {
-		if include(r) {
-			all = append(all, r)
-		}
-	}
+	// stored is ForObject's copy: safe to read outside the shard lock.
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
-	return e.pipe.AggregateRatings(obj, all, e.manager.Trust)
+	return e.pipe.AggregateRatings(obj, stored, e.manager.Trust)
 }
 
 // TrustIn returns the system's current trust in a rater.
@@ -309,17 +282,6 @@ func (e *Engine) MaliciousRaters() []rating.RaterID {
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
 	return e.manager.Malicious()
-}
-
-// RecordRecommendations computes indirect trust from recommendations.
-func (e *Engine) RecordRecommendations(about rating.RaterID, recs []trust.Recommendation) (float64, error) {
-	e.trustMu.RLock()
-	defer e.trustMu.RUnlock()
-	v, err := e.manager.IndirectTrust(about, recs)
-	if err != nil {
-		return 0, fmt.Errorf("shard: %w", err)
-	}
-	return v, nil
 }
 
 // View captures the engine's full state as a copy: every shard's
@@ -381,6 +343,13 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 	if err != nil {
 		return err
 	}
+	return e.loadView(v)
+}
+
+// loadView is LoadSnapshot on a decoded view: every rating validated
+// into a store under the current shard count, the trust records
+// restored, then one swap under all locks.
+func (e *Engine) loadView(v core.StateView) error {
 	stores := make([]*rating.Store, len(e.states))
 	for i := range stores {
 		stores[i] = rating.NewStore()

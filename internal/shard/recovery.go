@@ -191,16 +191,12 @@ func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args 
 		}
 	}
 	if haveTrust || len(seed.Ratings) > 0 {
-		var buf bytes.Buffer
-		if err := seed.Encode(&buf); err != nil {
-			return stats, err
-		}
-		if err := e.LoadSnapshot(&buf); err != nil {
+		if err := e.loadView(seed); err != nil {
 			return stats, err
 		}
 		stats.SnapshotRatings = len(seed.Ratings)
 	}
-	// LoadSnapshot cleared the engine's window mark; restore the
+	// loadView cleared the engine's window mark; restore the
 	// durable high-water the snapshots recorded. Replayed barriers
 	// below raise it further through ProcessWindow itself.
 	e.setLastWindowEnd(windowEnd)

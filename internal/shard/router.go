@@ -35,11 +35,6 @@ type RouterConfig struct {
 	// batch. Zero means 2ms; negative disables the ticker (flushes
 	// happen only on size, Flush or Close).
 	Interval time.Duration
-	// QueueDepth is the capacity, in ratings, of each shard's ingest
-	// ring (rounded up to a power of two). A full ring is backpressure:
-	// submitters park until the shard worker drains. Zero picks
-	// 4×BatchSize clamped to [1024, 65536].
-	QueueDepth int
 	// Flush applies one shard's batch.
 	Flush FlushFunc
 	// Metrics receives per-shard flush telemetry; nil disables.
@@ -52,15 +47,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.Interval == 0 {
 		c.Interval = 2 * time.Millisecond
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.BatchSize
-		if c.QueueDepth < 1024 {
-			c.QueueDepth = 1024
-		}
-		if c.QueueDepth > 65536 {
-			c.QueueDepth = 65536
-		}
 	}
 	return c
 }
@@ -158,11 +144,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if batchCap > 4096 {
 		batchCap = 4096
 	}
+	// Each shard's ingest ring holds 4×BatchSize ratings, clamped to
+	// [1024, 65536] (rounded up to a power of two). A full ring is
+	// backpressure: submitters park until the shard worker drains.
+	queueDepth := min(max(4*cfg.BatchSize, 1024), 65536)
 	r.workers = make([]*shardWorker, cfg.Shards)
 	for i := range r.workers {
 		w := &shardWorker{
 			shard:  i,
-			q:      newRing(cfg.QueueDepth),
+			q:      newRing(queueDepth),
 			bell:   make(chan struct{}, 1),
 			space:  make(chan struct{}, 1),
 			flushc: make(chan chan error),

@@ -8,16 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/collusion"
 	"repro/internal/detector"
 	"repro/internal/rating"
 )
 
 // StreamConfig configures the engine's online detection path: a
 // per-(shard, object) detector.Stream fed from the shard workers at
-// submit time, continuous suspicion accrual into an AlertLog, an
-// optional incremental collusion graph, and optional automatic
-// maintenance-window closes driven by the rating clock.
+// submit time, continuous suspicion accrual into an AlertLog, and
+// optional automatic maintenance-window closes driven by the rating
+// clock. The co-rating collusion graph needs a window of history, so
+// it runs only inside maintenance windows (core.Config.Collusion).
 //
 // The streaming path is advisory: it never touches the rating stores
 // or the trust manager, so the engine's trust vector, malicious list
@@ -33,12 +33,6 @@ type StreamConfig struct {
 	// AlertThreshold is the accrued suspicion at which a rater is
 	// alerted. Zero means 0.5.
 	AlertThreshold float64
-	// Collusion, when non-nil, rides the incremental collusion
-	// accumulator on the streaming path and raises collusion alerts.
-	Collusion *collusion.Config
-	// CollusionEvery is the snapshot cadence in accepted ratings.
-	// Zero means 512.
-	CollusionEvery int
 	// MaintainEvery, when positive, closes an authoritative
 	// maintenance window [k·E, (k+1)·E) as soon as a rating at or past
 	// its end arrives, by invoking OnWindowDue from a pump goroutine.
@@ -51,24 +45,11 @@ type StreamConfig struct {
 	// journal/engine ProcessWindow plus cache invalidation). Calls are
 	// serialized and strictly ordered by window start.
 	OnWindowDue func(start, end float64)
-	// QueueDepth bounds each shard's pending batch queue; when full,
-	// new batches are shed (counted, never blocking ingest). Zero
-	// means 1024.
-	QueueDepth int
 }
 
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.AlertThreshold == 0 {
-		c.AlertThreshold = 0.5
-	}
-	if c.CollusionEvery == 0 {
-		c.CollusionEvery = 512
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 1024
-	}
-	return c
-}
+// streamQueueDepth bounds each shard's pending batch queue; when full,
+// new batches are shed (counted, never blocking ingest).
+const streamQueueDepth = 1024
 
 // objStream is one object's online detector plus its accrual wiring.
 type objStream struct {
@@ -105,10 +86,6 @@ type Streaming struct {
 	nextDue float64
 	fireMu  sync.Mutex
 
-	collMu   sync.Mutex
-	coll     *collusion.Accumulator
-	collSeen int
-
 	pushed      atomic.Int64
 	lateDropped atomic.Int64
 	shed        atomic.Int64
@@ -134,11 +111,12 @@ type StreamStats struct {
 // any maintenance boundaries past ResumeAfter that the stored ratings
 // already crossed, then starts one pump goroutine per shard. It must
 // be called before the engine serves overlapping traffic and at most
-// once; the returned Streaming is also available via Streaming().
+// once.
 func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
-	cfg = cfg.withDefaults()
-	dcfg := cfg.Detector
-	if _, err := detector.NewStream(dcfg); err != nil {
+	if cfg.AlertThreshold == 0 {
+		cfg.AlertThreshold = 0.5
+	}
+	if _, err := detector.NewStream(cfg.Detector); err != nil {
 		return nil, fmt.Errorf("shard: streaming: %w", err)
 	}
 	if cfg.AlertThreshold < 0 || math.IsNaN(cfg.AlertThreshold) {
@@ -158,16 +136,9 @@ func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
 	if cfg.MaintainEvery > 0 && cfg.ResumeAfter > 0 {
 		s.nextDue = cfg.ResumeAfter + cfg.MaintainEvery
 	}
-	if cfg.Collusion != nil {
-		acc, err := collusion.NewAccumulator(*cfg.Collusion)
-		if err != nil {
-			return nil, fmt.Errorf("shard: streaming: %w", err)
-		}
-		s.coll = acc
-	}
 	for i := range s.shards {
 		ss := &streamShard{
-			ch:   make(chan []rating.Rating, cfg.QueueDepth),
+			ch:   make(chan []rating.Rating, streamQueueDepth),
 			objs: make(map[rating.ObjectID]*objStream),
 		}
 		ss.cond = sync.NewCond(&ss.mu)
@@ -198,7 +169,6 @@ func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
 				}
 			}
 			s.countPushed(i, pushed)
-			s.collAccumulate(rs)
 			if n := len(rs); n > 0 {
 				s.noteTime(rs[n-1].Time)
 			}
@@ -213,20 +183,11 @@ func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
 	// Catch up maintenance boundaries the stored ratings had already
 	// crossed but whose close never became durable before a crash.
 	s.fireDue()
-	if s.coll != nil {
-		s.maybeSnapshotCollusion(true)
-	}
 	for i := range s.shards {
 		s.wg.Add(1)
 		go s.pump(i)
 	}
 	return s, nil
-}
-
-// Streaming returns the engine's online detection state, or nil when
-// EnableStreaming has not been called.
-func (e *Engine) Streaming() *Streaming {
-	return e.streaming.Load()
 }
 
 // observe enqueues one accepted shard batch for the shard's pump. It
@@ -277,10 +238,8 @@ func (s *Streaming) consumeBatch(shard int, ss *streamShard, batch []rating.Rati
 		}
 	}
 	s.countPushed(shard, pushed)
-	s.collAccumulate(batch)
 	s.noteTime(maxT)
 	s.fireDue()
-	s.maybeSnapshotCollusion(false)
 }
 
 // pushOne feeds one rating to its object's stream and reports whether
@@ -319,43 +278,6 @@ func (s *Streaming) countPushed(shard, n int) {
 	}
 	s.pushed.Add(int64(n))
 	s.engine.metrics.streamPushed(shard, n)
-}
-
-func (s *Streaming) collAccumulate(rs []rating.Rating) {
-	if s.coll == nil || len(rs) == 0 {
-		return
-	}
-	s.collMu.Lock()
-	s.coll.Accumulate(rs...)
-	s.collSeen += len(rs)
-	s.collMu.Unlock()
-}
-
-// maybeSnapshotCollusion snapshots the incremental collusion graph
-// when the cadence has elapsed (or unconditionally on force, used once
-// after a rebuild) and raises alerts for raters at or above the
-// threshold.
-func (s *Streaming) maybeSnapshotCollusion(force bool) {
-	if s.coll == nil {
-		return
-	}
-	s.collMu.Lock()
-	if !force && s.collSeen < s.cfg.CollusionEvery {
-		s.collMu.Unlock()
-		return
-	}
-	if s.coll.Len() == 0 {
-		s.collMu.Unlock()
-		return
-	}
-	s.collSeen = 0
-	rep := s.coll.Snapshot()
-	s.collMu.Unlock()
-
-	s.timeMu.Lock()
-	at := s.maxTime
-	s.timeMu.Unlock()
-	s.sink.flagCollusion(rep.Suspicion, at)
 }
 
 func (s *Streaming) noteTime(t float64) {
@@ -442,9 +364,8 @@ func (s *Streaming) Close() {
 // order at full float precision: per-rater AR-stream suspicion totals
 // folded over (rater, object) ascending — an order-free fold, so the
 // result is independent of how shard pumps interleaved — plus the
-// stream- and window-flagged sets and the late-drop counter. Collusion
-// flags are excluded: their snapshot cadence is scheduling-dependent.
-// Callers should Sync() first.
+// stream- and window-flagged sets and the late-drop counter. Callers
+// should Sync() first.
 func (s *Streaming) Fingerprint() string {
 	s.sink.mu.Lock()
 	keys := make([]raterObj, 0, len(s.sink.byRaterObj))

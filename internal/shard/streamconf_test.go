@@ -27,8 +27,6 @@ func streamDetectCfg() shard.StreamConfig {
 	return shard.StreamConfig{
 		Detector:       detector.Config{Size: 30, Step: 15, Threshold: 0.08},
 		AlertThreshold: 0.3,
-		Collusion:      &collusion.Config{MinSimilarity: 0.6, MinCoRatings: 2, MinGroupSize: 2},
-		CollusionEvery: 256,
 	}
 }
 
