@@ -133,11 +133,6 @@ func (d *daemon) servePrimary() error {
 	if err := d.newServer(opts...); err != nil {
 		return err
 	}
-	if d.member != nil {
-		// An apply broadcast changes trust and verdicts for raters this
-		// node never saw ratings from; drop every cached read.
-		d.member.SetOnApply(d.srv.InvalidateAll)
-	}
 	if d.journal.Logs() != nil {
 		mounts = append(mounts, d.replRoutes(d.journal))
 		// The recovered state becomes the logs' baseline, so a crash
@@ -175,7 +170,6 @@ func (d *daemon) newServer(extra ...server.Option) error {
 		server.WithMaxBodyBytes(d.o.maxBody),
 		server.WithRequestTimeout(d.o.reqTimeout),
 		server.WithTelemetry(d.reg),
-		server.WithReadCache(d.o.readCache),
 		server.WithStreamBatch(d.o.streamBatch),
 	}
 	if d.o.admit.MaxConcurrent > 0 {
@@ -213,9 +207,7 @@ func (d *daemon) enableStreaming() error {
 		cfg.OnWindowDue = func(start, end float64) {
 			if _, err := d.journal.ProcessWindow(start, end); err != nil {
 				warnf("streaming window [%g,%g): %v", start, end, err)
-				return
 			}
-			d.srv.InvalidateAll()
 		}
 	}
 	s, err := d.engine.EnableStreaming(cfg)

@@ -23,9 +23,10 @@
 //	curl localhost:8080/v1/raters/1/trust
 //	curl 'localhost:8080/v1/malicious?offset=0&limit=100'
 //
-// Reads are served from a precisely-invalidated cache (-read-cache);
-// mutating routes can shed under overload with typed 429s once
-// -admit-max is set.
+// The engine caches aggregates and the malicious list, serving each
+// answer only while the state it was computed from holds; mutating
+// routes can shed under overload with typed 429s once -admit-max is
+// set.
 package main
 
 import (
@@ -113,7 +114,6 @@ type options struct {
 
 	reqTimeout  time.Duration
 	maxBody     int64
-	readCache   int
 	streamBatch int
 	admit       server.AdmissionConfig // MaxConcurrent 0 disables admission control
 
@@ -175,7 +175,6 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request handling timeout; 0 disables")
 	fs.Int64Var(&o.maxBody, "max-body-bytes", 8<<20, "maximum request body size")
 
-	fs.IntVar(&o.readCache, "read-cache", 0, "read-cache capacity in objects; 0 uses the default (4096), negative disables caching")
 	fs.IntVar(&o.streamBatch, "stream-batch", 512, "ratings coalesced per group-commit submit on /v1/ratings:stream")
 	fs.IntVar(&o.admit.MaxConcurrent, "admit-max", 0, "mutating requests allowed to execute at once; 0 disables admission control")
 	fs.IntVar(&o.admit.MaxQueue, "admit-queue", 0, "mutating requests that may queue for a slot beyond -admit-max")
@@ -242,6 +241,13 @@ func parseFlags(args []string) (options, error) {
 		// Alerts reflect live detection state, which only the primary
 		// computes; followers refuse /v1/alerts with 421 not_primary.
 		return o, errors.New("-stream-detect runs on primaries only; drop -follow or detect on the primary")
+	case o.maintainEvery > 0 && !o.streamDetect:
+		// Only the streaming rating clock closes these windows.
+		return o, errors.New("-maintain-every needs -stream-detect")
+	case o.maintainEvery > 0 && o.cluster != "" && !o.route:
+		// A local window would charge trust from this member's objects
+		// only, and a member WAL must never hold a barrier.
+		return o, errors.New("-maintain-every on a cluster member: maintenance windows run through the cluster router")
 	}
 	return o, nil
 }

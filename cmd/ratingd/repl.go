@@ -63,8 +63,6 @@ func newFollower(o options) (*daemon, error) {
 		Engine:     d.engine,
 		Metrics:    d.replM,
 		Seed:       seed,
-		OnApply:    d.srv.InvalidateRatings,
-		OnWindow:   d.srv.InvalidateAll,
 		Warnf:      warnf,
 	})}
 	d.node = n

@@ -12,8 +12,11 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/rating"
 	"repro/internal/server"
+	"repro/internal/shard/shardtest"
 )
 
 // replDaemon is a primary or follower built by its role constructor
@@ -199,6 +202,43 @@ func TestDaemonFollowerServesAndPromotes(t *testing.T) {
 	if res, data := postJSON(t, f.ts.URL+"/v1/repl/promote", ""); res.StatusCode != http.StatusOK {
 		t.Fatalf("re-promote: %d %s", res.StatusCode, data)
 	}
+}
+
+// A follower's reads follow the replicated state: after replicated
+// ratings for the object, then after a replicated window, the served
+// aggregate equals the core.System oracle fed the same changes and
+// differs from the answer read before.
+func TestDaemonFollowerServesFreshReads(t *testing.T) {
+	p := startPrimaryDaemon(t, 2)
+	f := startFollowerDaemon(t, p.ts.URL, 2)
+	oracle, err := core.NewSystem(p.d.o.coreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	caughtUp := func(what string, cond func() bool) {
+		t.Helper()
+		waitDaemon(t, 10*time.Second, what, func() bool {
+			return cond() && replStatus(t, f.ts.URL).LagRecords == 0
+		})
+	}
+
+	submitBoth(t, p.ts.URL, oracle, shardtest.UnevenCharge(1))
+	caughtUp("follower catch-up", func() bool { return f.d.engine.Len() == oracle.Len() })
+	first := getAggregate(t, f.ts.URL, 1)
+	getAggregate(t, f.ts.URL, 1) // a cache hit
+
+	submitBoth(t, p.ts.URL, oracle, []rating.Rating{{Rater: 3, Object: 1, Value: 0.7, Time: 8}})
+	caughtUp("replicated ratings", func() bool { return f.d.engine.Len() == oracle.Len() })
+	second := requireFreshAggregate(t, f.ts.URL, oracle, 1, first)
+
+	if res, data := postJSON(t, p.ts.URL+"/v1/process", `{"start":0,"end":30}`); res.StatusCode != http.StatusOK {
+		t.Fatalf("primary process: %d %s", res.StatusCode, data)
+	}
+	if _, err := oracle.ProcessWindow(0, 30); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp("replicated window", func() bool { return f.d.engine.LastWindowEnd() == 30 })
+	requireFreshAggregate(t, f.ts.URL, oracle, 1, second)
 }
 
 // With -promote-after, a bootstrapped follower of a single-shard

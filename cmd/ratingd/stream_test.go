@@ -1,9 +1,11 @@
 package main
 
 import (
+	"net/http/httptest"
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/rating"
 	"repro/internal/shard/shardtest"
@@ -124,4 +126,35 @@ func TestStreamChaosMidWindowCrash(t *testing.T) {
 	if got := d2.stream.Fingerprint(); got != wantStream {
 		t.Errorf("recovered stream state diverges from never-crashed run:\nwant %q\ngot  %q", wantStream, got)
 	}
+}
+
+// On a -stream-detect -maintain-every primary, ratings for other
+// objects push the rating clock past a boundary and close a window;
+// the served aggregate of an object the window charged (but gave no
+// new rating) equals the core.System oracle after the same window and
+// differs from the answer read before.
+func TestStreamWindowServesFreshReads(t *testing.T) {
+	d := walPrimary(t, t.TempDir(), 2, "-stream-detect", "-maintain-every", "10")
+	t.Cleanup(func() { closeDaemon(t, d) })
+	ts := httptest.NewServer(d.handler)
+	t.Cleanup(ts.Close)
+	oracle, err := core.NewSystem(d.o.coreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	submitBoth(t, ts.URL, oracle, shardtest.UnevenCharge(1))
+	d.stream.Sync()
+	before := getAggregate(t, ts.URL, 1)
+	getAggregate(t, ts.URL, 1) // a cache hit
+
+	submitBoth(t, ts.URL, oracle, []rating.Rating{{Rater: 5, Object: 7, Value: 0.5, Time: 12}})
+	d.stream.Sync() // the pump closes [0,10) through the journal
+	if got, end := windows(d), d.engine.LastWindowEnd(); got != 1 || end != 10 {
+		t.Fatalf("%d windows up to %g, want exactly [0,10)", got, end)
+	}
+	if _, err := oracle.ProcessWindow(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	requireFreshAggregate(t, ts.URL, oracle, 1, before)
 }

@@ -3,7 +3,10 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -120,6 +123,52 @@ func TestMetricsEndpointCoversAllSubsystems(t *testing.T) {
 		if i := strings.LastIndexByte(line, ' '); i < 0 {
 			t.Errorf("malformed sample line %q", line)
 		}
+	}
+}
+
+// TestMetricsCatalogue keeps DESIGN.md's "Metrics catalogue" and the
+// code in step. A -wal -stream-detect primary registers every family
+// the code has; each name it exposes on /metrics needs a backticked
+// row in the table, and every name a row gives must be exposed.
+func TestMetricsCatalogue(t *testing.T) {
+	d := build(t, newPrimary, "-wal", t.TempDir(), "-fsync", "never", "-stream-detect")
+	t.Cleanup(func() { closeDaemon(t, d) })
+	rec := httptest.NewRecorder()
+	d.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	exposed := map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "#" && f[1] == "TYPE" {
+			exposed[f[2]] = true
+		}
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(design), "### Metrics catalogue\n")
+	table, _, _ = strings.Cut(table, "\n###")
+	name := regexp.MustCompile("`([a-z_]+)`")
+	documented := map[string]bool{}
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 || !strings.Contains(cells[1], "`") {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			documented[m[1]] = true
+			if !exposed[m[1]] {
+				t.Errorf("DESIGN.md catalogue row %q names %s, which no code registers", strings.TrimSpace(row), m[1])
+			}
+		}
+	}
+	for n := range exposed {
+		if !documented[n] {
+			t.Errorf("%s is registered but has no row in DESIGN.md's metrics catalogue", n)
+		}
+	}
+	if len(exposed) == 0 || len(documented) == 0 {
+		t.Fatalf("exposed %d names, catalogue %d: nothing compared", len(exposed), len(documented))
 	}
 }
 

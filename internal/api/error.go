@@ -122,12 +122,6 @@ func (e *Error) WithOwner(url string) *Error {
 	return e
 }
 
-// WithRequestID echoes the request ID and returns e.
-func (e *Error) WithRequestID(id string) *Error {
-	e.RequestID = id
-	return e
-}
-
 // Error implements error.
 func (e *Error) Error() string {
 	return fmt.Sprintf("%s: %s", e.Code, e.Message)

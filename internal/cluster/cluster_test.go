@@ -137,7 +137,6 @@ func newTestClusterTable(t testing.TB, nodes, shards int, mkTable func(urls []st
 			t.Fatal(err)
 		}
 		n.srv = srv
-		member.SetOnApply(srv.InvalidateAll)
 		n.up()
 	}
 

@@ -10,10 +10,14 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/server"
 	"repro/internal/shard/shardtest"
 )
 
@@ -127,5 +131,62 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	}
 	if dstFP != srcFP {
 		t.Fatalf("restored 3-node cluster diverged from 2-node source:\n--- source\n%s--- restored\n%s", srcFP, dstFP)
+	}
+}
+
+// TestClusterWindowServesFreshReads: a router window changes an
+// object's aggregate through the apply broadcast alone — no rating of
+// the object moves — and the owning member's next answer must equal
+// the core.System oracle after the same window and differ from the
+// answer read before.
+func TestClusterWindowServesFreshReads(t *testing.T) {
+	tc := newTestCluster(t, 2, 2)
+	obj := ownedBy(t, tc.table, 1)
+	oracle, err := core.NewSystem(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := shardtest.UnevenCharge(obj)
+	seed := make([]api.RatingPayload, len(rs))
+	for i, r := range rs {
+		seed[i] = api.RatingPayload{Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time}
+	}
+	ctx := context.Background()
+	c := server.NewClient(tc.front.URL, nil)
+	if _, err := c.Submit(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.SubmitAll(rs); err != nil {
+		t.Fatal(err)
+	}
+	read := func() api.AggregateResponse {
+		t.Helper()
+		agg, err := c.Aggregate(ctx, int(obj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+	before := read()
+	read() // a cache hit on the owner
+
+	if _, err := c.Process(ctx, 0, 30); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.ProcessWindow(0, 30); err != nil {
+		t.Fatal(err)
+	}
+	res, err := oracle.Aggregate(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := api.AggregateResponse{Object: int(res.Object), Value: res.Value, Used: res.Used, Filtered: res.Filtered, FellBack: res.FellBack}
+	for i := 0; i < 2; i++ {
+		if got := read(); got != want || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("read %d: served %+v, oracle %+v", i, got, want)
+		}
+	}
+	if want == before {
+		t.Fatalf("the window left the aggregate at %+v: the test proves nothing", before)
 	}
 }

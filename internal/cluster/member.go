@@ -26,7 +26,9 @@ type Snapshotter interface {
 // Member is one node's view of the cluster: the shared routing table,
 // this node's index in it, and the engine the scan/apply exchange
 // drives. It implements server.ClusterView, so installing it on the
-// node's Server scopes the public surface to the owned range.
+// node's Server scopes the public surface to the owned range. An
+// apply changes trust through the engine alone, whose cached reads
+// check themselves against the trust they were computed from.
 type Member struct {
 	table Table
 	self  int
@@ -35,10 +37,6 @@ type Member struct {
 	// snap, when set, is called after every applied window, before the
 	// apply is acked.
 	snap Snapshotter
-	// onApply, when set, runs after every applied window (the daemon
-	// hooks the server's read-cache invalidation here: an apply
-	// rewrites trust, which feeds every cached read).
-	onApply func()
 }
 
 // NewMember builds the member for selfURL under table.
@@ -59,9 +57,6 @@ func NewMember(table Table, selfURL string, eng *shard.Engine) (*Member, error) 
 // SetSnapshotter installs the durability hook run before an apply is
 // acked.
 func (m *Member) SetSnapshotter(s Snapshotter) { m.snap = s }
-
-// SetOnApply installs the post-apply hook (read-cache invalidation).
-func (m *Member) SetOnApply(f func()) { m.onApply = f }
 
 // Table returns the member's routing table.
 func (m *Member) Table() Table { return m.table }
@@ -208,9 +203,6 @@ func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
 				"apply snapshot: %v", err))
 			return
 		}
-	}
-	if m.onApply != nil {
-		m.onApply()
 	}
 	writeJSON(w, http.StatusOK, api.ClusterApplyResponse{
 		Raters:    len(req.Observations),

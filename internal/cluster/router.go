@@ -68,9 +68,6 @@ func NewRouter(table Table, cfg RouterConfig) (*Router, error) {
 
 	opts := []server.Option{
 		server.WithJournal(rt),
-		// Members invalidate their own caches on apply; a second cache
-		// here would serve stale reads the members already dropped.
-		server.WithReadCache(-1),
 		server.WithFeatures(api.DiscoveryFeatures{
 			StreamIngest: true, Cluster: true, Router: true,
 		}),
@@ -95,9 +92,6 @@ func NewRouter(table Table, cfg RouterConfig) (*Router, error) {
 	rt.mux.Handle("/", inner)
 	return rt, nil
 }
-
-// Table returns the router's routing table.
-func (rt *Router) Table() Table { return rt.table }
 
 // ServeHTTP implements http.Handler: the router-wide epoch gate, then
 // the intercept mux.

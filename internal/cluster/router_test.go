@@ -95,29 +95,29 @@ func TestWrongNodeEnvelope(t *testing.T) {
 }
 
 // pingPongView claims every object is owned elsewhere — the
-// pathological routing loop the client's hop cap exists for.
-type pingPongView struct{ owner string }
+// pathological routing loop the client's hop cap exists for. The
+// owner's URL is read through a pointer, set once both servers listen.
+type pingPongView struct{ owner *string }
 
 func (v pingPongView) Epoch() uint64                   { return 1 }
 func (v pingPongView) OwnsObject(rating.ObjectID) bool { return false }
-func (v pingPongView) OwnerURL(rating.ObjectID) string { return v.owner }
+func (v pingPongView) OwnerURL(rating.ObjectID) string { return *v.owner }
 func (v pingPongView) Doc() api.ClusterResponse        { return api.ClusterResponse{Epoch: 1} }
 
 func TestWrongNodeHopCap(t *testing.T) {
 	// Two servers, each insisting the other is the owner.
-	mk := func() (*server.Server, *httptest.Server) {
-		srv, err := server.New(core.Config{})
+	mk := func(owner *string) *httptest.Server {
+		srv, err := server.New(core.Config{}, server.WithCluster(pingPongView{owner: owner}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs := httptest.NewServer(srv)
 		t.Cleanup(hs.Close)
-		return srv, hs
+		return hs
 	}
-	srvA, hsA := mk()
-	srvB, hsB := mk()
-	srvA.SetCluster(pingPongView{owner: hsB.URL})
-	srvB.SetCluster(pingPongView{owner: hsA.URL})
+	var urlA, urlB string
+	hsA, hsB := mk(&urlB), mk(&urlA)
+	urlA, urlB = hsA.URL, hsB.URL
 
 	c := server.NewClient(hsA.URL, nil)
 	_, err := c.Submit(context.Background(), []api.RatingPayload{

@@ -72,13 +72,6 @@ func (m *MemFS) SetInjector(in Injector) {
 	m.inject = in
 }
 
-// Ops returns how many operations the filesystem has seen.
-func (m *MemFS) Ops() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.opIndex
-}
-
 // Crashed reports whether a crash-stop fault has fired.
 func (m *MemFS) Crashed() bool {
 	m.mu.Lock()

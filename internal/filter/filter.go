@@ -11,7 +11,6 @@
 package filter
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/mathx"
@@ -27,9 +26,6 @@ type Result struct {
 	Rejected []rating.Rating
 }
 
-// AcceptedValues returns the values of the accepted ratings.
-func (r Result) AcceptedValues() []float64 { return rating.Values(r.Accepted) }
-
 // Filter is a rating filter.
 type Filter interface {
 	// Name identifies the filter in reports and benchmarks.
@@ -37,9 +33,6 @@ type Filter interface {
 	// Apply partitions rs. Implementations must not mutate rs.
 	Apply(rs []rating.Rating) (Result, error)
 }
-
-// ErrTooFew is returned when a filter needs more ratings than supplied.
-var ErrTooFew = errors.New("filter: too few ratings")
 
 // Noop accepts everything; the "no filtering technique is used"
 // configuration of §III.B.2.

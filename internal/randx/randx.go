@@ -169,9 +169,6 @@ func (r *Rand) PoissonProcess(rate, start, end float64) []float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
 // SampleWithoutReplacement returns k distinct integers drawn uniformly
 // from [0, n). It returns all n when k >= n, and nil when k <= 0.
 func (r *Rand) SampleWithoutReplacement(n, k int) []int {

@@ -38,11 +38,6 @@ type FollowerConfig struct {
 	// goes silent this long (no frame, not even a heartbeat) is cut
 	// and redialed (default 15s).
 	FrameTimeout time.Duration
-	// OnApply is called after a batch of ratings lands in the engine;
-	// OnWindow after a maintenance window or (re-)bootstrap. The
-	// serving layer hooks read-cache invalidation here. Nil is fine.
-	OnApply  func(rs []rating.Rating)
-	OnWindow func()
 	// Warnf receives degradation warnings; nil discards.
 	Warnf func(format string, args ...any)
 	// Now is a test seam; nil means time.Now.
@@ -96,7 +91,10 @@ type pendingBarrier struct {
 // Stop (or the Run context) ends replication, leaving the engine at
 // the last applied batch — promotion then truncates to the last
 // complete barrier simply because un-aligned pending barriers are
-// dropped, never half-applied.
+// dropped, never half-applied. Replicated batches, windows and
+// bootstraps change the engine only; its cached reads check
+// themselves against the state they were computed from, so the
+// serving layer needs no hook to stay fresh.
 type Follower struct {
 	cfg FollowerConfig
 
@@ -313,9 +311,6 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.bootstraps++
 	f.mu.Unlock()
 	f.cfg.Metrics.Bootstraps.Inc()
-	if f.cfg.OnWindow != nil {
-		f.cfg.OnWindow()
-	}
 	f.publishLag()
 	return nil
 }
@@ -450,9 +445,6 @@ func (f *Follower) applyFrame(shardIdx int, frame api.ReplFrame) error {
 			// diverged, only a fresh snapshot reconciles it.
 			return fmt.Errorf("%w: apply %d records: %v", errReset, len(rs), err)
 		}
-		if f.cfg.OnApply != nil {
-			f.cfg.OnApply(rs)
-		}
 		if err := f.advance(shardIdx, frame, uint64(len(rs))); err != nil {
 			return err
 		}
@@ -541,9 +533,6 @@ func (f *Follower) applyBarrier(shardIdx int, frame api.ReplFrame) error {
 		f.appliedBarrier = frame.Seq
 		f.pending = nil
 		f.cond.Broadcast()
-		if f.cfg.OnWindow != nil {
-			f.cfg.OnWindow()
-		}
 		return nil
 	}
 	seq := frame.Seq

@@ -38,22 +38,10 @@ type ClusterView interface {
 	Doc() api.ClusterResponse
 }
 
-// WithCluster scopes the server to a cluster member's keyspace range.
+// WithCluster scopes the server to a cluster member's keyspace range
+// for its whole lifetime.
 func WithCluster(view ClusterView) Option {
 	return func(s *Server) { s.cluster = view }
-}
-
-// SetCluster installs or clears (nil) the cluster view at runtime.
-func (s *Server) SetCluster(view ClusterView) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.cluster = view
-}
-
-func (s *Server) getCluster() ClusterView {
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	return s.cluster
 }
 
 // WithFeatures overrides the discovery document's feature flags; the
@@ -124,7 +112,7 @@ func CheckEpoch(w http.ResponseWriter, r *http.Request, have uint64) bool {
 // epoch to disagree with).
 func (s *Server) clusterGate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if view := s.getCluster(); view != nil && !CheckEpoch(w, r, view.Epoch()) {
+		if s.cluster != nil && !CheckEpoch(w, r, s.cluster.Epoch()) {
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -136,27 +124,25 @@ func (s *Server) clusterGate(next http.Handler) http.Handler {
 // (standalone daemon) owns everything. Returns false when the request
 // was refused.
 func (s *Server) checkOwnership(w http.ResponseWriter, r *http.Request, obj rating.ObjectID) bool {
-	view := s.getCluster()
-	if view == nil || view.OwnsObject(obj) {
+	if s.cluster == nil || s.cluster.OwnsObject(obj) {
 		return true
 	}
 	writeEnvelope(w, r, http.StatusMisdirectedRequest,
 		api.NewError(api.CodeWrongNode,
 			"object %d is owned by another node", obj).
-			WithOwner(view.OwnerURL(obj)))
+			WithOwner(s.cluster.OwnerURL(obj)))
 	return false
 }
 
 // handleCluster serves the membership document. On a standalone
 // daemon the route exists (it is part of v1) but answers not_found.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	view := s.getCluster()
-	if view == nil {
+	if s.cluster == nil {
 		writeErrorCode(w, r, http.StatusNotFound, api.CodeNotFound,
 			fmt.Errorf("this node is not a cluster member"))
 		return
 	}
-	writeJSON(w, http.StatusOK, view.Doc())
+	writeJSON(w, http.StatusOK, s.cluster.Doc())
 }
 
 // v1Routes is the discovery document's route list — the full v1

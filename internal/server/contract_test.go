@@ -279,11 +279,10 @@ func (contractClusterView) Doc() api.ClusterResponse {
 // membership document, the typed wrong_node refusal carrying the
 // owner's URL, and the stale_epoch conflict for pinned requests.
 func TestWireContractCluster(t *testing.T) {
-	srv, err := New(core.Config{Detector: detector.Config{Threshold: 0.05}})
+	srv, err := New(core.Config{Detector: detector.Config{Threshold: 0.05}}, WithCluster(contractClusterView{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetCluster(contractClusterView{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

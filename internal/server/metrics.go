@@ -19,7 +19,6 @@ type serverMetrics struct {
 	dedupeHits   *telemetry.Counter // replayed from the idempotency cache
 	dedupeMisses *telemetry.Counter // executed as the leader
 
-	readCache  *telemetry.CounterVec // labels: kind (aggregate|malicious), result (hit|miss)
 	admissions *telemetry.CounterVec // labels: result (admitted|queue_full|wait_timeout|deadline)
 	queueWait  *telemetry.Histogram  // seconds spent waiting for an admission slot
 
@@ -38,7 +37,6 @@ func newServerMetrics(r *telemetry.Registry) *serverMetrics {
 		inflight:       r.Gauge("http_inflight_requests", "requests currently being handled"),
 		dedupeHits:     r.Counter("http_idempotency_hits_total", "requests answered from the idempotency cache"),
 		dedupeMisses:   r.Counter("http_idempotency_misses_total", "idempotent requests that executed as leader"),
-		readCache:      r.CounterVec("http_read_cache_total", "read-cache lookups by kind and result", "kind", "result"),
 		admissions:     r.CounterVec("http_admission_total", "admission-control decisions on mutating routes", "result"),
 		queueWait:      r.Histogram("http_admission_queue_seconds", "time spent queued for an admission slot", nil),
 		streamLines:    r.Counter("http_stream_lines_total", "NDJSON ingest lines examined"),
@@ -111,19 +109,7 @@ func (m *serverMetrics) dedupeMiss() {
 	}
 }
 
-// Nil-safe read-cache and admission counters.
-
-func (m *serverMetrics) cacheHit(kind string) {
-	if m != nil {
-		m.readCache.With(kind, "hit").Inc()
-	}
-}
-
-func (m *serverMetrics) cacheMiss(kind string) {
-	if m != nil {
-		m.readCache.With(kind, "miss").Inc()
-	}
-}
+// Nil-safe admission counters.
 
 func (m *serverMetrics) admission(result string, waited time.Duration) {
 	if m == nil {

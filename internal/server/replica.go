@@ -14,7 +14,6 @@ import (
 	"net/http"
 
 	"repro/internal/api"
-	"repro/internal/rating"
 )
 
 // ReplicaLagHeader reports a replica's staleness on every read
@@ -74,16 +73,6 @@ func (s *Server) getReplica() func() ReplicaInfo {
 	defer s.jmu.RUnlock()
 	return s.replica
 }
-
-// InvalidateRatings drops cached reads the given replicated ratings
-// touch; the follower's apply hook calls it so replica reads never
-// serve pre-apply cached state.
-func (s *Server) InvalidateRatings(rs []rating.Rating) { s.cache.invalidateRatings(rs) }
-
-// InvalidateAll drops the whole read cache; the follower's window and
-// bootstrap hooks call it (a window rewrites trust, which feeds every
-// cached read).
-func (s *Server) InvalidateAll() { s.cache.invalidateAll() }
 
 // replicaGate enforces the replica serving contract around next. With
 // no replica marker installed it is a passthrough.

@@ -107,18 +107,17 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler
 
-	// journal, replica, alerts, cluster and features can be swapped at
-	// runtime (promotion flips a follower into a primary on a live
-	// server); jmu guards all five.
+	// journal, replica, alerts and features can be swapped at runtime
+	// (promotion flips a follower into a primary on a live server); jmu
+	// guards all four.
 	jmu      sync.RWMutex
 	journal  Journal
 	replica  func() ReplicaInfo
 	alerts   AlertSource
-	cluster  ClusterView
 	features api.DiscoveryFeatures
 
+	cluster    ClusterView // fixed at construction (WithCluster)
 	dedupe     *dedupeCache
-	cache      *readCache
 	admission  *admission
 	maxBody    int64
 	reqTimeout time.Duration
@@ -135,9 +134,10 @@ func WithJournal(j Journal) Option { return func(s *Server) { s.journal = j } }
 
 // WithTelemetry registers the server's HTTP metrics (per-endpoint
 // request counts, latencies, status codes, idempotency-cache hits,
-// read-cache hit/miss families, admission counters) on reg and
-// enables per-request instrumentation. A nil registry leaves the
-// server uninstrumented.
+// admission and stream-ingest counters) on reg and enables
+// per-request instrumentation. A nil registry leaves the server
+// uninstrumented. The read cache counters belong to the engine
+// (shard.NewMetrics).
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Server) { s.metrics = newServerMetrics(reg) }
 }
@@ -157,23 +157,6 @@ func WithMaxBodyBytes(n int64) Option {
 // the per-request timeout.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.reqTimeout = d }
-}
-
-// WithReadCache sizes the aggregate/malicious read cache (default
-// 4096 objects). n < 0 disables caching entirely; cached responses
-// are bit-identical to uncached ones (see readcache.go), so this is a
-// memory/latency trade only.
-func WithReadCache(n int) Option {
-	return func(s *Server) {
-		if n < 0 {
-			s.cache = nil
-			return
-		}
-		if n == 0 {
-			n = defaultReadCacheObjects
-		}
-		s.cache = newReadCache(n)
-	}
 }
 
 // WithAdmission installs admission control on the mutating routes
@@ -212,7 +195,6 @@ func NewWith(backend Backend, opts ...Option) (*Server, error) {
 		sys:         backend,
 		mux:         http.NewServeMux(),
 		dedupe:      newDedupeCache(1024),
-		cache:       newReadCache(defaultReadCacheObjects),
 		maxBody:     8 << 20,
 		streamBatch: 512,
 		features:    api.DiscoveryFeatures{StreamIngest: true},
@@ -355,7 +337,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
 		return
 	}
-	s.cache.invalidateRatings(rs)
 	writeJSON(w, http.StatusOK, api.SubmitResponse{Accepted: len(rs)})
 }
 
@@ -373,7 +354,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("process window [%g,%g)", req.Start, req.End))
 		return
 	}
-	if s.getCluster() != nil {
+	if s.cluster != nil {
 		// A member scanning only its owned range must never charge its
 		// replicated trust state locally — the fold needs every node's
 		// evidence. Windows run through the router's scan/apply
@@ -387,9 +368,6 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
 		return
 	}
-	// A window rewrites trust, which feeds every aggregate and the
-	// malicious list: drop the whole read cache.
-	s.cache.invalidateAll()
 	resp := api.ProcessResponse{
 		Objects:      len(rep.Objects),
 		Observations: len(rep.Observations),
@@ -411,24 +389,19 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkOwnership(w, r, obj) {
 		return
 	}
-	agg, ok := s.cache.aggregate(obj, s.metrics)
-	if !ok {
-		gen := s.cache.snapshotGen(obj)
-		agg, err = s.sys.Aggregate(obj)
-		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, rating.ErrUnknownObject):
-				status = http.StatusNotFound
-			case errors.Is(err, trust.ErrNoTrustedRaters), errors.Is(err, trust.ErrNoRatings):
-				status = http.StatusConflict
-			case errors.Is(err, ErrUnavailable):
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, r, status, err)
-			return
+	agg, err := s.sys.Aggregate(obj)
+	if err != nil {
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, rating.ErrUnknownObject):
+			status = http.StatusNotFound
+		case errors.Is(err, trust.ErrNoTrustedRaters), errors.Is(err, trust.ErrNoRatings):
+			status = http.StatusConflict
+		case errors.Is(err, ErrUnavailable):
+			status = http.StatusServiceUnavailable
 		}
-		s.cache.storeAggregate(obj, agg, gen)
+		writeError(w, r, status, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, api.AggregateResponse{
 		Object:   int(agg.Object),
@@ -492,12 +465,7 @@ func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ids, ok := s.cache.malicious(s.metrics)
-	if !ok {
-		gen := s.cache.snapshotGlobalGen()
-		ids = s.sys.MaliciousRaters()
-		s.cache.storeMalicious(ids, gen)
-	}
+	ids := s.sys.MaliciousRaters() // shared: read, never modified
 	if pointFiltered {
 		kept := make([]rating.RaterID, 0, len(ids))
 		for _, id := range ids {
@@ -592,8 +560,6 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, bodyErrStatus(err), err)
 		return
 	}
-	// The restored state shares nothing with the cached one.
-	s.cache.invalidateAll()
 	w.WriteHeader(http.StatusNoContent)
 }
 

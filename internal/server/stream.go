@@ -26,15 +26,13 @@ const maxStreamLineBytes = 1 << 20
 const maxStreamPending = 2
 
 // streamState is the pooled per-request scratch of the stream
-// endpoint: the read buffer, the coalesced batch, and the per-batch
-// object set for cache invalidation. Steady state, an accepted line
-// costs zero heap allocations — the buffers below are reused across
-// requests and the fast-path line parser (parseRatingLine) allocates
-// nothing.
+// endpoint: the read buffer and the coalesced batch. Steady state, an
+// accepted line costs zero heap allocations — the buffers below are
+// reused across requests and the fast-path line parser
+// (parseRatingLine) allocates nothing.
 type streamState struct {
 	buf   []byte          // read buffer; r, w index the unconsumed window
 	batch []rating.Rating // current group-commit batch
-	objs  []rating.ObjectID
 }
 
 var streamPool = sync.Pool{
@@ -42,18 +40,16 @@ var streamPool = sync.Pool{
 		return &streamState{
 			buf:   make([]byte, 64<<10),
 			batch: make([]rating.Rating, 0, 1024),
-			objs:  make([]rating.ObjectID, 0, 64),
 		}
 	},
 }
 
 // pendingBatch is one async-submitted batch awaiting its group
-// commit: the wait handle, the admission token to return once it
-// settles, and the objects to invalidate when it does.
+// commit: the wait handle and the admission token to return once it
+// settles.
 type pendingBatch struct {
 	wait    func() error
 	release func() // admission-token return; nil without a limiter
-	objs    []rating.ObjectID
 	count   int
 }
 
@@ -154,7 +150,6 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 	st := streamPool.Get().(*streamState)
 	defer func() {
 		st.batch = st.batch[:0]
-		st.objs = st.objs[:0]
 		streamPool.Put(st)
 	}()
 
@@ -192,13 +187,8 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 		terminal                  *api.Error // first fatal error; ends the stream
 	)
 
-	// settle waits out the oldest pending batch and folds its outcome.
-	// The batch was already enqueued, so whatever wait reports, the
-	// router may have flushed it — on a multi-shard journal even a
-	// failed flush can have applied on some shards. Its objects are
-	// therefore invalidated unconditionally; skipping that would leave
-	// cached aggregates stale forever, breaking the readCache contract
-	// that cached answers are bit-identical to the backend.
+	// settle waits out the oldest pending batch, returns its admission
+	// token and folds its outcome.
 	settle := func() {
 		p := pending[0]
 		pending = pending[1:]
@@ -206,7 +196,6 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 		if p.release != nil {
 			p.release()
 		}
-		s.cache.invalidateObjectList(p.objs)
 		if err != nil {
 			if terminal == nil {
 				terminal = api.NewError(api.CodeUnavailable, "journal: %v", err)
@@ -219,7 +208,7 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 	// confirm settles the oldest pending batches until at most keep
 	// remain. It keeps draining after a terminal error: enqueued
 	// batches commit in the background whether or not the stream
-	// survived, so their waits and cache invalidations must still run.
+	// survived, so their waits must still run and their tokens return.
 	confirm := func(keep int) {
 		for len(pending) > keep {
 			settle()
@@ -260,28 +249,20 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 				terminal = api.NewError(api.CodeUnavailable, "journal: %v", err)
 				return
 			}
-			pending = append(pending, pendingBatch{
-				wait:    wait,
-				release: release,
-				objs:    append([]rating.ObjectID(nil), st.objs...),
-				count:   len(st.batch),
-			})
-			st.batch, st.objs = st.batch[:0], st.objs[:0]
+			pending = append(pending, pendingBatch{wait: wait, release: release, count: len(st.batch)})
+			st.batch = st.batch[:0]
 			return
 		}
 		err := journal.SubmitAll(st.batch)
 		if release != nil {
 			release()
 		}
-		// Invalidate even on error: a failed multi-shard submit may
-		// still have applied on some shards.
-		s.cache.invalidateObjectList(st.objs)
 		if err != nil {
 			terminal = api.NewError(api.CodeUnavailable, "journal: %v", err)
 			return
 		}
 		accepted += len(st.batch)
-		st.batch, st.objs = st.batch[:0], st.objs[:0]
+		st.batch = st.batch[:0]
 	}
 
 	enc := json.NewEncoder(w)
@@ -291,7 +272,6 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(api.StreamLineError{Line: n, Code: code, Message: msg})
 	}
 	rejectLine := func(n int, msg string) { rejectLineCode(n, api.CodeBadRequest, msg) }
-	cview := s.getCluster()
 
 	for terminal == nil {
 		line, err := lr.next()
@@ -333,23 +313,21 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 			rejectLine(lines, err.Error())
 			continue
 		}
-		if cview != nil && !cview.OwnsObject(rt.Object) {
+		if s.cluster != nil && !s.cluster.OwnsObject(rt.Object) {
 			// A stream is per-line, so a misrouted object rejects that
 			// line (naming the owner) instead of cutting the stream.
 			rejectLineCode(lines, api.CodeWrongNode,
-				fmt.Sprintf("object %d is owned by %s", rt.Object, cview.OwnerURL(rt.Object)))
+				fmt.Sprintf("object %d is owned by %s", rt.Object, s.cluster.OwnerURL(rt.Object)))
 			continue
 		}
 		st.batch = append(st.batch, rt)
-		st.objs = appendObject(st.objs, rt.Object)
 		if len(st.batch) >= s.streamBatch {
 			flush()
 		}
 	}
 	flush()
 	// Drain every pending batch on every exit path — terminal error
-	// included — so no enqueued batch escapes its wait and cache
-	// invalidation.
+	// included — so no enqueued batch escapes its wait.
 	confirm(0)
 
 	summary := api.StreamSummary{Accepted: accepted, Rejected: rejected, Lines: lines}
@@ -358,32 +336,6 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 		summary.RetryAfter = terminal.RetryAfter
 	}
 	_ = enc.Encode(summary)
-}
-
-// appendObject adds obj to the batch's object set. The set is a small
-// slice scanned linearly: batches hold at most a few hundred ratings
-// over (typically) far fewer distinct objects, and a slice keeps the
-// steady-state path allocation-free where a map would not.
-func appendObject(objs []rating.ObjectID, obj rating.ObjectID) []rating.ObjectID {
-	for _, o := range objs {
-		if o == obj {
-			return objs
-		}
-	}
-	return append(objs, obj)
-}
-
-// invalidateObjectList is invalidateRatings over a pre-deduplicated
-// object list.
-func (c *readCache) invalidateObjectList(objs []rating.ObjectID) {
-	if c == nil || len(objs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, obj := range objs {
-		c.bumpLocked(obj)
-	}
 }
 
 // decodeStrict is the unary endpoint's decoding contract applied to

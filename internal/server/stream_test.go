@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -307,8 +308,8 @@ func streamDirect(t *testing.T, srv *Server, body io.Reader) api.StreamSummary {
 	return sum
 }
 
-// primeAggregate seeds object 1, runs a window, and fills the read
-// cache with its aggregate.
+// primeAggregate seeds object 1, runs a window, and reads its
+// aggregate (which the engine caches).
 func primeAggregate(t *testing.T, client *Client) api.AggregateResponse {
 	t.Helper()
 	ctx := context.Background()
@@ -322,20 +323,20 @@ func primeAggregate(t *testing.T, client *Client) api.AggregateResponse {
 	if _, err := client.Process(ctx, 0, 100); err != nil {
 		t.Fatal(err)
 	}
-	agg, err := client.Aggregate(ctx, 1) // miss: fills the cache
+	agg, err := client.Aggregate(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return agg
 }
 
-// TestStreamTerminalDrainsPendingAndInvalidatesCache pins the fix for
+// TestStreamTerminalDrainsPendingAndInvalidatesCache pins the drain of
 // abandoned async batches: when a stream dies mid-flight (here the
 // body reader fails, as on a client disconnect), batches already
-// enqueued via SubmitAsync still commit — so their waits must still be
-// awaited and their objects' cached aggregates dropped. Before the
-// fix, confirm was a no-op once terminal was set and the cache served
-// the pre-stream aggregate forever.
+// enqueued via SubmitAsync still commit, so their waits must still be
+// awaited and counted. The aggregate served afterwards must be the
+// backend's answer over the committed batches, not the one read
+// before the stream.
 func TestStreamTerminalDrainsPendingAndInvalidatesCache(t *testing.T) {
 	j := &asyncJournal{}
 	srv, client := newAsyncServer(t, j, WithStreamBatch(4))
@@ -358,22 +359,34 @@ func TestStreamTerminalDrainsPendingAndInvalidatesCache(t *testing.T) {
 		t.Fatalf("batches=%d waits=%d summary=%+v", batches, waits, sum)
 	}
 
-	// The served aggregate must be the backend's truth, not the cached
+	// The served aggregate must be the backend's truth, not the
 	// pre-stream answer.
 	requireServedMatchesBackend(t, srv, client, before)
 }
 
 // requireServedMatchesBackend asserts the HTTP-served aggregate of
-// object 1 is bit-identical to the backend's recompute AND that the
-// recompute actually differs from the pre-stream cached answer (so
-// the equality is not vacuous: a stale cache would serve `before`).
+// object 1 is bit-identical to an uncached recompute of the backend's
+// state (a core.System restored from its snapshot) AND that it
+// differs from the pre-stream answer (so the equality is not vacuous:
+// a stale cache would serve `before`).
 func requireServedMatchesBackend(t *testing.T, srv *Server, client *Client, before api.AggregateResponse) {
 	t.Helper()
 	after, err := client.Aggregate(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := srv.System().Aggregate(rating.ObjectID(1))
+	var snap bytes.Buffer
+	if err := srv.System().WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := core.NewSystem(core.Config{Detector: detector.Config{Threshold: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := oracle.Aggregate(rating.ObjectID(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,10 +399,10 @@ func requireServedMatchesBackend(t *testing.T, srv *Server, client *Client, befo
 	}
 }
 
-// TestStreamWaitFailureStillInvalidates covers the error leg of the
-// same fix: a batch whose group-commit wait fails may still have been
-// applied (partially, on some shards), so its objects are invalidated
-// regardless of the wait's outcome.
+// TestStreamWaitFailureStillInvalidates covers the error leg: a batch
+// whose group-commit wait fails may still have been applied
+// (partially, on some shards), and the aggregate served afterwards
+// must be the backend's answer over what landed.
 func TestStreamWaitFailureStillInvalidates(t *testing.T) {
 	j := &asyncJournal{waitErr: errors.New("shard 2: wal torn")}
 	srv, client := newAsyncServer(t, j, WithStreamBatch(4))

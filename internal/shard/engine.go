@@ -33,6 +33,15 @@ import (
 // the rest of the time. Per-shard rating counts are mirrored in
 // atomic counters so Len (stats, telemetry) never touches a shard
 // lock while ingest runs.
+//
+// Read cache: Aggregate and MaliciousRaters cache their answers, each
+// stamped with the state it was computed from, and serve one only
+// while that state still holds. An aggregate carries the object's
+// rating count and the trust generation; the malicious list carries
+// the trust generation. The store only ever adds ratings, so an
+// unchanged count means unchanged ratings, and every trust rewrite
+// and store swap (applyWindow, loadView) bumps the generation under
+// trustMu. No write path does any other cache work.
 type Engine struct {
 	cfg  core.Config
 	pipe *core.Pipeline
@@ -46,6 +55,14 @@ type Engine struct {
 	// hand EnableStreaming a ResumeAfter that never re-fires a window
 	// whose charge is already durable.
 	lastWindowEnd float64
+	// trustGen counts trust rewrites and store swaps. It goes up only
+	// under trustMu (and, in loadView, every shard lock), so a reader
+	// holding a shard lock sees it consistent with that shard's store.
+	trustGen atomic.Uint64
+	// malicious is MaliciousRaters' cached list.
+	malicious atomic.Pointer[maliciousList]
+	// aggCap bounds each shard's cached aggregates.
+	aggCap int
 
 	// streaming, when set, is the online detection path (see
 	// EnableStreaming). Published once under all shard locks; the
@@ -59,6 +76,27 @@ type shardState struct {
 	mu    sync.Mutex
 	store *rating.Store
 	count atomic.Int64 // mirrors store.Len() for lock-free reads
+	aggs  map[rating.ObjectID]cachedAggregate
+}
+
+// aggregateCacheSize bounds the aggregates one engine caches, split
+// evenly across its shards (at least one per shard); past a shard's
+// share, an arbitrary entry of that shard is evicted per insert.
+const aggregateCacheSize = 4096
+
+// cachedAggregate is a cached answer and the state it was computed
+// from: the object's rating count and the trust generation.
+type cachedAggregate struct {
+	res   core.AggregateResult
+	count int
+	gen   uint64
+}
+
+// maliciousList is a cached malicious list and the trust generation
+// it was computed at.
+type maliciousList struct {
+	ids []rating.RaterID
+	gen uint64
 }
 
 // NewEngine builds an engine with the given shard count. The same
@@ -78,9 +116,10 @@ func NewEngine(cfg core.Config, shards int) (*Engine, error) {
 	}
 	states := make([]*shardState, shards)
 	for i := range states {
-		states[i] = &shardState{store: rating.NewStore()}
+		states[i] = &shardState{store: rating.NewStore(), aggs: make(map[rating.ObjectID]cachedAggregate)}
 	}
-	return &Engine{cfg: cfg, pipe: pipe, states: states, manager: manager}, nil
+	return &Engine{cfg: cfg, pipe: pipe, states: states, manager: manager,
+		aggCap: max(1, aggregateCacheSize/shards)}, nil
 }
 
 // SetMetrics attaches per-shard telemetry; nil disables it. Call
@@ -231,12 +270,21 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	return report, nil
 }
 
-// Aggregate returns the object's trust-enhanced aggregate.
+// Aggregate returns the object's trust-enhanced aggregate, from the
+// shard's cache while the object's rating count and the trust
+// generation match the cached entry's (see Engine).
 func (e *Engine) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	st := e.states[e.ShardFor(obj)]
 	st.mu.Lock()
+	gen := e.trustGen.Load()
+	if c, ok := st.aggs[obj]; ok && c.count == st.store.Count(obj) && c.gen == gen {
+		st.mu.Unlock()
+		e.metrics.readCache("aggregate", true)
+		return c.res, nil
+	}
 	stored, err := st.store.ForObject(obj)
 	st.mu.Unlock()
+	e.metrics.readCache("aggregate", false)
 	if err != nil {
 		// Worded as core.System words it: the unknown-object message
 		// is part of the wire contract, whatever engine serves it.
@@ -244,8 +292,24 @@ func (e *Engine) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	}
 	// stored is ForObject's copy: safe to read outside the shard lock.
 	e.trustMu.RLock()
-	defer e.trustMu.RUnlock()
-	return e.pipe.AggregateRatings(obj, stored, e.manager.Trust)
+	res, err := e.pipe.AggregateRatings(obj, stored, e.manager.Trust)
+	current := e.trustGen.Load() == gen
+	e.trustMu.RUnlock()
+	if err != nil || !current {
+		// Only an answer computed from exactly the stamped state is
+		// cached.
+		return res, err
+	}
+	st.mu.Lock()
+	if _, ok := st.aggs[obj]; !ok && len(st.aggs) >= e.aggCap {
+		for evict := range st.aggs {
+			delete(st.aggs, evict)
+			break
+		}
+	}
+	st.aggs[obj] = cachedAggregate{res: res, count: len(stored), gen: gen}
+	st.mu.Unlock()
+	return res, nil
 }
 
 // TrustIn returns the system's current trust in a rater.
@@ -277,11 +341,21 @@ func (e *Engine) RaterCount() int {
 	return e.manager.Len()
 }
 
-// MaliciousRaters returns raters below the malicious-trust threshold.
+// MaliciousRaters returns raters below the malicious-trust threshold,
+// ascending. The list is cached until trust next changes and is
+// shared between callers, who must not modify it.
 func (e *Engine) MaliciousRaters() []rating.RaterID {
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
-	return e.manager.Malicious()
+	gen := e.trustGen.Load()
+	if m := e.malicious.Load(); m != nil && m.gen == gen {
+		e.metrics.readCache("malicious", true)
+		return m.ids
+	}
+	ids := e.manager.Malicious()
+	e.malicious.Store(&maliciousList{ids: ids, gen: gen})
+	e.metrics.readCache("malicious", false)
+	return ids
 }
 
 // View captures the engine's full state as a copy: every shard's
@@ -375,6 +449,7 @@ func (e *Engine) loadView(v core.StateView) error {
 	}
 	e.trustMu.Lock()
 	e.manager = manager
+	e.trustGen.Add(1)
 	// A core snapshot carries no window history; recovery (Recover)
 	// restores the durable high-water mark right after seeding.
 	e.lastWindowEnd = 0

@@ -71,9 +71,3 @@ func (q *ring) push(r rating.Rating, sub *submission) bool {
 		// seq > pos: another producer claimed pos; reload and retry.
 	}
 }
-
-// empty reports whether the ring currently holds no published slots.
-// Consumer-side only.
-func (q *ring) empty() bool {
-	return q.slots[q.tail&q.mask].seq.Load() != q.tail+1
-}

@@ -129,6 +129,21 @@ func (w Workload) Generate() []Month {
 	return months
 }
 
+// UnevenCharge rates obj low (rater 1) and high (rater 2), all before
+// day 10; rater 2 also rates the five objects after obj. A window over
+// them charges the two raters unevenly, so it moves obj's aggregate
+// without touching obj's ratings — the case a cached read must notice.
+func UnevenCharge(obj rating.ObjectID) []rating.Rating {
+	rs := []rating.Rating{
+		{Rater: 1, Object: obj, Value: 0.2, Time: 1},
+		{Rater: 2, Object: obj, Value: 0.9, Time: 2},
+	}
+	for i := rating.ObjectID(1); i <= 5; i++ {
+		rs = append(rs, rating.Rating{Rater: 2, Object: obj + i, Value: 0.6, Time: float64(2 + i)})
+	}
+	return rs
+}
+
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

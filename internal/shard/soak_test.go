@@ -203,11 +203,13 @@ func TestConcurrentSoakAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// Concurrent readers during ingest must never trip the race detector
-// or observe torn state: aggregates, trust reads and snapshots run
-// while writers are streaming.
+// Concurrent readers must never trip the race detector or observe torn
+// state: aggregates of every object, trust reads and the malicious
+// list run while writers stream and then while a window charges trust,
+// filling the read cache as they go. Every cached answer must give way
+// to the oracle's, once the writers finish and again after the window.
 func TestSoakReadersDuringIngest(t *testing.T) {
-	w := shardtest.Workload{Seed: 5, Months: 1, PerMonth: 400}
+	w := shardtest.Workload{Seed: 5, Months: 1, PerMonth: 400, Objects: 5}
 	month := w.Generate()[0]
 
 	e, err := shard.NewEngine(core.Config{}, 4)
@@ -221,6 +223,7 @@ func TestSoakReadersDuringIngest(t *testing.T) {
 
 	done := make(chan struct{})
 	var readers sync.WaitGroup
+	defer func() { close(done); readers.Wait() }()
 	for g := 0; g < 2; g++ {
 		readers.Add(1)
 		go func() {
@@ -235,7 +238,9 @@ func TestSoakReadersDuringIngest(t *testing.T) {
 				}
 				_ = e.Len()
 				_ = e.TrustSnapshot()
-				_, _ = e.Aggregate(rating.ObjectID(0))
+				for obj := 0; obj < w.Objects; obj++ {
+					_, _ = e.Aggregate(rating.ObjectID(obj))
+				}
 				_ = e.MaliciousRaters()
 			}
 		}()
@@ -255,12 +260,43 @@ func TestSoakReadersDuringIngest(t *testing.T) {
 		}(g)
 	}
 	writers.Wait()
-	close(done)
-	readers.Wait()
 	if err := router.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Len() != len(month.Ratings) {
 		t.Fatalf("engine has %d ratings, want %d", e.Len(), len(month.Ratings))
+	}
+
+	oracle, err := core.NewSystem(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.SubmitAll(month.Ratings); err != nil {
+		t.Fatal(err)
+	}
+	compare := func(when string) string {
+		t.Helper()
+		want, err := shardtest.Fingerprint(oracle, w.Objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := shardtest.Fingerprint(e, w.Objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: engine diverges from oracle:\n%s", when, firstDiff(want, got))
+		}
+		return got
+	}
+	ingested := compare("after ingest")
+	if _, err := e.ProcessWindow(month.Start, month.End); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.ProcessWindow(month.Start, month.End); err != nil {
+		t.Fatal(err)
+	}
+	if compare("after the window") == ingested {
+		t.Fatal("the window changed nothing: the post-window check proves nothing")
 	}
 }

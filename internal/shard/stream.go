@@ -42,8 +42,8 @@ type StreamConfig struct {
 	// it are not re-fired, later ones catch up during EnableStreaming.
 	ResumeAfter float64
 	// OnWindowDue performs the authoritative window close (typically
-	// journal/engine ProcessWindow plus cache invalidation). Calls are
-	// serialized and strictly ordered by window start.
+	// a journal or engine ProcessWindow). Calls are serialized and
+	// strictly ordered by window start.
 	OnWindowDue func(start, end float64)
 }
 

@@ -51,9 +51,3 @@ func Stability(coeffs []float64) (stable bool, reflection []float64, err error) 
 	}
 	return stable, reflection, nil
 }
-
-// IsStable reports only the stability verdict.
-func IsStable(coeffs []float64) (bool, error) {
-	stable, _, err := Stability(coeffs)
-	return stable, err
-}
