@@ -101,7 +101,7 @@ ci:
 # testdata/golden_matrix.txt (regenerate deliberately with
 # `go test -run TestGoldenMatrix -update .`).
 matrix:
-	$(GO) run ./cmd/experiments -exp matrix -mode quick
+	$(GO) run ./cmd/experiments -run matrix -mode quick
 
 # stream-conformance pins the streaming detection path to the batch
 # oracle under the race detector: byte-identical fingerprints across

@@ -4,7 +4,6 @@
 //	experiments -run fig4
 //	experiments -run all -mode full -csv out/
 //	experiments -run all -mode quick -workers 4
-//	experiments -exp matrix -mode quick
 //
 // Each experiment prints a text report (paper claim, measured headline
 // numbers, series/tables); -csv additionally writes every series and
@@ -38,7 +37,6 @@ func run(args []string, out, summary io.Writer) error {
 	var (
 		list    = fs.Bool("list", false, "list experiment IDs and exit")
 		runID   = fs.String("run", "all", "experiment ID to run, or \"all\"")
-		expID   = fs.String("exp", "", "alias for -run")
 		seed    = fs.Int64("seed", 1, "top-level random seed")
 		mode    = fs.String("mode", "full", "fidelity: full or quick")
 		csvDir  = fs.String("csv", "", "directory to write CSV artifacts into (optional)")
@@ -46,9 +44,6 @@ func run(args []string, out, summary io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *expID != "" {
-		*runID = *expID
 	}
 
 	if *list {

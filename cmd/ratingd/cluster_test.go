@@ -19,21 +19,38 @@ import (
 	"repro/internal/shard/shardtest"
 )
 
-// routed drives a router as a shardtest.System. No v1 route serves the
-// whole trust map, so TrustSnapshot takes the rater set from one
-// member's engine (trust is replicated) and reads every value through
-// the router's per-rater trust path.
+// routed drives a router as a shardtest.System; a read the router
+// fails fails the test. No v1 route serves the whole trust map, so
+// TrustSnapshot takes the rater set from one member's engine (trust is
+// replicated) and reads every value through the router's per-rater
+// trust path.
 type routed struct {
 	*cluster.Router
 	raters *shard.Engine
+	t      testing.TB
 }
 
 func (r routed) TrustSnapshot() map[rating.RaterID]float64 {
+	r.t.Helper()
 	snap := r.raters.TrustSnapshot()
 	for id := range snap {
-		snap[id] = r.TrustIn(id)
+		v, err := r.TrustIn(id)
+		if err != nil {
+			r.t.Fatalf("trust of rater %d: %v", id, err)
+		}
+		snap[id] = v
 	}
 	return snap
+}
+
+// Len is the cluster-wide rating count from the router's Stats.
+func (r routed) Len() int {
+	r.t.Helper()
+	st, err := r.Stats(nil)
+	if err != nil {
+		r.t.Fatalf("stats: %v", err)
+	}
+	return st.Ratings
 }
 
 // clusterMemberProc is one member "process": the daemon newMember
@@ -284,11 +301,11 @@ func TestChaosCluster(t *testing.T) {
 	process(months[2].Start, months[2].End)
 
 	// Conformance: the cluster is byte-identical to the oracle.
-	got, err := shardtest.Fingerprint(routed{rt, procs[0].d.engine}, w.Objects)
+	got, err := shardtest.Fingerprint(routed{rt, procs[0].d.engine, t}, w.Objects)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := shardtest.Fingerprint(oracle, w.Objects)
+	want, err := shardtest.Fingerprint(shardtest.Oracle{System: oracle}, w.Objects)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func (d *daemon) newServer(extra ...server.Option) error {
 		return err
 	}
 	d.srv = srv
-	registerTrustMetrics(d.reg, srv.System())
+	registerTrustMetrics(d.reg, d.engine)
 	return nil
 }
 
@@ -234,7 +234,7 @@ func (d *daemon) startBackground() {
 		}
 	}
 	if d.o.telemetryInterval > 0 {
-		d.goBackground(func() { summaryLoop(d.bg, d.o.telemetryInterval, d.reg, d.srv.System(), d.started) })
+		d.goBackground(func() { summaryLoop(d.bg, d.o.telemetryInterval, d.reg, d.engine, d.started) })
 	}
 }
 

@@ -10,7 +10,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/rating"
 	"repro/internal/server"
+	"repro/internal/shard"
 )
+
+// trustIn reads one rater's trust from an engine.
+func trustIn(t *testing.T, e *shard.Engine, id rating.RaterID) float64 {
+	t.Helper()
+	v, err := e.TrustIn(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 // Ratings accepted through the HTTP surface survive an abrupt stop
 // (no final snapshot): the journal holds them and replay restores
@@ -34,7 +45,7 @@ func TestDaemonRecoversAcceptedRatingsAfterAbruptStop(t *testing.T) {
 	if _, err := client.Process(ctx, 0, 30); err != nil {
 		t.Fatal(err)
 	}
-	wantTrust := d.engine.TrustIn(1)
+	wantTrust := trustIn(t, d.engine, 1)
 	ts.Close()
 	d.abort()
 
@@ -46,7 +57,7 @@ func TestDaemonRecoversAcceptedRatingsAfterAbruptStop(t *testing.T) {
 	if got := d2.engine.Len(); got != 25 {
 		t.Fatalf("recovered %d ratings, want 25", got)
 	}
-	if got := d2.engine.TrustIn(1); got != wantTrust {
+	if got := trustIn(t, d2.engine, 1); got != wantTrust {
 		t.Fatalf("recovered trust %g, want %g", got, wantTrust)
 	}
 }
@@ -125,7 +136,7 @@ func TestShardDaemonRestoreRebasesLog(t *testing.T) {
 	if got := d2.engine.Len(); got != 5 {
 		t.Fatalf("recovered %d ratings after restore, want 5", got)
 	}
-	if tr := d2.engine.TrustIn(1); tr != d2.engine.TrustIn(12345) {
+	if tr := trustIn(t, d2.engine, 1); tr != trustIn(t, d2.engine, 12345) {
 		t.Fatalf("pre-restore rater left trust residue: %g", tr)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/parallel"
-	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -33,16 +33,20 @@ func registerProcessMetrics(reg *telemetry.Registry, started time.Time) {
 }
 
 // registerTrustMetrics exposes the live trust state: rater count and a
-// cumulative distribution of trust values, both read under the
-// system's lock at scrape time.
-func registerTrustMetrics(reg *telemetry.Registry, sys server.Backend) {
+// cumulative distribution of trust values, both read from the engine's
+// Stats at scrape time. An engine's reads never fail, so the gauges
+// take no error path.
+func registerTrustMetrics(reg *telemetry.Registry, eng *shard.Engine) {
 	reg.GaugeFunc("trust_raters", "raters with a live trust record",
-		func() float64 { return float64(sys.RaterCount()) })
+		func() float64 {
+			st, _ := eng.Stats(nil)
+			return float64(st.Raters)
+		})
 	reg.GaugeVecFunc("trust_records", "cumulative count of raters with trust <= le", "le",
 		func() map[string]float64 {
-			dist := sys.TrustDistribution(trustBounds)
-			out := make(map[string]float64, len(dist))
-			for i, n := range dist {
+			st, _ := eng.Stats(trustBounds)
+			out := make(map[string]float64, len(st.Distribution))
+			for i, n := range st.Distribution {
 				out[fmt.Sprintf("%g", trustBounds[i])] = float64(n)
 			}
 			return out
@@ -96,7 +100,7 @@ func telemetryMux(api http.Handler, reg *telemetry.Registry, enablePprof bool, e
 
 // summaryLoop prints a one-line operational summary to stderr every
 // interval until done is closed.
-func summaryLoop(done <-chan struct{}, interval time.Duration, reg *telemetry.Registry, sys server.Backend, started time.Time) {
+func summaryLoop(done <-chan struct{}, interval time.Duration, reg *telemetry.Registry, eng *shard.Engine, started time.Time) {
 	requests := reg.CounterVec("http_requests_total", "requests by route and status", "route", "code")
 	windows := reg.Counter("pipeline_windows_total", "maintenance windows processed")
 	t := time.NewTicker(interval)
@@ -108,10 +112,11 @@ func summaryLoop(done <-chan struct{}, interval time.Duration, reg *telemetry.Re
 		case <-t.C:
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
+			st, _ := eng.Stats(nil) // an engine's reads never fail
 			fmt.Fprintf(os.Stderr,
 				"ratingd: up %s  requests=%d  windows=%d  ratings=%d  raters=%d  goroutines=%d  heap=%.1fMiB\n",
 				time.Since(started).Round(time.Second), requests.Total(), windows.Value(),
-				sys.Len(), sys.RaterCount(), runtime.NumGoroutine(), float64(ms.HeapAlloc)/(1<<20))
+				st.Ratings, st.Raters, runtime.NumGoroutine(), float64(ms.HeapAlloc)/(1<<20))
 		}
 	}
 }

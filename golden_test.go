@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/randx"
 	"repro/internal/shard"
+	"repro/internal/shard/shardtest"
 	"repro/internal/sim"
 )
 
@@ -21,12 +22,13 @@ const (
 )
 
 // goldenSystem is the slice of the system surface the golden trace
-// exercises; core.System and shard.Engine both satisfy it, which is
-// what lets one renderer pin both engines to the same bytes.
+// exercises; shard.Engine and core.System (through shardtest.Oracle)
+// both satisfy it, which is what lets one renderer pin both engines
+// to the same bytes.
 type goldenSystem interface {
 	SubmitAll(rs []Rating) error
 	ProcessWindow(start, end float64) (ProcessReport, error)
-	MaliciousRaters() []RaterID
+	MaliciousRaters() ([]RaterID, error)
 }
 
 // renderGoldenTrace runs the full detector pipeline on the paper's
@@ -92,7 +94,10 @@ func renderGoldenTrace(t *testing.T, mkSys func(Config) (goldenSystem, error)) s
 	if _, err := sys.ProcessWindow(0, 61); err != nil {
 		t.Fatal(err)
 	}
-	mal := sys.MaliciousRaters()
+	mal, err := sys.MaliciousRaters()
+	if err != nil {
+		t.Fatal(err)
+	}
 	malIDs := make([]int64, len(mal))
 	for i, id := range mal {
 		malIDs[i] = int64(id)
@@ -143,7 +148,10 @@ func checkGolden(t *testing.T, path, got string) {
 	}
 }
 
-func singleSystem(cfg Config) (goldenSystem, error) { return NewSystem(cfg) }
+func singleSystem(cfg Config) (goldenSystem, error) {
+	sys, err := NewSystem(cfg)
+	return shardtest.Oracle{System: sys}, err
+}
 
 func shardedSystem(cfg Config) (goldenSystem, error) { return shard.NewEngine(cfg, 4) }
 

@@ -53,31 +53,49 @@ func (n *memberNode) serveMux() http.Handler {
 
 // testCluster is N members plus the router, all in-process.
 type testCluster struct {
+	t       testing.TB
 	table   Table
 	members []*memberNode
 	router  *Router
 	front   *httptest.Server // the router's public HTTP face
 }
 
-// routed drives a router as a shardtest.System. No v1 route serves the
-// whole trust map, so TrustSnapshot takes the rater set from one
-// member's engine (trust is replicated) and reads every value through
-// the router's per-rater trust path.
+// routed drives a router as a shardtest.System; a read the router
+// fails fails the test. No v1 route serves the whole trust map, so
+// TrustSnapshot takes the rater set from one member's engine (trust is
+// replicated) and reads every value through the router's per-rater
+// trust path.
 type routed struct {
 	*Router
 	raters *shard.Engine
+	t      testing.TB
 }
 
 func (r routed) TrustSnapshot() map[rating.RaterID]float64 {
+	r.t.Helper()
 	snap := r.raters.TrustSnapshot()
 	for id := range snap {
-		snap[id] = r.TrustIn(id)
+		v, err := r.TrustIn(id)
+		if err != nil {
+			r.t.Fatalf("trust of rater %d: %v", id, err)
+		}
+		snap[id] = v
 	}
 	return snap
 }
 
+// Len is the cluster-wide rating count from the router's Stats.
+func (r routed) Len() int {
+	r.t.Helper()
+	st, err := r.Stats(nil)
+	if err != nil {
+		r.t.Fatalf("stats: %v", err)
+	}
+	return st.Ratings
+}
+
 // system is the cluster as the shardtest harness drives it.
-func (tc *testCluster) system() routed { return routed{tc.router, tc.members[0].eng} }
+func (tc *testCluster) system() routed { return routed{tc.router, tc.members[0].eng, tc.t} }
 
 // newTestCluster builds an n-node cluster, each member running a
 // shard.Engine with the given shard count.
@@ -91,7 +109,7 @@ func newTestCluster(t testing.TB, nodes, shards int) *testCluster {
 // (nil means EvenTable at epoch 1).
 func newTestClusterTable(t testing.TB, nodes, shards int, mkTable func(urls []string) Table) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
+	tc := &testCluster{t: t}
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
 		n := &memberNode{}

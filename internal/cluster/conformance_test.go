@@ -27,7 +27,7 @@ func oracleTrace(t *testing.T, w shardtest.Workload) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := shardtest.Run(oracle, w)
+	trace, err := shardtest.Run(shardtest.Oracle{System: oracle}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

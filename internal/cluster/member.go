@@ -34,8 +34,8 @@ type Member struct {
 	self  int
 	eng   *shard.Engine
 
-	// snap, when set, is called after every applied window, before the
-	// apply is acked.
+	// snap, when set, is called before every apply is acked, a
+	// re-delivered window's included.
 	snap Snapshotter
 }
 
@@ -173,31 +173,28 @@ func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	// Idempotence at window granularity: a router retrying a partially
 	// broadcast apply must not double-charge nodes that already took
-	// it. The window high-water mark is durable (snapshots carry it),
-	// so this holds across member restarts too.
-	if req.End <= m.eng.LastWindowEnd() {
-		writeJSON(w, http.StatusOK, api.ClusterApplyResponse{
-			Raters:    len(req.Observations),
-			WindowEnd: m.eng.LastWindowEnd(),
-		})
-		return
-	}
-	obs := make(map[rating.RaterID]trust.Observation, len(req.Observations))
-	for _, re := range req.Observations {
-		obs[rating.RaterID(re.Rater)] = trust.Observation{
-			N: re.N, Filtered: re.Filtered, Suspicious: re.Suspicious,
-			SuspicionMass: re.Mass,
+	// it, so a window at or below the high-water mark (which snapshots
+	// carry across restarts) skips the charge — but not the snapshot.
+	if req.End > m.eng.LastWindowEnd() {
+		obs := make(map[rating.RaterID]trust.Observation, len(req.Observations))
+		for _, re := range req.Observations {
+			obs[rating.RaterID(re.Rater)] = trust.Observation{
+				N: re.N, Filtered: re.Filtered, Suspicious: re.Suspicious,
+				SuspicionMass: re.Mass,
+			}
+		}
+		if err := m.eng.ApplyObservations(obs, req.End); err != nil {
+			writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest, "%v", err))
+			return
 		}
 	}
-	if err := m.eng.ApplyObservations(obs, req.End); err != nil {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest, "%v", err))
-		return
-	}
 	if m.snap != nil {
-		// The charge must be durable before the ack: a member WAL never
-		// holds a window record (replaying one here would refold the
-		// window from local objects only), so the snapshot is what
-		// carries the applied trust across a crash.
+		// The charge must be durable before every ack, a re-delivery's
+		// included: an earlier attempt may have charged the window and
+		// then failed to persist it. A member WAL never holds a window
+		// record (replaying one here would refold the window from local
+		// objects only), so the snapshot is what carries the applied
+		// trust across a crash.
 		if err := m.snap.Snapshot(); err != nil {
 			writeErr(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
 				"apply snapshot: %v", err))

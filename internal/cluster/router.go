@@ -31,27 +31,27 @@ type RouterConfig struct {
 // Router fronts a member cluster behind the exact public v1 surface a
 // single daemon serves. It implements server.Backend and
 // server.Journal over HTTP fan-out, so the inner server.Server's own
-// handlers produce the responses — a one-node cluster is byte-for-byte
-// a plain daemon.
+// handlers produce every response but GET /v1/cluster — a one-node
+// cluster is byte-for-byte a plain daemon by construction.
 //
 // Single-object traffic (submit, aggregate) forwards to the keyspace
-// owner; cross-object reads scatter to every member and fold in the
-// canonical ascending order, so merged answers are identical to one
-// core.System's. Maintenance windows run the cluster's scan/apply
-// exchange: every member scans its owned range, the router folds the
-// evidence exactly as Pipeline.Charge would, and broadcasts one merged
-// observation batch that lands every member on identical trust state.
+// owner; trust reads ask the rater's owner and fail over to the rest
+// (trust is replicated); cross-object reads scatter to every member
+// and fold in the canonical ascending order, so merged answers are
+// identical to one core.System's. Maintenance windows run the
+// cluster's scan/apply exchange: every member scans its owned range,
+// the router folds the evidence exactly as Pipeline.Charge would, and
+// broadcasts one merged observation batch that lands every member on
+// identical trust state.
 //
-// A member the router cannot reach surfaces as a typed 503
-// (unavailable) on requests needing that member's range — the router
-// sheds the range rather than serving wrong answers from a partial
-// scatter.
+// A member the router cannot reach fails every read or write that
+// needs it with an error wrapping server.ErrUnavailable, which the
+// inner handlers shed as a typed 503 (unavailable): the router sheds
+// the range rather than answering zero or a partial scatter.
 type Router struct {
 	table   Table
 	clients []*server.Client // one per member, epoch pinned
-
-	inner *server.Server
-	mux   *http.ServeMux
+	mux     *http.ServeMux
 }
 
 // NewRouter builds the routing tier for table.
@@ -77,24 +77,19 @@ func NewRouter(table Table, cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.inner = inner
 
-	// Routes needing genuine scatter-gather or cluster-aware error
-	// control are intercepted ahead of the inner server; everything
-	// else (submit, stream, process, aggregate, snapshot, discovery)
-	// reaches the inner handlers, which call back into the Router's
-	// Backend/Journal methods — shared handlers, shared shapes.
+	// Only the cluster doc, with its live per-member health, is
+	// router-only. Every other route reaches the inner handlers, which
+	// call back into the Router's Backend/Journal methods: shared
+	// handlers, shared shapes, shared error mapping.
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("GET /v1/malicious", rt.handleMalicious)
-	rt.mux.HandleFunc("GET /v1/raters/{id}/trust", rt.handleTrust)
 	rt.mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	rt.mux.Handle("/", inner)
 	return rt, nil
 }
 
 // ServeHTTP implements http.Handler: the router-wide epoch gate, then
-// the intercept mux.
+// the router's mux.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if server.CheckEpoch(w, r, rt.table.Epoch) {
 		rt.mux.ServeHTTP(w, r)
@@ -147,8 +142,8 @@ func (rt *Router) SubmitAll(rs []rating.Rating) error {
 //
 // Any unreachable member aborts before anything is applied; a failure
 // mid-broadcast leaves the cluster mixed, but applies are idempotent
-// at window granularity, so retrying the same window converges every
-// member.
+// at window granularity and every ack is durable, so retrying the same
+// window converges every member, in memory and on disk.
 func (rt *Router) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	ctx := context.Background()
 	merged := make([]shard.ObjectEvidence, 0)
@@ -157,9 +152,7 @@ func (rt *Router) ProcessWindow(start, end float64) (core.ProcessReport, error) 
 		if rt.table.Nodes[i].Empty() {
 			continue
 		}
-		var resp api.ClusterScanResponse
-		err := rt.postJSON(ctx, i, "/v1/cluster/scan",
-			api.ClusterScanRequest{Start: start, End: end}, &resp)
+		resp, err := rt.clients[i].ClusterScan(ctx, start, end)
 		if err != nil {
 			return core.ProcessReport{}, rt.unavailable(i, err)
 		}
@@ -191,9 +184,8 @@ func (rt *Router) ProcessWindow(start, end float64) (core.ProcessReport, error) 
 	applyReq := api.ClusterApplyRequest{
 		Start: start, End: end, Observations: SortedObservations(obs),
 	}
-	for i := range rt.table.Nodes {
-		var resp api.ClusterApplyResponse
-		if err := rt.postJSON(ctx, i, "/v1/cluster/apply", applyReq, &resp); err != nil {
+	for i, c := range rt.clients {
+		if _, err := c.ClusterApply(ctx, applyReq); err != nil {
 			return core.ProcessReport{}, rt.unavailable(i, err)
 		}
 	}
@@ -253,18 +245,8 @@ func (rt *Router) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 
 // TrustIn implements server.Backend. Trust is replicated, so any
 // member can answer; the rater's keyspace owner is asked first to
-// spread load, then the rest. An unreachable cluster reports zero —
-// the HTTP route intercepts above this method and sheds with a typed
-// 503 instead.
-func (rt *Router) TrustIn(id rating.RaterID) float64 {
-	v, err := rt.trustIn(id)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func (rt *Router) trustIn(id rating.RaterID) (float64, error) {
+// spread load, then the rest. It fails only when no member answers.
+func (rt *Router) TrustIn(id rating.RaterID) (float64, error) {
 	ctx := context.Background()
 	first := rt.table.OwnerOfRater(id)
 	var lastErr error
@@ -280,55 +262,15 @@ func (rt *Router) trustIn(id rating.RaterID) (float64, error) {
 }
 
 // ---- server.Backend: cross-member reads ----
+//
+// A cross-member read needs every member: a partial sum or a partial
+// list is a wrong answer, not a degraded one, so any unreachable
+// member fails the whole read with ErrUnavailable.
 
-// statsFrom fetches one member's stats.
-func (rt *Router) statsFrom(n int, bounds []float64) (api.StatsResponse, error) {
-	ctx := context.Background()
-	if len(bounds) > 0 {
-		return rt.clients[n].StatsWithBounds(ctx, bounds)
-	}
-	return rt.clients[n].Stats(ctx)
-}
-
-// Len implements server.Backend: the cluster-wide rating count, the
-// sum over members. Best-effort (unreachable members count zero); the
-// stats route intercepts above this and sheds instead.
-func (rt *Router) Len() int {
-	total := 0
-	for i := range rt.clients {
-		if st, err := rt.statsFrom(i, nil); err == nil {
-			total += st.Ratings
-		}
-	}
-	return total
-}
-
-// RaterCount implements server.Backend; trust is replicated, any
-// member knows. Best-effort zero when nothing is reachable.
-func (rt *Router) RaterCount() int {
-	for i := range rt.clients {
-		if st, err := rt.statsFrom(i, nil); err == nil {
-			return st.Raters
-		}
-	}
-	return 0
-}
-
-// MaliciousRaters implements server.Backend via the point-range
-// scatter; best-effort nil when a member is unreachable (the HTTP
-// route intercepts above this and sheds instead).
-func (rt *Router) MaliciousRaters() []rating.RaterID {
-	ids, err := rt.mergedMalicious()
-	if err != nil {
-		return nil
-	}
-	return ids
-}
-
-// mergedMalicious scatters the members' disjoint point ranges and
-// merges the ID-sorted slices back into one ascending list — exactly
-// the list one trust.Manager would produce.
-func (rt *Router) mergedMalicious() ([]rating.RaterID, error) {
+// MaliciousRaters implements server.Backend: it scatters the members'
+// disjoint point ranges and merges the ID-sorted slices back into one
+// ascending list — exactly the list one trust.Manager would produce.
+func (rt *Router) MaliciousRaters() ([]rating.RaterID, error) {
 	ctx := context.Background()
 	lists := make([][]int, 0, len(rt.clients))
 	for i, n := range rt.table.Nodes {
@@ -363,15 +305,33 @@ func (rt *Router) mergedMalicious() ([]rating.RaterID, error) {
 	}
 }
 
-// TrustDistribution implements server.Backend; any member answers for
-// the replicated trust state.
-func (rt *Router) TrustDistribution(bounds []float64) []int {
-	for i := range rt.clients {
-		if st, err := rt.statsFrom(i, bounds); err == nil && st.Distribution != nil {
-			return st.Distribution.Counts
+// Stats implements server.Backend: rating counts sum across the
+// disjoint partitions; the rater and malicious counts and the trust
+// distribution come from the replicated trust state, so member 0
+// alone computes them.
+func (rt *Router) Stats(bounds []float64) (shard.Stats, error) {
+	ctx := context.Background()
+	var out shard.Stats
+	for i, c := range rt.clients {
+		var st api.StatsResponse
+		var err error
+		if i == 0 && len(bounds) > 0 {
+			st, err = c.StatsWithBounds(ctx, bounds)
+		} else {
+			st, err = c.Stats(ctx)
+		}
+		if err != nil {
+			return shard.Stats{}, rt.unavailable(i, err)
+		}
+		out.Ratings += st.Ratings
+		if i == 0 {
+			out.Raters, out.Malicious = st.Raters, st.Malicious
+			if st.Distribution != nil {
+				out.Distribution = st.Distribution.Counts
+			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // ---- server.Backend: snapshots ----
@@ -446,113 +406,6 @@ var (
 	_ http.Handler   = (*Router)(nil)
 )
 
-// ---- intercepted routes ----
-
-// handleStats merges member stats: rating counts sum across the
-// disjoint partitions; rater counts, malicious totals and the trust
-// distribution come from the replicated trust state (the first
-// member). Any unreachable member sheds the whole answer — a partial
-// sum is a wrong answer, not a degraded one.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	var bounds []float64
-	if boundsS := r.URL.Query().Get("bounds"); boundsS != "" {
-		var err error
-		if bounds, err = server.ParseBounds(boundsS); err != nil {
-			writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest, "%v", err))
-			return
-		}
-	}
-	resp := api.StatsResponse{}
-	for i := range rt.table.Nodes {
-		// Only the first member computes the distribution; the others
-		// contribute just their partition's rating count.
-		nodeBounds := bounds
-		if i != 0 {
-			nodeBounds = nil
-		}
-		st, err := rt.statsFrom(i, nodeBounds)
-		if err != nil {
-			writeErr(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
-				"node %s: %v", rt.table.Nodes[i].URL, err))
-			return
-		}
-		resp.Ratings += st.Ratings
-		if i == 0 {
-			resp.Raters, resp.Malicious = st.Raters, st.Malicious
-			resp.Distribution = st.Distribution
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleMalicious scatters the members' point ranges and serves the
-// merged ascending list with the same pagination contract as a single
-// daemon — parameter parsing and envelope shapes included.
-func (rt *Router) handleMalicious(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limitS, offsetS := q.Get("limit"), q.Get("offset")
-	paginated := limitS != "" || offsetS != ""
-	limit, offset := 0, 0
-	var err error
-	if limitS != "" {
-		if limit, err = strconv.Atoi(limitS); err != nil || limit < 0 {
-			writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
-				"limit %q: must be a non-negative integer", limitS))
-			return
-		}
-	}
-	if offsetS != "" {
-		if offset, err = strconv.Atoi(offsetS); err != nil || offset < 0 {
-			writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
-				"offset %q: must be a non-negative integer", offsetS))
-			return
-		}
-	}
-
-	ids, err := rt.mergedMalicious()
-	if err != nil {
-		writeErr(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable, "%v", err))
-		return
-	}
-	total := len(ids)
-	page := ids
-	if paginated {
-		if offset > len(page) {
-			page = nil
-		} else {
-			page = page[offset:]
-		}
-		if limit > 0 && limit < len(page) {
-			page = page[:limit]
-		}
-	}
-	resp := api.MaliciousResponse{Raters: make([]int, 0, len(page))}
-	for _, id := range page {
-		resp.Raters = append(resp.Raters, int(id))
-	}
-	if paginated {
-		resp.Page = &api.Page{Total: total, Offset: offset, Limit: limit}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleTrust answers a rater's trust from any reachable member
-// (replicated state), shedding with a typed 503 only when the whole
-// cluster is unreachable.
-func (rt *Router) handleTrust(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest, "rater id: %v", err))
-		return
-	}
-	v, err := rt.trustIn(rating.RaterID(id))
-	if err != nil {
-		writeErr(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable, "%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.TrustResponse{Rater: id, Trust: v})
-}
-
 // handleCluster serves the routing table with live per-member health:
 // each member is probed for its own cluster doc, contributing its
 // window high-water mark; an unreachable member is reported down, not
@@ -575,7 +428,10 @@ func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// fetchClusterDoc probes one member's GET /v1/cluster.
+// fetchClusterDoc probes one member's GET /v1/cluster. The probe is
+// not pinned to the router's epoch: a member on another epoch would
+// refuse a pinned probe and be reported down, where this way it shows
+// its own doc.
 func (rt *Router) fetchClusterDoc(n int) (api.ClusterResponse, error) {
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet,
 		rt.table.Nodes[n].URL+"/v1/cluster", nil)
@@ -595,35 +451,4 @@ func (rt *Router) fetchClusterDoc(n int) (api.ClusterResponse, error) {
 		return api.ClusterResponse{}, err
 	}
 	return doc, nil
-}
-
-// postJSON is the cluster-internal exchange (scan/apply): typed
-// clients cover the public surface only, so these two routes speak
-// raw JSON with the same epoch pinning.
-func (rt *Router) postJSON(ctx context.Context, n int, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		rt.table.Nodes[n].URL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.ClusterEpochHeader, strconv.FormatUint(rt.table.Epoch, 10))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var envelope api.Error
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(data, &envelope) == nil && envelope.Code != "" {
-			return fmt.Errorf("%s: status %d (%s): %s", path, resp.StatusCode, envelope.Code, envelope.Message)
-		}
-		return fmt.Errorf("%s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -209,35 +209,39 @@ func TestRouterShedsDownNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	shed := func(what string, err error) {
+		t.Helper()
+		var apiErr *server.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeUnavailable {
+			t.Fatalf("%s: want typed 503 unavailable, got %v", what, err)
+		}
+	}
+
 	tc.members[1].down()
 
 	// Writes into the dead range shed with the typed 503.
-	err := submit(obj1, 3)
-	var apiErr *server.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeUnavailable {
-		t.Fatalf("submit into dead range: want typed 503 unavailable, got %v", err)
-	}
+	shed("submit into dead range", submit(obj1, 3))
 	// The live range keeps serving.
 	if err := submit(obj0, 4); err != nil {
 		t.Fatalf("submit into live range while peer down: %v", err)
 	}
 	// Aggregate owned by the dead member sheds; live member's serves.
-	if _, err := c.Aggregate(ctx, int(obj1)); err == nil {
-		t.Fatal("aggregate on dead range should shed")
-	} else if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("aggregate on dead range: want 503, got %v", err)
-	}
+	_, err := c.Aggregate(ctx, int(obj1))
+	shed("aggregate on dead range", err)
 	// Scatter reads need every member: they shed.
-	if _, err := c.Stats(ctx); err == nil {
-		t.Fatal("stats should shed with a member down")
-	}
-	if _, err := c.Malicious(ctx); err == nil {
-		t.Fatal("malicious should shed with a member down")
-	}
+	_, err = c.Stats(ctx)
+	shed("stats with a member down", err)
+	_, err = c.Malicious(ctx)
+	shed("malicious with a member down", err)
 	// Trust is replicated: the router falls over to the live member.
 	if _, err := c.Trust(ctx, 1); err != nil {
 		t.Fatalf("trust read with replicated state: %v", err)
 	}
+	// With no member left to answer, trust sheds too.
+	tc.members[0].down()
+	_, err = c.Trust(ctx, 1)
+	shed("trust with every member down", err)
+	tc.members[0].up()
 	// Windows refuse to run on a partial cluster.
 	if _, err := c.Process(ctx, 0, 30); err == nil {
 		t.Fatal("process should refuse with a member down")
@@ -258,6 +262,47 @@ func TestRouterShedsDownNode(t *testing.T) {
 	doc = fetchRouterDoc(t, tc.front.URL)
 	if doc.Nodes[1].Status != "ok" {
 		t.Fatalf("doc status %q after recovery", doc.Nodes[1].Status)
+	}
+}
+
+// TestRouterReadsFailNeverZero: with a member down, the router's
+// cross-member reads fail with ErrUnavailable instead of answering
+// zero or a partial list; a trust read fails over to a live member
+// and fails only when no member answers.
+func TestRouterReadsFailNeverZero(t *testing.T) {
+	tc := newTestCluster(t, 2, 2)
+	if _, err := shardtest.Run(tc.system(), shardtest.Workload{Seed: 8, Months: 1, PerMonth: 200}); err != nil {
+		t.Fatal(err)
+	}
+	rt := tc.router
+	tc.members[1].down()
+
+	if _, err := rt.Stats(nil); !errors.Is(err, server.ErrUnavailable) {
+		t.Fatalf("stats with a member down: %v, want ErrUnavailable", err)
+	}
+	if _, err := rt.MaliciousRaters(); !errors.Is(err, server.ErrUnavailable) {
+		t.Fatalf("malicious raters with a member down: %v, want ErrUnavailable", err)
+	}
+	// Raters owned by the dead member are asked there first, then fail
+	// over to member 0.
+	failedOver := 0
+	for id, want := range tc.members[0].eng.TrustSnapshot() {
+		if tc.table.OwnerOfRater(id) != 1 {
+			continue
+		}
+		got, err := rt.TrustIn(id)
+		if err != nil || got != want {
+			t.Fatalf("trust of rater %d with its owner down: %v (%v), member 0 has %v", id, got, err, want)
+		}
+		failedOver++
+	}
+	if failedOver == 0 {
+		t.Fatal("no tracked rater is owned by member 1: the failover is untested")
+	}
+
+	tc.members[0].down()
+	if _, err := rt.TrustIn(1); !errors.Is(err, server.ErrUnavailable) {
+		t.Fatalf("trust with every member down: %v, want ErrUnavailable", err)
 	}
 }
 

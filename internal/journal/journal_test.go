@@ -183,7 +183,7 @@ func TestFsyncFaultSweep(t *testing.T) {
 				t.Fatalf("reopen after crash: %v", err)
 			}
 			defer j2.Abort()
-			if got, want := fingerprint(t, e), fingerprint(t, oracle); got != want {
+			if got, want := fingerprint(t, e), fingerprint(t, shardtest.Oracle{System: oracle}); got != want {
 				t.Fatalf("recovered state is not the acknowledged writes' (%d refused):\n--- oracle\n%s--- recovered\n%s",
 					refused, want, got)
 			}

@@ -41,7 +41,7 @@ func TestTwoNodeConformance(t *testing.T) {
 				}
 				fn.waitAligned(uint64(m+1), 10*time.Second)
 
-				want, err := shardtest.Fingerprint(oracle, w.Objects)
+				want, err := shardtest.Fingerprint(shardtest.Oracle{System: oracle}, w.Objects)
 				if err != nil {
 					return err
 				}

@@ -82,9 +82,9 @@ func (p *primaryNode) url() string { return p.srv.URL }
 func (p *primaryNode) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	return p.engine.Aggregate(obj)
 }
-func (p *primaryNode) TrustSnapshot() map[rating.RaterID]float64 { return p.engine.TrustSnapshot() }
-func (p *primaryNode) MaliciousRaters() []rating.RaterID         { return p.engine.MaliciousRaters() }
-func (p *primaryNode) Len() int                                  { return p.engine.Len() }
+func (p *primaryNode) TrustSnapshot() map[rating.RaterID]float64  { return p.engine.TrustSnapshot() }
+func (p *primaryNode) MaliciousRaters() ([]rating.RaterID, error) { return p.engine.MaliciousRaters() }
+func (p *primaryNode) Len() int                                   { return p.engine.Len() }
 
 type followerNode struct {
 	t       testing.TB

@@ -270,6 +270,23 @@ func (c *Client) StatsWithBounds(ctx context.Context, bounds []float64) (api.Sta
 	return resp, err
 }
 
+// ClusterScan asks a cluster member for the evidence its owned
+// objects give over one window: the scan step of the router's window
+// exchange.
+func (c *Client) ClusterScan(ctx context.Context, start, end float64) (api.ClusterScanResponse, error) {
+	var resp api.ClusterScanResponse
+	err := c.do(ctx, http.MethodPost, "/v1/cluster/scan", api.ClusterScanRequest{Start: start, End: end}, &resp)
+	return resp, err
+}
+
+// ClusterApply sends a cluster member the router's merged observation
+// batch for one window: the apply step of the window exchange.
+func (c *Client) ClusterApply(ctx context.Context, req api.ClusterApplyRequest) (api.ClusterApplyResponse, error) {
+	var resp api.ClusterApplyResponse
+	err := c.do(ctx, http.MethodPost, "/v1/cluster/apply", req, &resp)
+	return resp, err
+}
+
 // SubmitStream bulk-ingests NDJSON-framed ratings from body (one
 // api.RatingPayload object per line) and returns the server's terminal
 // summary plus any per-line rejections. The stream is not retried or

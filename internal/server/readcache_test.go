@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/randx"
+	"repro/internal/rating"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -39,6 +40,26 @@ func serve(t *testing.T, backend Backend, opts ...Option) *Client {
 	return NewClient(ts.URL, ts.Client())
 }
 
+// oracleBackend serves the core.System oracle, which caches nothing
+// and whose reads cannot fail, as a Backend.
+type oracleBackend struct{ *core.System }
+
+func (o oracleBackend) TrustIn(id rating.RaterID) (float64, error) {
+	return o.System.TrustIn(id), nil
+}
+
+func (o oracleBackend) MaliciousRaters() ([]rating.RaterID, error) {
+	return o.System.MaliciousRaters(), nil
+}
+
+func (o oracleBackend) Stats(bounds []float64) (shard.Stats, error) {
+	st := shard.Stats{Ratings: o.Len(), Raters: o.RaterCount(), Malicious: len(o.System.MaliciousRaters())}
+	if len(bounds) > 0 {
+		st.Distribution = o.TrustDistribution(bounds)
+	}
+	return st, nil
+}
+
 // cacheCounter reads one read cache counter child; registration is
 // idempotent, so this resolves the engine's own metric family.
 func cacheCounter(reg *telemetry.Registry, kind, result string) uint64 {
@@ -57,7 +78,7 @@ func TestReadCacheConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := serve(t, sys)
+	oracle := serve(t, oracleBackend{sys})
 	ctx := context.Background()
 	rng := randx.New(99)
 

@@ -21,6 +21,16 @@ import (
 	"repro/internal/rating"
 )
 
+// storedRatings reads the backend's rating count through Stats.
+func storedRatings(t *testing.T, srv *Server) int {
+	t.Helper()
+	st, err := srv.System().Stats(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Ratings
+}
+
 // flakyProxy forwards requests to the real server but, for the first
 // failures of each request, executes the request and then DISCARDS the
 // response, answering 503 instead. This models the nastiest retry
@@ -73,7 +83,7 @@ func TestRetrySubmitExactlyOnce(t *testing.T) {
 	if accepted != 3 {
 		t.Fatalf("accepted = %d", accepted)
 	}
-	if got := srv.System().Len(); got != 3 {
+	if got := storedRatings(t, srv); got != 3 {
 		t.Fatalf("system holds %d ratings, want exactly 3 (no double ingestion)", got)
 	}
 }
@@ -237,7 +247,7 @@ func TestDedupeReplay(t *testing.T) {
 	if err := json.Unmarshal(b, &resp); err != nil || resp.Accepted != 1 {
 		t.Fatalf("replayed body = %q (%v)", b, err)
 	}
-	if got := srv.System().Len(); got != 1 {
+	if got := storedRatings(t, srv); got != 1 {
 		t.Fatalf("system holds %d ratings after replay, want 1", got)
 	}
 }
@@ -261,7 +271,7 @@ func TestDedupeDoesNotCacheFailures(t *testing.T) {
 	if err != nil || accepted != 1 {
 		t.Fatalf("submit after journal recovery: accepted=%d err=%v", accepted, err)
 	}
-	if got := srv.System().Len(); got != 1 {
+	if got := storedRatings(t, srv); got != 1 {
 		t.Fatalf("system holds %d ratings, want 1", got)
 	}
 }
@@ -356,7 +366,7 @@ func TestBodyLimit(t *testing.T) {
 	if res.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", res.StatusCode)
 	}
-	if got := srv.System().Len(); got != 0 {
+	if got := storedRatings(t, srv); got != 0 {
 		t.Fatalf("oversized batch partially ingested: %d", got)
 	}
 }
@@ -459,7 +469,7 @@ func TestSnapshotRoundTripUnderConcurrentTraffic(t *testing.T) {
 		}
 	}
 
-	if got := srv.System().Len(); got != writers*perWriter {
+	if got := storedRatings(t, srv); got != writers*perWriter {
 		t.Fatalf("system holds %d ratings, want %d", got, writers*perWriter)
 	}
 
@@ -473,7 +483,7 @@ func TestSnapshotRoundTripUnderConcurrentTraffic(t *testing.T) {
 	if err := client2.Restore(ctx, bytes.NewReader(final.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv2.System().Len(); got != writers*perWriter {
+	if got := storedRatings(t, srv2); got != writers*perWriter {
 		t.Fatalf("restored system holds %d ratings, want %d", got, writers*perWriter)
 	}
 	seen := ratingKeys(t, final.Bytes())

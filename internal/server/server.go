@@ -1,7 +1,9 @@
 // Package server exposes the trust-enhanced rating system as a small
 // JSON-over-HTTP service — the deployment shape a marketplace backend
 // would actually consume. It fronts a Backend that is safe under
-// concurrent requests: a shard.Engine, or a cluster router.
+// concurrent requests: a shard.Engine, or a cluster router. The same
+// handlers serve both, and turn a failed backend read into a typed
+// envelope (ErrUnavailable is a 503 unavailable).
 //
 // Endpoints (v1) — request/response shapes live in internal/api:
 //
@@ -43,16 +45,18 @@ import (
 // Backend is the state engine a Server fronts: a shard.Engine, or
 // the cluster router that fans out to members serving one. Handlers
 // only need this surface, so the wire format and routes are identical
-// for every deployment shape.
+// for every deployment shape. Every read returns an error: an engine's
+// never fails, and a router's wraps ErrUnavailable when a member it
+// needs cannot answer, which the handlers shed as a typed 503.
 type Backend interface {
 	SubmitAll(rs []rating.Rating) error
-	Len() int
 	ProcessWindow(start, end float64) (core.ProcessReport, error)
 	Aggregate(obj rating.ObjectID) (core.AggregateResult, error)
-	TrustIn(id rating.RaterID) float64
-	TrustDistribution(bounds []float64) []int
-	RaterCount() int
-	MaliciousRaters() []rating.RaterID
+	TrustIn(id rating.RaterID) (float64, error)
+	MaliciousRaters() ([]rating.RaterID, error)
+	// Stats summarizes the state; the distribution is filled only when
+	// bounds are given.
+	Stats(bounds []float64) (shard.Stats, error)
 	WriteSnapshot(w io.Writer) error
 	LoadSnapshot(r io.Reader) error
 }
@@ -391,16 +395,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 	agg, err := s.sys.Aggregate(obj)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, rating.ErrUnknownObject):
-			status = http.StatusNotFound
-		case errors.Is(err, trust.ErrNoTrustedRaters), errors.Is(err, trust.ErrNoRatings):
-			status = http.StatusConflict
-		case errors.Is(err, ErrUnavailable):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, r, status, err)
+		writeError(w, r, backendStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.AggregateResponse{
@@ -412,16 +407,32 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// backendStatus maps a backend read's error to its status: the typed
+// sentinels to 404, 409 and 503, anything else to 500.
+func backendStatus(err error) int {
+	switch {
+	case errors.Is(err, rating.ErrUnknownObject):
+		return http.StatusNotFound
+	case errors.Is(err, trust.ErrNoTrustedRaters), errors.Is(err, trust.ErrNoRatings):
+		return http.StatusConflict
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("rater id: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TrustResponse{
-		Rater: id,
-		Trust: s.sys.TrustIn(rating.RaterID(id)),
-	})
+	v, err := s.sys.TrustIn(rating.RaterID(id))
+	if err != nil {
+		writeError(w, r, backendStatus(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, api.TrustResponse{Rater: id, Trust: v})
 }
 
 func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
@@ -465,7 +476,11 @@ func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ids := s.sys.MaliciousRaters() // shared: read, never modified
+	ids, err := s.sys.MaliciousRaters() // shared: read, never modified
+	if err != nil {
+		writeError(w, r, backendStatus(err), err)
+		return
+	}
 	if pointFiltered {
 		kept := make([]rating.RaterID, 0, len(ids))
 		for _, id := range ids {
@@ -499,12 +514,6 @@ func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ParseBounds parses the stats endpoint's bounds parameter — a
-// comma-separated, strictly increasing list of trust upper bounds in
-// (0, 1] — for callers that replicate the stats surface (the cluster
-// router's merged handler).
-func ParseBounds(s string) ([]float64, error) { return parseBounds(s) }
-
 // parseBounds parses the stats endpoint's bounds parameter: a
 // comma-separated, strictly increasing list of trust upper bounds in
 // (0, 1].
@@ -527,21 +536,22 @@ func parseBounds(s string) ([]float64, error) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := api.StatsResponse{
-		Ratings:   s.sys.Len(),
-		Raters:    s.sys.RaterCount(),
-		Malicious: len(s.sys.MaliciousRaters()),
-	}
+	var bounds []float64
 	if boundsS := r.URL.Query().Get("bounds"); boundsS != "" {
-		bounds, err := parseBounds(boundsS)
-		if err != nil {
+		var err error
+		if bounds, err = parseBounds(boundsS); err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		resp.Distribution = &api.TrustDistribution{
-			Bounds: bounds,
-			Counts: s.sys.TrustDistribution(bounds),
-		}
+	}
+	st, err := s.sys.Stats(bounds)
+	if err != nil {
+		writeError(w, r, backendStatus(err), err)
+		return
+	}
+	resp := api.StatsResponse{Ratings: st.Ratings, Raters: st.Raters, Malicious: st.Malicious}
+	if bounds != nil {
+		resp.Distribution = &api.TrustDistribution{Bounds: bounds, Counts: st.Distribution}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -143,7 +143,7 @@ func TestStreamRejectsBadLinesIndividually(t *testing.T) {
 			t.Fatalf("reject %d = %+v", i, re)
 		}
 	}
-	if got := srv.System().Len(); got != 2 {
+	if got := storedRatings(t, srv); got != 2 {
 		t.Fatalf("backend holds %d ratings, want 2", got)
 	}
 }
@@ -255,8 +255,8 @@ func TestStreamUsesAsyncJournal(t *testing.T) {
 	if batches != (300+63)/64 || waits != batches || total != 300 {
 		t.Fatalf("batches=%d waits=%d total=%d", batches, waits, total)
 	}
-	if srv.System().Len() != 300 {
-		t.Fatalf("backend holds %d", srv.System().Len())
+	if got := storedRatings(t, srv); got != 300 {
+		t.Fatalf("backend holds %d", got)
 	}
 }
 

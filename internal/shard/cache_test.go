@@ -113,14 +113,14 @@ func TestEngineCacheStaleGenerationRecomputed(t *testing.T) {
 		// taken and no rating added.
 		e, _ := cachePair(t, shardtest.UnevenCharge(1))
 		before := mustAggregate(t, e, 1)
-		mal := e.MaliciousRaters()
+		mal := e.maliciousRaters()
 		obs := map[rating.RaterID]trust.Observation{2: {N: 6, Suspicious: 6, SuspicionMass: 6}}
 		if err := e.ApplyObservations(obs, 30); err != nil {
 			t.Fatal(err)
 		}
 		oracle := uncached(t, e)
 		requireFresh(t, e, oracle, 1, before)
-		got, want := e.MaliciousRaters(), oracle.MaliciousRaters()
+		got, want := e.maliciousRaters(), oracle.maliciousRaters()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("malicious list %v, oracle %v", got, want)
 		}

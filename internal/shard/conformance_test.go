@@ -24,7 +24,7 @@ func TestShardCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := shardtest.Run(oracle, w)
+		want, err := shardtest.Run(shardtest.Oracle{System: oracle}, w)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -65,7 +65,7 @@ func TestShardAuxDetectorInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := shardtest.Run(oracle, w)
+		want, err := shardtest.Run(shardtest.Oracle{System: oracle}, w)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}

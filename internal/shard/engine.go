@@ -312,11 +312,12 @@ func (e *Engine) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	return res, nil
 }
 
-// TrustIn returns the system's current trust in a rater.
-func (e *Engine) TrustIn(id rating.RaterID) float64 {
+// TrustIn returns the system's current trust in a rater. An engine's
+// reads never fail; the error is the server.Backend signature's.
+func (e *Engine) TrustIn(id rating.RaterID) (float64, error) {
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
-	return e.manager.Trust(id)
+	return e.manager.Trust(id), nil
 }
 
 // TrustSnapshot returns every tracked rater's trust.
@@ -326,25 +327,39 @@ func (e *Engine) TrustSnapshot() map[rating.RaterID]float64 {
 	return e.manager.Snapshot()
 }
 
-// TrustDistribution bins every tracked rater's trust into the given
-// sorted upper bounds (cumulative counts; see trust.Manager).
-func (e *Engine) TrustDistribution(bounds []float64) []int {
-	e.trustMu.RLock()
-	defer e.trustMu.RUnlock()
-	return e.manager.TrustDistribution(bounds)
+// Stats is the state summary GET /v1/stats serves.
+type Stats struct {
+	Ratings   int // stored ratings
+	Raters    int // tracked trust records
+	Malicious int // raters below the malicious-trust threshold
+	// Distribution holds the cumulative count of raters with trust at
+	// or below each requested bound (see trust.Manager); nil when no
+	// bounds were given.
+	Distribution []int
 }
 
-// RaterCount returns the number of tracked trust records.
-func (e *Engine) RaterCount() int {
+// Stats summarizes the engine's state. The rating count comes from
+// the per-shard counters and the malicious count from the cached
+// list, so it touches no shard lock. It never fails.
+func (e *Engine) Stats(bounds []float64) (Stats, error) {
+	st := Stats{Ratings: e.Len(), Malicious: len(e.maliciousRaters())}
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
-	return e.manager.Len()
+	st.Raters = e.manager.Len()
+	if len(bounds) > 0 {
+		st.Distribution = e.manager.TrustDistribution(bounds)
+	}
+	return st, nil
 }
 
 // MaliciousRaters returns raters below the malicious-trust threshold,
 // ascending. The list is cached until trust next changes and is
-// shared between callers, who must not modify it.
-func (e *Engine) MaliciousRaters() []rating.RaterID {
+// shared between callers, who must not modify it. It never fails.
+func (e *Engine) MaliciousRaters() ([]rating.RaterID, error) {
+	return e.maliciousRaters(), nil
+}
+
+func (e *Engine) maliciousRaters() []rating.RaterID {
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
 	gen := e.trustGen.Load()

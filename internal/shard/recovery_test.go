@@ -75,7 +75,7 @@ func oracleFingerprint(t *testing.T, months []shardtest.Month, objects int) stri
 			t.Fatal(err)
 		}
 	}
-	fp, err := shardtest.Fingerprint(sys, objects)
+	fp, err := shardtest.Fingerprint(shardtest.Oracle{System: sys}, objects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRecoverDropsTornTrailingBarrier(t *testing.T) {
 	if err := sys.SubmitAll(months[1].Ratings); err != nil {
 		t.Fatal(err)
 	}
-	want, err := shardtest.Fingerprint(sys, 5)
+	want, err := shardtest.Fingerprint(shardtest.Oracle{System: sys}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

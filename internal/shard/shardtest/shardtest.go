@@ -19,15 +19,24 @@ import (
 	"repro/internal/rating"
 )
 
-// System is the surface the harness drives. *core.System and
-// *shard.Engine both satisfy it.
+// System is the surface the harness drives. *shard.Engine satisfies
+// it, and Oracle adapts the *core.System oracle.
 type System interface {
 	SubmitAll(rs []rating.Rating) error
 	ProcessWindow(start, end float64) (core.ProcessReport, error)
 	Aggregate(obj rating.ObjectID) (core.AggregateResult, error)
 	TrustSnapshot() map[rating.RaterID]float64
-	MaliciousRaters() []rating.RaterID
+	MaliciousRaters() ([]rating.RaterID, error)
 	Len() int
+}
+
+// Oracle drives the single-threaded core.System as a System; its
+// malicious list cannot fail to read.
+type Oracle struct{ *core.System }
+
+// MaliciousRaters implements System.
+func (o Oracle) MaliciousRaters() ([]rating.RaterID, error) {
+	return o.System.MaliciousRaters(), nil
 }
 
 // Workload is a seeded multi-month rating scenario: honest raters
@@ -233,7 +242,11 @@ func Fingerprint(sys System, objects int) (string, error) {
 	for _, id := range ids {
 		fmt.Fprintf(&b, "trust %d %.17g\n", id, snap[id])
 	}
-	fmt.Fprintf(&b, "malicious %v\n", sys.MaliciousRaters())
+	mal, err := sys.MaliciousRaters()
+	if err != nil {
+		return "", fmt.Errorf("malicious raters: %w", err)
+	}
+	fmt.Fprintf(&b, "malicious %v\n", mal)
 	for obj := 0; obj < objects; obj++ {
 		res, err := sys.Aggregate(rating.ObjectID(obj))
 		if errors.Is(err, rating.ErrUnknownObject) {

@@ -99,7 +99,7 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 		}
 	}
 
-	want, err := shardtest.Fingerprint(oracle, 5)
+	want, err := shardtest.Fingerprint(shardtest.Oracle{System: oracle}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestConcurrentSoakAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := shardtest.Fingerprint(oracle, 5)
+	want, err := shardtest.Fingerprint(shardtest.Oracle{System: oracle}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,16 @@ func TestSoakReadersDuringIngest(t *testing.T) {
 					// Paced, so the readers probe concurrently without
 					// starving the writers on a single-core box.
 				}
-				_ = e.Len()
+				if _, err := e.Stats([]float64{0.5, 1}); err != nil {
+					t.Error(err)
+				}
 				_ = e.TrustSnapshot()
 				for obj := 0; obj < w.Objects; obj++ {
 					_, _ = e.Aggregate(rating.ObjectID(obj))
 				}
-				_ = e.MaliciousRaters()
+				if _, err := e.MaliciousRaters(); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}
@@ -276,7 +280,7 @@ func TestSoakReadersDuringIngest(t *testing.T) {
 	}
 	compare := func(when string) string {
 		t.Helper()
-		want, err := shardtest.Fingerprint(oracle, w.Objects)
+		want, err := shardtest.Fingerprint(shardtest.Oracle{System: oracle}, w.Objects)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
 	// Raters the durable trust state already holds malicious were
 	// window-flagged by pre-restart closes; seed the flag set (no
 	// alerts) so recovery matches a never-crashed run's flag state.
-	s.sink.seedWindowFlags(e.MaliciousRaters())
+	s.sink.seedWindowFlags(e.maliciousRaters())
 	for i, st := range e.states {
 		ss := s.shards[i]
 		for _, obj := range st.store.Objects() {

@@ -47,7 +47,7 @@ func TestStreamConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := shardtest.RunOps(oracle, ops, 5)
+		want, err := shardtest.RunOps(shardtest.Oracle{System: oracle}, ops, 5)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -165,7 +165,7 @@ func TestStreamConformanceSoak(t *testing.T) {
 		}
 	}
 	s.Sync()
-	want, err := shardtest.Fingerprint(oracle, 5)
+	want, err := shardtest.Fingerprint(shardtest.Oracle{System: oracle}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,11 @@ func TestStreamAlertsFlagClique(t *testing.T) {
 	// recovers later stays alerted, so the final malicious list need
 	// not cover every window alert — but it must not be empty when
 	// window alerts fired.
-	if len(e.MaliciousRaters()) == 0 {
+	mal, err := e.MaliciousRaters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mal) == 0 {
 		t.Fatal("window alerts fired but the malicious list is empty")
 	}
 }

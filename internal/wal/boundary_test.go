@@ -137,7 +137,7 @@ func TestCrashAtEveryRecordBoundary(t *testing.T) {
 		if rec.Type == wal.TypeBarrier {
 			lastSeq = rec.Seq
 		}
-		want := fingerprint(t, ref)
+		want := fingerprint(t, shardtest.Oracle{System: ref})
 
 		fs2 := faultinject.NewMemFSFromFiles(disks[k])
 		_, recov, err := wal.Open(wal.Options{Dir: "w", FS: fs2, Policy: wal.SyncAlways, SegmentBytes: 1 << 10})
