@@ -56,8 +56,10 @@ allocs:
 # decoding (corrupt bytes must error, never panic), the server's
 # rating-batch JSON decoder (hostile bodies must map to 4xx), the
 # NDJSON stream framing (hostile streams must keep the in-band error
-# protocol intact), and the stream fast-path parser (differential
-# against the strict decoder, bit-identical or bail).
+# protocol intact), the stream fast-path parser (differential
+# against the strict decoder, bit-identical or bail), the memoized Beta
+# filter (differential against direct BetaQuantile calls) and the
+# snapshot encoder (differential against encoding/json).
 fuzz:
 	$(GO) test -fuzz FuzzParseFrames -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/wal/
@@ -66,6 +68,8 @@ fuzz:
 	$(GO) test -fuzz FuzzParseRatingLine -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz FuzzShardIndex -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -fuzz FuzzCollusionGraph -fuzztime $(FUZZTIME) ./internal/collusion/
+	$(GO) test -fuzz FuzzBetaApply -fuzztime $(FUZZTIME) ./internal/filter/
+	$(GO) test -fuzz FuzzStateViewEncode -fuzztime $(FUZZTIME) ./internal/core/
 
 # ci is the gate every change must pass: formatting, static checks, a
 # full build, the test suite under the race detector, the non-race

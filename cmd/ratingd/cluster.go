@@ -66,6 +66,7 @@ func runRouter(o options) error {
 	registerProcessMetrics(reg, time.Now())
 
 	rt, err := cluster.NewRouter(table, cluster.RouterConfig{
+		MemberTimeout: o.reqTimeout,
 		ServerOptions: []server.Option{
 			server.WithMaxBodyBytes(o.maxBody),
 			server.WithRequestTimeout(o.reqTimeout),

@@ -172,7 +172,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.segmentBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation size")
 	fs.DurationVar(&o.snapEvery, "snap-every", 5*time.Minute, "background snapshot+compaction cadence; 0 disables")
 
-	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request handling timeout; 0 disables")
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request handling timeout, and on a -route node each member call's; 0 disables")
 	fs.Int64Var(&o.maxBody, "max-body-bytes", 8<<20, "maximum request body size")
 
 	fs.IntVar(&o.streamBatch, "stream-batch", 512, "ratings coalesced per group-commit submit on /v1/ratings:stream")

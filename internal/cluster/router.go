@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -19,10 +20,14 @@ import (
 	"repro/internal/trust"
 )
 
-// RouterConfig customizes a Router. Member calls go through
-// http.DefaultClient without retries: a router that retries a dead
-// member for seconds cannot shed its range promptly.
+// RouterConfig customizes a Router. Member calls go through one
+// http.Client without retries: a router that retries a dead member for
+// seconds cannot shed its range promptly.
 type RouterConfig struct {
+	// MemberTimeout bounds each call to a member, from dialing to
+	// reading the body, so a member that accepts a request and never
+	// answers fails the call instead of holding it; 0 means no bound.
+	MemberTimeout time.Duration
 	// ServerOptions is appended to the router's inner Server options
 	// (telemetry, timeouts, body caps, admission).
 	ServerOptions []server.Option
@@ -50,6 +55,7 @@ type RouterConfig struct {
 // the range rather than answering zero or a partial scatter.
 type Router struct {
 	table   Table
+	hc      *http.Client     // every member call, MemberTimeout bounded
 	clients []*server.Client // one per member, epoch pinned
 	mux     *http.ServeMux
 }
@@ -59,10 +65,10 @@ func NewRouter(table Table, cfg RouterConfig) (*Router, error) {
 	if err := table.Validate(); err != nil {
 		return nil, err
 	}
-	rt := &Router{table: table}
+	rt := &Router{table: table, hc: &http.Client{Timeout: cfg.MemberTimeout}}
 	epoch := strconv.FormatUint(table.Epoch, 10)
 	for _, n := range table.Nodes {
-		rt.clients = append(rt.clients, server.NewClient(n.URL, http.DefaultClient,
+		rt.clients = append(rt.clients, server.NewClient(n.URL, rt.hc,
 			server.WithHeader(api.ClusterEpochHeader, epoch)))
 	}
 
@@ -438,7 +444,7 @@ func (rt *Router) fetchClusterDoc(n int) (api.ClusterResponse, error) {
 	if err != nil {
 		return api.ClusterResponse{}, err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := rt.hc.Do(req)
 	if err != nil {
 		return api.ClusterResponse{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -304,6 +305,57 @@ func TestRouterReadsFailNeverZero(t *testing.T) {
 	if _, err := rt.TrustIn(1); !errors.Is(err, server.ErrUnavailable) {
 		t.Fatalf("trust with every member down: %v, want ErrUnavailable", err)
 	}
+}
+
+// TestRouterMemberTimeoutBoundsHungMember: a member that accepts a
+// request and never answers costs the router MemberTimeout, not the
+// whole request. The router has no inner request timeout, so only the
+// member-call bound can end the calls.
+func TestRouterMemberTimeoutBoundsHungMember(t *testing.T) {
+	tc := newTestCluster(t, 2, 1)
+	hung := make(chan struct{})
+	var h http.Handler = http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case <-hung:
+		case <-r.Context().Done():
+		}
+	})
+	tc.members[1].handler.Store(&h)
+
+	rt, err := NewRouter(tc.table, RouterConfig{MemberTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	// Registered last so it runs first: the hung handler returns before
+	// any listener waits for it to.
+	t.Cleanup(func() { close(hung) })
+	client := &http.Client{Timeout: 2 * time.Second}
+
+	start := time.Now()
+	resp, err := client.Get(front.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatalf("GET /v1/cluster with a hung member: %v", err)
+	}
+	var doc api.ClusterResponse
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cluster: status %d, %v", resp.StatusCode, err)
+	}
+	if doc.Nodes[0].Status != "ok" || doc.Nodes[1].Status != "down" {
+		t.Fatalf("doc statuses %q/%q, want ok/down", doc.Nodes[0].Status, doc.Nodes[1].Status)
+	}
+	t.Logf("GET /v1/cluster answered in %v", time.Since(start))
+
+	start = time.Now()
+	_, err = server.NewClient(front.URL, client).Stats(context.Background())
+	var apiErr *server.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeUnavailable {
+		t.Fatalf("GET /v1/stats with a hung member: want typed 503 unavailable, got %v", err)
+	}
+	t.Logf("GET /v1/stats answered in %v", time.Since(start))
 }
 
 func fetchRouterDoc(t *testing.T, base string) api.ClusterResponse {

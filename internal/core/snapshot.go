@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"repro/internal/rating"
 	"repro/internal/trust"
@@ -68,30 +70,92 @@ func (s *System) View() StateView {
 	return v
 }
 
-// Encode serializes the view in the snapshot wire format.
+// Encode serializes the view in the snapshot wire format: exactly the
+// bytes encoding/json's Encoder writes for the snapshot envelope, with
+// ratings in view order, records in map order and a trailing newline.
+// It appends them by hand into one presized buffer and writes it once.
+// NaN and ±Inf are refused, as encoding/json refuses them.
 func (v StateView) Encode(w io.Writer) error {
-	snap := snapshot{Version: snapshotVersion}
+	b := make([]byte, 0, 64+80*(len(v.Ratings)+len(v.Records)))
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, snapshotVersion, 10)
+	b = append(b, `,"ratings":`...)
+	if len(v.Ratings) == 0 {
+		b = append(b, "null"...)
+	}
+	var err error
+	sep := byte('[')
 	for _, r := range v.Ratings {
-		snap.Ratings = append(snap.Ratings, snapshotRating{
-			Rater:  int(r.Rater),
-			Object: int(r.Object),
-			Value:  r.Value,
-			Time:   r.Time,
-		})
+		b = append(b, sep)
+		sep = ','
+		b = append(b, `{"rater":`...)
+		b = strconv.AppendInt(b, int64(r.Rater), 10)
+		b = append(b, `,"object":`...)
+		b = strconv.AppendInt(b, int64(r.Object), 10)
+		if b, err = appendFloatField(b, `,"value":`, r.Value); err != nil {
+			return err
+		}
+		if b, err = appendFloatField(b, `,"time":`, r.Time); err != nil {
+			return err
+		}
+		b = append(b, '}')
 	}
+	if len(v.Ratings) > 0 {
+		b = append(b, ']')
+	}
+	b = append(b, `,"records":`...)
+	if len(v.Records) == 0 {
+		b = append(b, "null"...)
+	}
+	sep = '['
 	for id, rec := range v.Records {
-		snap.Records = append(snap.Records, snapshotRecord{
-			Rater:      int(id),
-			S:          rec.S,
-			F:          rec.F,
-			LastUpdate: rec.LastUpdate,
-		})
+		b = append(b, sep)
+		sep = ','
+		b = append(b, `{"rater":`...)
+		b = strconv.AppendInt(b, int64(id), 10)
+		if b, err = appendFloatField(b, `,"s":`, rec.S); err != nil {
+			return err
+		}
+		if b, err = appendFloatField(b, `,"f":`, rec.F); err != nil {
+			return err
+		}
+		if b, err = appendFloatField(b, `,"lastUpdate":`, rec.LastUpdate); err != nil {
+			return err
+		}
+		b = append(b, '}')
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(snap); err != nil {
+	if len(v.Records) > 0 {
+		b = append(b, ']')
+	}
+	b = append(b, "}\n"...)
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("core: snapshot encode: %w", err)
 	}
 	return nil
+}
+
+// appendFloatField appends key and then f as encoding/json writes a
+// float64: the shortest 'f' form, or 'e' with no zero-padded exponent
+// when |f| is below 1e-6 or at least 1e21. NaN and ±Inf have no JSON
+// form and fail with encoding/json's error.
+func appendFloatField(b []byte, key string, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		err := &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		return b, fmt.Errorf("core: snapshot encode: %w", err)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(append(b, key...), f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // DecodeSnapshot parses a snapshot previously produced by Encode (or

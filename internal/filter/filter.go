@@ -12,6 +12,8 @@ package filter
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/mathx"
 	"repro/internal/rating"
@@ -57,6 +59,10 @@ func (Noop) Apply(rs []rating.Rating) (Result, error) {
 // re-estimated until a fixed point. Because each individual Beta is
 // wide, only ratings far from the majority get caught, which is exactly
 // the weakness against moderate-bias collusion the paper exploits.
+//
+// A rating's band depends only on (q, value), and ratings come on a
+// few levels, so Apply computes each distinct value's band once per
+// call and keeps bands across calls in a bounded process-wide memo.
 type Beta struct {
 	// Q is the sensitivity parameter (the paper runs 0.1). Larger is
 	// more aggressive. Must lie in (0, 0.5).
@@ -74,6 +80,12 @@ func (Beta) Name() string { return "beta" }
 
 // Apply implements Filter.
 func (f Beta) Apply(rs []rating.Rating) (Result, error) {
+	return f.apply(rs, &sharedBands)
+}
+
+// apply is Apply with its cross-call band memo passed in, so a test
+// can watch a memo of its own.
+func (f Beta) apply(rs []rating.Rating, memo *bandMemo) (Result, error) {
 	if f.Q <= 0 || f.Q >= 0.5 {
 		return Result{}, fmt.Errorf("filter: beta sensitivity q=%g outside (0,0.5)", f.Q)
 	}
@@ -94,6 +106,9 @@ func (f Beta) Apply(rs []rating.Rating) (Result, error) {
 		accepted[i] = true
 	}
 	nAccepted := len(rs)
+	// bands holds this call's band per value bits, so each distinct
+	// value reaches memo once however many refits run.
+	bands := make(map[uint64]band)
 
 	for iter := 0; iter < maxIter; iter++ {
 		if nAccepted <= minKeep {
@@ -114,15 +129,16 @@ func (f Beta) Apply(rs []rating.Rating) (Result, error) {
 			if !accepted[i] {
 				continue
 			}
-			lo, err := mathx.BetaQuantile(f.Q, 1+r.Value, 2-r.Value)
-			if err != nil {
-				return Result{}, fmt.Errorf("filter: beta lower quantile: %w", err)
+			key := math.Float64bits(r.Value)
+			b, ok := bands[key]
+			if !ok {
+				var err error
+				if b, err = memo.band(f.Q, r.Value); err != nil {
+					return Result{}, err
+				}
+				bands[key] = b
 			}
-			hi, err := mathx.BetaQuantile(1-f.Q, 1+r.Value, 2-r.Value)
-			if err != nil {
-				return Result{}, fmt.Errorf("filter: beta upper quantile: %w", err)
-			}
-			if majority < lo || majority > hi {
+			if majority < b.lo || majority > b.hi {
 				accepted[i] = false
 				nAccepted--
 				changed = true
@@ -136,6 +152,56 @@ func (f Beta) Apply(rs []rating.Rating) (Result, error) {
 		}
 	}
 	return partition(rs, accepted), nil
+}
+
+// band is the [q, 1−q] quantile band of the individual opinion
+// Beta(1+r, 2−r) that one rating value r induces.
+type band struct{ lo, hi float64 }
+
+// bandMemoCap bounds a bandMemo. Past it the memo stops inserting
+// rather than evicting, so arbitrary client floats cannot churn it.
+const bandMemoCap = 4096
+
+// sharedBands is the process-wide memo behind Beta.Apply.
+var sharedBands bandMemo
+
+// bandMemo keeps computed bands across Apply calls, keyed by the bits
+// of (q, r). A band is a pure function of (q, r), so a hit returns
+// exactly what BetaQuantile would; errors are never stored. The zero
+// value is ready to use.
+type bandMemo struct {
+	mu sync.RWMutex
+	m  map[[2]uint64]band
+}
+
+// band returns value v's band at sensitivity q, from the memo when it
+// has it.
+func (m *bandMemo) band(q, v float64) (band, error) {
+	key := [2]uint64{math.Float64bits(q), math.Float64bits(v)}
+	m.mu.RLock()
+	b, ok := m.m[key]
+	m.mu.RUnlock()
+	if ok {
+		return b, nil
+	}
+	lo, err := mathx.BetaQuantile(q, 1+v, 2-v)
+	if err != nil {
+		return band{}, fmt.Errorf("filter: beta lower quantile: %w", err)
+	}
+	hi, err := mathx.BetaQuantile(1-q, 1+v, 2-v)
+	if err != nil {
+		return band{}, fmt.Errorf("filter: beta upper quantile: %w", err)
+	}
+	b = band{lo: lo, hi: hi}
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[[2]uint64]band)
+	}
+	if len(m.m) < bandMemoCap {
+		m.m[key] = b
+	}
+	m.mu.Unlock()
+	return b, nil
 }
 
 // Quantile rejects ratings outside the empirical [q, 1−q] quantile band

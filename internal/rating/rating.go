@@ -256,6 +256,23 @@ func (s *Store) ForObject(id ObjectID) ([]Rating, error) {
 	return append([]Rating(nil), rs...), nil
 }
 
+// Window returns the ratings of one object with time in [start, end),
+// in time order: what filtering ForObject's slice by time keeps. It
+// binary-searches the object's time-sorted ratings and copies only the
+// window, which is empty when end <= start.
+func (s *Store) Window(id ObjectID, start, end float64) ([]Rating, error) {
+	rs, ok := s.byObject[id]
+	if !ok {
+		return nil, fmt.Errorf("object %d: %w", id, ErrUnknownObject)
+	}
+	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time >= start })
+	hi := sort.Search(len(rs), func(i int) bool { return !(rs[i].Time < end) })
+	if hi <= lo {
+		return nil, nil
+	}
+	return append([]Rating(nil), rs[lo:hi]...), nil
+}
+
 // Values extracts the rating values of rs in order.
 func Values(rs []Rating) []float64 {
 	return AppendValues(make([]float64, 0, len(rs)), rs)

@@ -74,6 +74,82 @@ func TestStoreUnknownObject(t *testing.T) {
 	}
 }
 
+// TestStoreWindowMatchesFilter pins Window to filtering ForObject's
+// slice by time, on seeded stores with equal-time runs, for windows
+// before, inside, straddling and after the data, empty and inverted
+// windows included.
+func TestStoreWindowMatchesFilter(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := randx.New(seed)
+		s := NewStore()
+		batch := make([]Rating, 1+rng.Intn(300))
+		for i := range batch {
+			batch[i] = Rating{
+				Rater:  RaterID(rng.Intn(50)),
+				Object: ObjectID(rng.Intn(3)),
+				Value:  rng.Float64(),
+				// Quantized times make equal-time runs.
+				Time: float64(rng.Intn(40)) / 2,
+			}
+		}
+		if err := s.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		windows := [][2]float64{
+			{-10, -1}, {-5, 3}, {0, 20}, {2.5, 7}, {3, 3}, {7, 2.5},
+			{15.5, 30}, {25, 40}, {math.Inf(-1), math.Inf(1)},
+		}
+		for k := 0; k < 20; k++ {
+			a := rng.Uniform(-2, 22)
+			windows = append(windows, [2]float64{a, a + rng.Uniform(0, 6)})
+		}
+		for _, obj := range s.Objects() {
+			all, err := s.ForObject(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range windows {
+				var want []Rating
+				for _, r := range all {
+					if r.Time >= w[0] && r.Time < w[1] {
+						want = append(want, r)
+					}
+				}
+				got, err := s.Window(obj, w[0], w[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d object %d window %v: %d ratings, want %d", seed, obj, w, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d object %d window %v: rating %d = %+v, want %+v", seed, obj, w, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestStoreWindowCopiesAndUnknown(t *testing.T) {
+	s := NewStore()
+	if err := s.AddAll([]Rating{{Object: 1, Value: 0.5, Time: 1}, {Object: 1, Value: 0.6, Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := s.Window(1, 0, 3)
+	if err != nil || len(rs) != 2 {
+		t.Fatalf("window = %v, %v", rs, err)
+	}
+	rs[0].Value = 0.9
+	if again, _ := s.Window(1, 0, 3); again[0].Value != 0.5 {
+		t.Fatal("Window exposed internal storage")
+	}
+	if _, err := s.Window(5, 0, 3); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestStoreRejectsInvalid(t *testing.T) {
 	s := NewStore()
 	if err := s.Add(Rating{Value: 2, Time: 0}); err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -35,24 +36,39 @@ type shardSnapshot struct {
 
 // WriteShardSnapshot serializes shard i's state (plus the global
 // trust records) as a shard snapshot with the given barrier sequence.
+// The envelope is written by hand around the state's bytes, in one
+// Write: the bytes json.Encoder writes for shardSnapshot, without its
+// second pass over the state, which as a json.RawMessage would be
+// validated and compacted only to drop Encode's trailing newline.
 func WriteShardSnapshot(e *Engine, i int, barrierSeq uint64, w io.Writer) error {
 	if i < 0 || i >= len(e.states) {
 		return fmt.Errorf("shard: snapshot shard %d of %d", i, len(e.states))
 	}
 	view := e.shardView(i)
-	var state bytes.Buffer
-	if err := view.Encode(&state); err != nil {
+	var buf bytes.Buffer
+	buf.WriteString(`{"version":`)
+	buf.WriteString(strconv.Itoa(shardSnapshotVersion))
+	buf.WriteString(`,"shard":`)
+	buf.WriteString(strconv.Itoa(i))
+	buf.WriteString(`,"shards":`)
+	buf.WriteString(strconv.Itoa(len(e.states)))
+	buf.WriteString(`,"barrierSeq":`)
+	buf.WriteString(strconv.FormatUint(barrierSeq, 10))
+	if end := e.LastWindowEnd(); end != 0 { // omitempty
+		f, err := json.Marshal(end)
+		if err != nil {
+			return fmt.Errorf("shard: snapshot encode: %w", err)
+		}
+		buf.WriteString(`,"windowEnd":`)
+		buf.Write(f)
+	}
+	buf.WriteString(`,"state":`)
+	if err := view.Encode(&buf); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(shardSnapshot{
-		Version:    shardSnapshotVersion,
-		Shard:      i,
-		Shards:     len(e.states),
-		BarrierSeq: barrierSeq,
-		WindowEnd:  e.LastWindowEnd(),
-		State:      state.Bytes(),
-	}); err != nil {
+	buf.Truncate(buf.Len() - 1) // the state's trailing newline
+	buf.WriteString("}\n")
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("shard: snapshot encode: %w", err)
 	}
 	return nil

@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"path/filepath"
@@ -423,4 +425,57 @@ func TestRecoverFromShardSnapshots(t *testing.T) {
 	if want := oracleFingerprint(t, months, 5); got != want {
 		t.Fatalf("snapshot-seeded recovery diverges:\n%s", firstDiff(want, got))
 	}
+}
+
+// TestShardSnapshotEnvelopeMatchesJSON pins the hand-written envelope
+// to the bytes json.Encoder writes for it, with the state embedded as
+// a json.RawMessage, before any window (windowEnd omitted) and after
+// one.
+func TestShardSnapshotEnvelopeMatchesJSON(t *testing.T) {
+	type envelope struct {
+		Version    int             `json:"version"`
+		Shard      int             `json:"shard"`
+		Shards     int             `json:"shards"`
+		BarrierSeq uint64          `json:"barrierSeq"`
+		WindowEnd  float64         `json:"windowEnd,omitempty"`
+		State      json.RawMessage `json:"state"`
+	}
+	months := shardtest.Workload{Seed: 25, Months: 1, PerMonth: 300}.Generate()
+	e, err := shard.NewEngine(core.Config{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubmitAll(months[0].Ratings); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, wantWindowEnd bool) {
+		for i := 0; i < 2; i++ {
+			var got bytes.Buffer
+			if err := shard.WriteShardSnapshot(e, i, 7, &got); err != nil {
+				t.Fatal(err)
+			}
+			var env envelope
+			if err := json.Unmarshal(got.Bytes(), &env); err != nil {
+				t.Fatalf("%s shard %d: %v", name, i, err)
+			}
+			if hasEnd := bytes.Contains(got.Bytes(), []byte(`"windowEnd"`)); hasEnd != wantWindowEnd {
+				t.Fatalf("%s shard %d: windowEnd written %v, want %v", name, i, hasEnd, wantWindowEnd)
+			}
+			// The envelope used to carry the state as Encode writes it,
+			// trailing newline included.
+			env.State = append(env.State, '\n')
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(env); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s shard %d: envelope differs from json.Encoder:\n got %.300s\nwant %.300s", name, i, got.Bytes(), want.Bytes())
+			}
+		}
+	}
+	check("before a window", false)
+	if _, err := e.ProcessWindow(months[0].Start, months[0].End); err != nil {
+		t.Fatal(err)
+	}
+	check("after a window", true)
 }

@@ -127,8 +127,9 @@ func FoldEvidence(objects []ObjectEvidence) map[rating.RaterID]trust.Observation
 
 // scanLocked runs the scan half of a window — restrict, filter,
 // detect — over every object on every shard, ascending by object ID
-// across shards: the order a single System scans in. The caller holds
-// every shard lock.
+// across shards: the order a single System scans in. Each object's
+// store copies out only the window's ratings, which ScanObject's own
+// restriction then keeps whole. The caller holds every shard lock.
 func (e *Engine) scanLocked(start, end float64) ([]core.ObjectScan, error) {
 	var objects []rating.ObjectID
 	byObject := make(map[rating.ObjectID]*shardState)
@@ -148,11 +149,11 @@ func (e *Engine) scanLocked(start, end float64) ([]core.ObjectScan, error) {
 		detector.NewWorkspace,
 		func(i int, ws *detector.Workspace) (core.ObjectScan, error) {
 			obj := objects[i]
-			all, err := byObject[obj].store.ForObject(obj)
+			window, err := byObject[obj].store.Window(obj, start, end)
 			if err != nil {
 				return core.ObjectScan{}, fmt.Errorf("shard: %w", err)
 			}
-			return e.pipe.ScanObject(ws, obj, all, start, end)
+			return e.pipe.ScanObject(ws, obj, window, start, end)
 		})
 }
 
