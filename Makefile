@@ -77,8 +77,8 @@ fuzz:
 # one-shot smoke run of the tab1 macro benchmark, serial and parallel
 # (exercises the parallel Monte-Carlo path end to end without
 # benchmark-grade runtimes), the chaos sweep, the detector×attack
-# matrix grid, and one-shot runs of the replication catch-up and
-# cluster window-exchange benchmarks.
+# matrix grid, and one-shot runs of the replication catch-up, unary
+# journal submit and cluster window-exchange benchmarks.
 ci:
 	$(MAKE) fmt
 	$(MAKE) vet
@@ -95,6 +95,7 @@ ci:
 	$(MAKE) chaos-cluster
 	$(MAKE) matrix
 	$(GO) test -run=NONE -bench=BenchmarkFollowerCatchup -benchtime=1x ./internal/repl/
+	$(GO) test -run=NONE -bench=BenchmarkJournalUnarySubmit -benchtime=1x ./internal/journal/
 	$(GO) test -run=NONE -bench=BenchmarkRouterWindowExchange -benchtime=1x ./internal/cluster/
 
 # matrix prints the detector×attack benchmark grid: every detector

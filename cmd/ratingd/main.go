@@ -164,7 +164,7 @@ func parseFlags(args []string) (options, error) {
 
 	fs.IntVar(&o.shards, "shards", 1, "shard workers partitioning state by object")
 	fs.IntVar(&o.batchSize, "batch", 256, "ratings coalesced per shard flush (group commit)")
-	fs.DurationVar(&o.batchInterval, "batch-interval", 2*time.Millisecond, "max wait before a partial batch flushes")
+	fs.DurationVar(&o.batchInterval, "batch-interval", 2*time.Millisecond, "max wait before a partial streamed batch flushes; unary submits flush at once unless the shard's last flush was full")
 
 	fs.StringVar(&o.walDir, "wal", "", "write-ahead-log directory; empty disables the WAL")
 	fs.StringVar(&fsyncMode, "fsync", "always", "WAL fsync policy: always|interval|never")

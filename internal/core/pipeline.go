@@ -59,16 +59,17 @@ type ObjectScan struct {
 // normal ones with Procedure 1. A failed detector fit degrades the
 // object to filter-only evidence instead of failing the scan. ws may
 // be nil (a workspace is allocated per call).
+//
+// The scan's Window is a subslice of `all`, not a copy, so `all` must
+// be the caller's own copy (Store.ForObject and Store.Window return
+// one) and must not change while the scan is in use.
 func (p *Pipeline) ScanObject(ws *detector.Workspace, obj rating.ObjectID, all []rating.Rating, start, end float64) (ObjectScan, error) {
-	var window []rating.Rating
-	for _, r := range all {
-		if r.Time >= start && r.Time < end {
-			window = append(window, r)
-		}
-	}
-	if len(window) == 0 {
+	lo := sort.Search(len(all), func(i int) bool { return all[i].Time >= start })
+	hi := sort.Search(len(all), func(i int) bool { return !(all[i].Time < end) })
+	if hi <= lo {
 		return ObjectScan{}, nil
 	}
+	window := all[lo:hi:hi]
 
 	filterSpan := p.cfg.Metrics.Stage(StageFilter)
 	res, err := p.cfg.Filter.Apply(window)

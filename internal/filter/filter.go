@@ -350,8 +350,22 @@ func (f Endorsement) Apply(rs []rating.Rating) (Result, error) {
 	return partition(rs, accepted), nil
 }
 
+// partition splits rs by accepted, sizing each side once. An empty
+// side stays nil, as reports carry these slices.
 func partition(rs []rating.Rating, accepted []bool) Result {
+	n := 0
+	for i := range rs {
+		if accepted[i] {
+			n++
+		}
+	}
 	var out Result
+	if n > 0 {
+		out.Accepted = make([]rating.Rating, 0, n)
+	}
+	if n < len(rs) {
+		out.Rejected = make([]rating.Rating, 0, len(rs)-n)
+	}
 	for i, r := range rs {
 		if accepted[i] {
 			out.Accepted = append(out.Accepted, r)

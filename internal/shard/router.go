@@ -31,9 +31,12 @@ type RouterConfig struct {
 	// many ratings. Zero means 256.
 	BatchSize int
 	// Interval flushes non-empty pending batches on this cadence, so a
-	// trickle of submissions is never stranded waiting for a full
-	// batch. Zero means 2ms; negative disables the ticker (flushes
-	// happen only on size, Flush or Close).
+	// trickle of SubmitAsync batches is never stranded waiting for a
+	// full batch. While it is positive, a blocking Submit also flushes
+	// the shards it touched on their workers' next drain, unless a
+	// shard's previous flush was full. Zero means 2ms; negative
+	// disables the ticker and the early flush (flushes happen only on
+	// size, Flush or Close).
 	Interval time.Duration
 	// Flush applies one shard's batch.
 	Flush FlushFunc
@@ -58,6 +61,16 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // commit). Submit blocks until every shard batch holding the caller's
 // ratings has been flushed, so acknowledgement still means applied —
 // and, when Flush appends to a WAL, durable.
+//
+// A blocking Submit does not wait for the interval: it asks each shard
+// it touched to flush on the worker's next drain, taking whatever else
+// the ring holds along; the worker yields once before that drain, so
+// submitters already runnable join the flush. A shard whose previous
+// flush was full is under load, so it ignores the request and keeps
+// coalescing until the batch fills or the interval elapses.
+// SubmitAsync, the streaming path, never asks: its callers pipeline,
+// so the interval's wait costs them nothing and bigger batches save
+// fsyncs.
 //
 // There is no lock anywhere on the submit path: producers claim ring
 // slots with one CAS per rating, wake workers through a buffered
@@ -121,9 +134,15 @@ type shardWorker struct {
 	// flushc carries Flush requests; the worker drains, flushes and
 	// replies with that flush's error.
 	flushc chan chan error
+	// asked is set by a blocking Submit once its ratings are in the
+	// ring, just before it rings the bell: flush on the next drain.
+	asked atomic.Bool
 
 	batch []rating.Rating
 	subs  []*submission
+	// lastFull records whether the previous flush held BatchSize
+	// ratings or more, which makes the worker ignore asked.
+	lastFull bool
 }
 
 // NewRouter builds and starts the router's per-shard workers.
@@ -177,8 +196,21 @@ func (r *Router) runWorker(w *shardWorker) {
 	for {
 		select {
 		case <-w.bell:
+			// Read asked before draining: a submitter sets it after its
+			// ratings are in the ring, so a request seen here covers
+			// ratings this drain collects, and one set after this read
+			// comes with another bell.
+			early := w.asked.Swap(false) && tick != nil && !w.lastFull
+			if early {
+				// Yield once before draining, so goroutines that are
+				// already runnable, typically the submitters the last
+				// flush released, publish their next ratings into this
+				// flush instead of each paying for one of their own.
+				// With nothing else runnable it returns at once.
+				runtime.Gosched()
+			}
 			w.drain()
-			if len(w.batch) >= r.cfg.BatchSize {
+			if early || len(w.batch) >= r.cfg.BatchSize {
 				r.flushWorker(w)
 			}
 		case <-tick:
@@ -233,6 +265,7 @@ func (r *Router) flushWorker(w *shardWorker) error {
 		return nil
 	}
 	err := r.cfg.Flush(w.shard, w.batch)
+	w.lastFull = len(w.batch) >= r.cfg.BatchSize
 	if err != nil {
 		r.cfg.Metrics.flushFailed(w.shard)
 	} else {
@@ -262,16 +295,17 @@ func (r *Router) flushWorker(w *shardWorker) error {
 }
 
 // Submit routes the batch and blocks until every shard batch holding
-// one of its ratings has flushed. Ratings are validated upfront so a
-// malformed rating rejects only this submission, never a coalesced
-// batch containing other callers' ratings. The first flush error is
-// returned; the submission's ratings must then be treated as not
-// applied on the failed shard.
+// one of its ratings has flushed; each shard it touched flushes on its
+// worker's next drain unless that shard's previous flush was full.
+// Ratings are validated upfront so a malformed rating rejects only
+// this submission, never a coalesced batch containing other callers'
+// ratings. The first flush error is returned; the submission's ratings
+// must then be treated as not applied on the failed shard.
 func (r *Router) Submit(rs []rating.Rating) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	sub, err := r.submit(rs)
+	sub, err := r.submit(rs, true)
 	if err != nil {
 		return err
 	}
@@ -281,7 +315,8 @@ func (r *Router) Submit(rs []rating.Rating) error {
 // SubmitAsync routes the batch like Submit but returns immediately
 // after enqueueing, handing back a wait function that blocks until
 // every shard batch holding one of the caller's ratings has flushed
-// and returns the first flush error. The caller's slice is not
+// and returns the first flush error. Its ratings wait for a full batch
+// or the interval, never flushing early. The caller's slice is not
 // retained — its values are copied into the shard rings before
 // SubmitAsync returns — so the caller may reuse it at once, pipelining
 // the decode of the next batch against this batch's group commit.
@@ -290,7 +325,7 @@ func (r *Router) SubmitAsync(rs []rating.Rating) (func() error, error) {
 	if len(rs) == 0 {
 		return func() error { return nil }, nil
 	}
-	sub, err := r.submit(rs)
+	sub, err := r.submit(rs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -303,11 +338,12 @@ func (r *Router) SubmitOne(rt rating.Rating) error {
 }
 
 // submit validates rs, publishes every rating into its shard's ring
-// under a pooled submission, and rings each touched shard's doorbell.
-// The active counter brackets the ring writes so Close can wait for
-// in-flight submissions before stopping the workers: once submit
-// returns nil error, the submission's acknowledgement is guaranteed.
-func (r *Router) submit(rs []rating.Rating) (*submission, error) {
+// under a pooled submission, and rings each touched shard's doorbell,
+// first asking it to flush early when ask is set. The active counter
+// brackets the ring writes so Close can wait for in-flight submissions
+// before stopping the workers: once submit returns nil error, the
+// submission's acknowledgement is guaranteed.
+func (r *Router) submit(rs []rating.Rating, ask bool) (*submission, error) {
 	for i, rt := range rs {
 		if err := rt.Validate(); err != nil {
 			return nil, fmt.Errorf("shard: rating %d: %w", i, err)
@@ -328,7 +364,7 @@ func (r *Router) submit(rs []rating.Rating) (*submission, error) {
 		for _, rt := range rs {
 			r.push(w, rt, sub)
 		}
-		ringBell(w)
+		wake(w, ask)
 	case n <= 64:
 		// Defer doorbells to one per touched shard: a non-blocking
 		// channel send per rating would dominate the per-rating cost.
@@ -341,13 +377,13 @@ func (r *Router) submit(rs []rating.Rating) (*submission, error) {
 		for touched != 0 {
 			s := bits.TrailingZeros64(touched)
 			touched &^= 1 << uint(s)
-			ringBell(r.workers[s])
+			wake(r.workers[s], ask)
 		}
 	default:
 		for _, rt := range rs {
 			w := r.workers[ShardFor(rt.Object, n)]
 			r.push(w, rt, sub)
-			ringBell(w)
+			wake(w, ask)
 		}
 	}
 	r.active.Add(-1)
@@ -363,6 +399,15 @@ func (r *Router) push(w *shardWorker, rt rating.Rating, sub *submission) {
 		ringBell(w)
 		<-w.space
 	}
+}
+
+// wake rings w's doorbell, first asking for a flush on the drain it
+// triggers when ask is set.
+func wake(w *shardWorker, ask bool) {
+	if ask {
+		w.asked.Store(true)
+	}
+	ringBell(w)
 }
 
 func ringBell(w *shardWorker) {

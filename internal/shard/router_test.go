@@ -197,12 +197,164 @@ func TestRouterFlushesOnInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.SubmitOne(mk(1, 0)); err != nil {
+	// SubmitAsync never asks for an early flush, so only the interval
+	// can release the wait.
+	wait, err := r.SubmitAsync([]rating.Rating{mk(1, 0)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Submit returned, so the interval flush already ran.
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
 	if got := ratings.Load(); got != 1 {
 		t.Fatalf("flushed %d ratings, want 1", got)
+	}
+}
+
+// countingRouter is a router whose Flush counts flushes and ratings,
+// with the given batch size and interval.
+func countingRouter(t *testing.T, batch int, interval time.Duration) (r *shard.Router, flushes, ratings *atomic.Int64) {
+	t.Helper()
+	flushes, ratings = new(atomic.Int64), new(atomic.Int64)
+	r, err := shard.NewRouter(shard.RouterConfig{
+		Shards:    2,
+		BatchSize: batch,
+		Interval:  interval,
+		Flush: func(s int, rs []rating.Rating) error {
+			flushes.Add(1)
+			ratings.Add(int64(len(rs)))
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r, flushes, ratings
+}
+
+// submitOne runs a blocking SubmitOne on its own goroutine; the
+// channel delivers its error.
+func submitOne(r *shard.Router, rt rating.Rating) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- r.SubmitOne(rt) }()
+	return done
+}
+
+// returnsWithin reports whether done delivers within d, failing the
+// test on a submit error.
+func returnsWithin(t *testing.T, done <-chan error, d time.Duration) bool {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// A blocking submit flushes its shard on the worker's next drain: it
+// neither fills the batch nor waits for the hour-long interval.
+func TestRouterSubmitFlushesEarly(t *testing.T) {
+	r, flushes, _ := countingRouter(t, 1<<20, time.Hour)
+	if !returnsWithin(t, submitOne(r, mk(1, 0)), 5*time.Second) {
+		t.Fatal("blocking submit still pending after 5s: it waited for the interval")
+	}
+	if got := flushes.Load(); got != 1 {
+		t.Fatalf("%d flushes, want 1", got)
+	}
+}
+
+// SubmitAsync, the streaming path, keeps the size and interval rule:
+// a lone rating stays pending until something else flushes it.
+func TestRouterSubmitAsyncWaitsForInterval(t *testing.T) {
+	r, flushes, _ := countingRouter(t, 1<<20, time.Hour)
+	wait, err := r.SubmitAsync([]rating.Rating{mk(1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := flushes.Load(); got != 0 {
+		t.Fatalf("async rating flushed early: %d flushes", got)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := flushes.Load(); got != 1 {
+		t.Fatalf("%d flushes, want 1", got)
+	}
+}
+
+// A shard whose previous flush was full is under load, so a blocking
+// submit there waits for the batch to fill; once a partial flush shows
+// the load has gone, blocking submits flush early again.
+func TestRouterFullFlushDefersEarlyFlush(t *testing.T) {
+	const batch = 4
+	r, flushes, ratings := countingRouter(t, batch, time.Hour)
+	// All ratings go to object 1, so to one shard.
+	async := func(from, n int) func() error {
+		t.Helper()
+		rs := make([]rating.Rating, n)
+		for i := range rs {
+			rs[i] = mk(1, from+i)
+		}
+		wait, err := r.SubmitAsync(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wait
+	}
+
+	// 1. A full flush.
+	if err := async(0, batch)(); err != nil {
+		t.Fatal(err)
+	}
+	if got := flushes.Load(); got != 1 {
+		t.Fatalf("after the full batch: %d flushes, want 1", got)
+	}
+
+	// 2. The blocking submit that follows is not flushed early.
+	done := submitOne(r, mk(1, batch))
+	if returnsWithin(t, done, 50*time.Millisecond) {
+		t.Fatal("blocking submit flushed early although the last flush was full")
+	}
+	if got := flushes.Load(); got != 1 {
+		t.Fatalf("after the blocking submit: %d flushes, want 1", got)
+	}
+
+	// 3. Three async ratings fill the batch, flushing all four and
+	// releasing the submitter.
+	wait := async(batch+1, batch-1)
+	if !returnsWithin(t, done, 5*time.Second) {
+		t.Fatal("blocking submit still pending after its batch filled")
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := flushes.Load(), ratings.Load(); got != 2 || n != 2*batch {
+		t.Fatalf("after the batch filled: %d flushes of %d ratings, want 2 of %d", got, n, 2*batch)
+	}
+
+	// 4. A partial Flush clears the load, so the next blocking submit
+	// returns at once.
+	wait = async(2*batch, 1)
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !returnsWithin(t, submitOne(r, mk(1, 2*batch+1)), 5*time.Second) {
+		t.Fatal("blocking submit still pending after a partial flush")
+	}
+	if got := flushes.Load(); got != 4 {
+		t.Fatalf("after the partial flush: %d flushes, want 4", got)
 	}
 }
 
@@ -281,6 +433,10 @@ func TestRouterCloseDrains(t *testing.T) {
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond) // let submitters block on the flush
+	// Without an interval a blocking submit does not flush early either.
+	if got := ratings.Load(); got != 0 {
+		t.Fatalf("flushed %d ratings before Close", got)
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,8 @@ func FoldEvidence(objects []ObjectEvidence) map[rating.RaterID]trust.Observation
 // detect — over every object on every shard, ascending by object ID
 // across shards: the order a single System scans in. Each object's
 // store copies out only the window's ratings, which ScanObject's own
-// restriction then keeps whole. The caller holds every shard lock.
+// restriction then keeps whole, without a second copy. The caller
+// holds every shard lock.
 func (e *Engine) scanLocked(start, end float64) ([]core.ObjectScan, error) {
 	var objects []rating.ObjectID
 	byObject := make(map[rating.ObjectID]*shardState)
