@@ -44,7 +44,10 @@ func newMember(o options) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.member, err = cluster.NewMember(table, o.clusterSelf, d.engine); err == nil {
+	// The journal is the member's snapshotter, so an apply broadcast is
+	// durable before it is acked (member WALs never hold window
+	// records).
+	if d.member, err = cluster.NewMember(table, o.clusterSelf, d.engine, d.journal); err == nil {
 		err = d.servePrimary()
 	}
 	if err != nil {

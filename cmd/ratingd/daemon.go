@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -32,8 +33,11 @@ type daemon struct {
 	shardM  *shard.Metrics
 	replM   *repl.Metrics
 	engine  *shard.Engine
-	srv     *server.Server
+
+	// handler serves each request through the handler served holds, so
+	// promotion switches roles with one store.
 	handler http.Handler
+	served  atomic.Pointer[http.Handler]
 
 	journal *journal.Journal // primaries and members; a follower's comes with promotion
 	member  *cluster.Member  // members only
@@ -48,6 +52,9 @@ type daemon struct {
 // process and fan-out metrics, and the instrumented engine.
 func newDaemon(o options) (*daemon, error) {
 	d := &daemon{o: o, started: time.Now(), reg: telemetry.NewRegistry(), bg: make(chan struct{})}
+	d.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*d.served.Load()).ServeHTTP(w, r)
+	})
 	registerProcessMetrics(d.reg, d.started)
 	cfg := o.coreConfig()
 	cfg.Metrics = core.NewMetrics(d.reg)
@@ -110,43 +117,45 @@ func (d *daemon) replRoutes(j *journal.Journal) func(*http.ServeMux) {
 	return repl.NewPrimary(repl.PrimaryConfig{Journal: j, Metrics: d.replM}).Routes
 }
 
-// servePrimary builds the API over the journal-fronted engine, makes
-// the recovered state the log baseline, and starts streaming detection
-// and the background loops. A member adds its ownership checks and
-// scan/apply routes. GET /v1 reports what this node serves.
-func (d *daemon) servePrimary() error {
-	var (
-		opts = []server.Option{
-			server.WithJournal(d.journal),
-			server.WithFeatures(primaryFeatures(d.journal, d.o.streamDetect, d.member != nil)),
+// servePrimary serves the journal-fronted engine as a primary, the
+// one way a node becomes one, natively or by promotion. The state the
+// journal holds becomes the logs' baseline, streaming detection starts
+// under -stream-detect, the API server is built complete, replication
+// is mounted whenever the WAL is on, and the background loops start. A
+// member adds its ownership checks and scan/apply routes; extra mounts
+// more daemon routes. GET /v1 reports what this node serves.
+func (d *daemon) servePrimary(extra ...func(*http.ServeMux)) error {
+	j := d.journal
+	opts := []server.Option{
+		server.WithJournal(j),
+		server.WithFeatures(primaryFeatures(j, d.o.streamDetect, d.member != nil)),
+	}
+	mounts := extra
+	if j.Logs() != nil {
+		// The baseline: a crash before the first background snapshot
+		// replays little.
+		if err := j.Snapshot(); err != nil {
+			return fmt.Errorf("initial wal snapshot: %w", err)
 		}
-		mounts []func(*http.ServeMux)
-	)
+		mounts = append(mounts, d.replRoutes(j))
+	}
+	if d.o.streamDetect {
+		alerts, err := d.enableStreaming()
+		if err != nil {
+			return err
+		}
+		opts = append(opts, server.WithAlerts(alerts))
+	}
 	if m := d.member; m != nil {
-		// The journal is the member's snapshotter, so an apply
-		// broadcast is durable before it is acked (member WALs never
-		// hold window records).
-		m.SetSnapshotter(d.journal)
 		opts = append(opts, server.WithCluster(m))
 		mounts = append(mounts, m.Routes)
 	}
-	if err := d.newServer(opts...); err != nil {
+	srv, err := d.newServer(opts...)
+	if err != nil {
 		return err
 	}
-	if d.journal.Logs() != nil {
-		mounts = append(mounts, d.replRoutes(d.journal))
-		// The recovered state becomes the logs' baseline, so a crash
-		// before the first background snapshot replays little.
-		if err := d.journal.Snapshot(); err != nil {
-			return fmt.Errorf("initial wal snapshot: %w", err)
-		}
-	}
-	if d.o.streamDetect {
-		if err := d.enableStreaming(); err != nil {
-			return err
-		}
-	}
-	d.handler = telemetryMux(d.srv, d.reg, d.o.pprof, mounts...)
+	h := telemetryMux(srv, d.reg, d.o.pprof, mounts...)
+	d.served.Store(&h)
 	d.startBackground()
 	return nil
 }
@@ -165,7 +174,7 @@ func primaryFeatures(j *journal.Journal, streamDetect, member bool) api.Discover
 
 // newServer builds the API server over the engine with the flag-set
 // options plus extra, and exposes its trust state on the registry.
-func (d *daemon) newServer(extra ...server.Option) error {
+func (d *daemon) newServer(extra ...server.Option) (*server.Server, error) {
 	opts := []server.Option{
 		server.WithMaxBodyBytes(d.o.maxBody),
 		server.WithRequestTimeout(d.o.reqTimeout),
@@ -177,11 +186,10 @@ func (d *daemon) newServer(extra ...server.Option) error {
 	}
 	srv, err := server.NewWith(d.engine, append(opts, extra...)...)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d.srv = srv
 	registerTrustMetrics(d.reg, d.engine)
-	return nil
+	return srv, nil
 }
 
 // enableStreaming switches online detection on after recovery, so the
@@ -189,8 +197,9 @@ func (d *daemon) newServer(extra ...server.Option) error {
 // recovered window high-water mark — keeps the catch-up pass from
 // re-charging windows that are already durable. Windows the rating
 // clock closes go through the journal, durable exactly like
-// client-issued /v1/process calls.
-func (d *daemon) enableStreaming() error {
+// client-issued /v1/process calls. It returns the alert feed the
+// server serves.
+func (d *daemon) enableStreaming() (server.AlertSource, error) {
 	o := d.o
 	cfg := shard.StreamConfig{
 		Detector: detector.Config{
@@ -212,29 +221,26 @@ func (d *daemon) enableStreaming() error {
 	}
 	s, err := d.engine.EnableStreaming(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	d.stream = s
-	d.srv.SetAlerts(alertFeed{log: s.Alerts()})
 	fmt.Printf("streaming detection enabled (window %d/%d ratings, alert threshold %g, maintain every %g days, resume after %g)\n",
 		o.streamWindow, o.streamStep, o.alertThreshold, o.maintainEvery, cfg.ResumeAfter)
-	return nil
+	return alertFeed{log: s.Alerts()}, nil
 }
 
-// startBackground starts the loops the flags ask for: interval fsync,
-// periodic snapshot+compaction and the telemetry summary. Closing d.bg
-// stops them.
+// startBackground starts the journal loops the flags ask for: interval
+// fsync and periodic snapshot+compaction. Closing d.bg stops them.
 func (d *daemon) startBackground() {
-	if j := d.journal; j != nil && j.Logs() != nil {
-		if d.o.fsync == wal.SyncInterval && d.o.fsyncInterval > 0 {
-			d.every(d.o.fsyncInterval, "background fsync", j.Sync)
-		}
-		if d.o.snapEvery > 0 {
-			d.every(d.o.snapEvery, "background snapshot", j.Snapshot)
-		}
+	j := d.journal
+	if j.Logs() == nil {
+		return
 	}
-	if d.o.telemetryInterval > 0 {
-		d.goBackground(func() { summaryLoop(d.bg, d.o.telemetryInterval, d.reg, d.engine, d.started) })
+	if d.o.fsync == wal.SyncInterval && d.o.fsyncInterval > 0 {
+		d.every(d.o.fsyncInterval, "background fsync", j.Sync)
+	}
+	if d.o.snapEvery > 0 {
+		d.every(d.o.snapEvery, "background snapshot", j.Snapshot)
 	}
 }
 
@@ -268,30 +274,35 @@ func (d *daemon) goBackground(f func()) {
 }
 
 // close is the graceful shutdown once the listener has drained: stop
-// the background loops and streaming, then drain the router into the
-// logs and engine, rebase the logs on the final state and close them.
+// the background loops, streaming and replication, then drain the
+// router into the logs and engine, rebase the logs on the final state
+// and close them.
 func (d *daemon) close() error {
 	d.stopBackground()
-	var errs []error
-	if d.node != nil {
-		errs = append(errs, d.node.close())
+	if j := d.stopRole(); j != nil {
+		return j.Close()
 	}
-	if d.journal != nil {
-		errs = append(errs, d.journal.Close())
-	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // abort releases what a constructor opened without the final snapshot:
 // the cleanup for a failed start, and the state a crash leaves behind.
 func (d *daemon) abort() {
 	d.stopBackground()
-	if d.node != nil {
-		d.node.follower.Stop()
+	if j := d.stopRole(); j != nil {
+		j.Abort()
 	}
-	if d.journal != nil {
-		d.journal.Abort()
+}
+
+// stopRole stops a follower's replication, after any promotion in
+// flight, and returns the journal to release, whichever role built it.
+func (d *daemon) stopRole() *journal.Journal {
+	if n := d.node; n != nil {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.follower.Stop()
 	}
+	return d.journal
 }
 
 func (d *daemon) stopBackground() {

@@ -80,6 +80,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if o.telemetryInterval > 0 {
+		d.goBackground(func() { summaryLoop(d.bg, o.telemetryInterval, d.reg, d.engine, d.started) })
+	}
 	banner := "ratingd listening on " + o.addr
 	if d.member != nil {
 		t := d.member.Table()

@@ -1,15 +1,16 @@
 package main
 
 // Replication role wiring. A -follow daemon starts as a
-// bounded-staleness read replica of its primary and can flip — once,
-// in place, without restarting — into a primary: on demand (POST
-// /v1/repl/promote, or the `ratingd -promote <url>` one-shot) or
-// automatically when the primary has been silent past -promote-after.
-// Promotion truncates to the follower's last complete barrier (the
-// follower drops pending barriers rather than half-applying them) and
-// commits that state as a fresh WAL epoch through the same manifest
-// machinery shard-count migrations use, so the new primary can
-// immediately serve bootstraps and streams to surviving followers.
+// bounded-staleness read replica of its primary and can become a
+// primary once, without restarting: on demand (POST /v1/repl/promote,
+// or the `ratingd -promote <url>` one-shot) or automatically when the
+// primary has been silent past -promote-after. Promotion truncates to
+// the follower's last complete barrier (the follower drops pending
+// barriers rather than half-applying them), commits that state as a
+// fresh WAL epoch through the same manifest machinery shard-count
+// migrations use, and then serves it as any primary is served
+// (daemon.servePrimary): the new primary serves bootstraps and streams
+// to surviving followers, and snapshots and fsyncs on its flags.
 
 import (
 	"context"
@@ -49,10 +50,6 @@ func newFollower(o options) (*daemon, error) {
 				o.walDir, m.Epoch, m.Shards, o.follow)
 		}
 	}
-	if err := d.newServer(); err != nil {
-		d.abort()
-		return nil, err
-	}
 	seed := o.replSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -66,33 +63,35 @@ func newFollower(o options) (*daemon, error) {
 		Warnf:      warnf,
 	})}
 	d.node = n
-	d.srv.SetReplica(n.replicaInfo())
-	d.handler = telemetryMux(d.srv, d.reg, o.pprof, n.routes)
+	srv, err := d.newServer(server.WithReplica(n.replicaInfo()))
+	if err != nil {
+		d.abort()
+		return nil, err
+	}
+	h := telemetryMux(srv, d.reg, o.pprof, n.routes)
+	d.served.Store(&h)
 	// Run returns once close (or promotion) stops the follower.
 	go func() { _ = n.follower.Run(context.Background()) }()
 	if o.promoteAfter > 0 {
 		d.goBackground(func() { n.deathWatch(d.bg, o.promoteAfter) })
 	}
-	d.startBackground()
 	fmt.Printf("following %s (max lag: %d records / %s)\n", o.follow, o.maxLagRecords, o.maxLag)
 	return d, nil
 }
 
 // replNode owns a follower daemon's replication role and its /v1/repl
-// routes. Promotion builds the journal with the primary's
-// configuration (daemon.journalConfig, daemon.replRoutes).
+// routes. Promotion ends the role: the daemon then serves as a
+// primary.
 type replNode struct {
 	d        *daemon
 	follower *repl.Follower
 
-	mu      sync.Mutex
-	journal *journal.Journal // non-nil once promoted
-	primMux *http.ServeMux   // promoted primary's repl routes; nil without a WAL
+	// mu serializes promotion with itself and with shutdown; on a
+	// follower daemon it guards d.journal.
+	mu sync.Mutex
 }
 
-// replicaInfo is the server's per-request staleness sample while the
-// node serves as a replica; promotion clears the marker so this stops
-// being consulted.
+// replicaInfo is the replica server's per-request staleness sample.
 func (n *replNode) replicaInfo() func() server.ReplicaInfo {
 	return func() server.ReplicaInfo {
 		records, seconds, ok := n.follower.Lag()
@@ -108,47 +107,27 @@ func (n *replNode) replicaInfo() func() server.ReplicaInfo {
 }
 
 // routes mounts the follower-role replication endpoints on the daemon
-// mux. Stream and snapshot answer not_primary until promotion, then
-// delegate to the promoted primary's handlers.
+// mux: the follower's status, not_primary for stream and snapshot, and
+// promotion.
 func (n *replNode) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/repl/status", n.handleStatus)
 	mux.HandleFunc("GET /v1/repl/stream", n.handleReplicated)
 	mux.HandleFunc("GET /v1/repl/snapshot", n.handleReplicated)
+	n.promoteRoute(mux)
+}
+
+// promoteRoute mounts POST /v1/repl/promote. The promoted primary
+// keeps it, so a repeated promotion answers with the primary's status.
+func (n *replNode) promoteRoute(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/repl/promote", n.handlePromote)
 }
 
 func (n *replNode) handleStatus(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	promoted, primMux := n.journal != nil, n.primMux
-	n.mu.Unlock()
-	if !promoted {
-		writeJSON(w, http.StatusOK, n.follower.Status())
-		return
-	}
-	if primMux != nil {
-		primMux.ServeHTTP(w, r)
-		return
-	}
-	n.mu.Lock()
-	st := n.statusLocked()
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, r, http.StatusOK, n.follower.Status())
 }
 
 func (n *replNode) handleReplicated(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	promoted, primMux := n.journal != nil, n.primMux
-	n.mu.Unlock()
-	if primMux != nil {
-		primMux.ServeHTTP(w, r)
-		return
-	}
-	if promoted {
-		writeJSON(w, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
-			"promoted without -wal; this primary cannot serve replication"))
-		return
-	}
-	writeJSON(w, http.StatusMisdirectedRequest, api.NewError(api.CodeNotPrimary,
+	api.WriteJSON(w, r, http.StatusMisdirectedRequest, api.NewError(api.CodeNotPrimary,
 		"this node is a follower; replicate from the primary").
 		WithPrimary(n.d.o.follow))
 }
@@ -156,58 +135,52 @@ func (n *replNode) handleReplicated(w http.ResponseWriter, r *http.Request) {
 func (n *replNode) handlePromote(w http.ResponseWriter, r *http.Request) {
 	st, err := n.promote("requested via POST /v1/repl/promote")
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable,
+		api.WriteJSON(w, r, http.StatusServiceUnavailable,
 			api.NewError(api.CodeUnavailable, "%s", err.Error()))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// statusLocked reports the promoted role; before promotion the
-// follower's own Status is authoritative.
-func (n *replNode) statusLocked() api.ReplStatusResponse {
-	st := repl.Status(n.journal)
-	st.Shards = n.d.engine.Shards() // without -wal there are no logs to count
-	return st
+	api.WriteJSON(w, r, http.StatusOK, st)
 }
 
 func (n *replNode) isPromoted() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.journal != nil
+	return n.d.journal != nil
 }
 
-// promote flips the node into a primary. Idempotent: a second call
-// (operator race, death watch firing behind a manual promote) returns
-// the promoted status without re-running the flip.
+// promote makes the node a primary: replication stops at the last
+// complete barrier, that state is committed as a fresh WAL epoch, and
+// servePrimary serves it as it serves a native primary, switched in
+// with one store. Idempotent: a second call (operator race, death
+// watch firing behind a manual promote) returns the promoted status
+// without promoting again.
 func (n *replNode) promote(why string) (api.ReplStatusResponse, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.journal != nil {
-		return n.statusLocked(), nil
+	d := n.d
+	if d.journal == nil {
+		warnf("repl: promoting to primary: %s", why)
+		// Stop replication; the engine is left at the last complete
+		// barrier plus fully-applied batches, never a half-applied
+		// window.
+		seq := n.follower.Promote()
+		j, err := journal.Promote(d.engine, d.journalConfig(), n.follower.Epoch()+1, seq)
+		if err != nil {
+			return api.ReplStatusResponse{}, err
+		}
+		d.journal = j
+		if err := d.servePrimary(n.promoteRoute); err != nil {
+			// The follower's handler still serves, refusing writes; a
+			// retry promotes into the next epoch.
+			d.journal = nil
+			j.Abort()
+			return api.ReplStatusResponse{}, err
+		}
+		warnf("repl: promoted to primary (epoch %d, next barrier %d)", j.Epoch(), seq)
 	}
-	warnf("repl: promoting to primary: %s", why)
-
-	// Stop replication; the engine is left at the last complete
-	// barrier plus fully-applied batches, never a half-applied window.
-	seq := n.follower.Promote()
-	j, err := journal.Promote(n.d.engine, n.d.journalConfig(), n.follower.Epoch()+1, seq)
-	if err != nil {
-		return api.ReplStatusResponse{}, err
-	}
-	if j.Logs() != nil {
-		n.primMux = http.NewServeMux()
-		n.d.replRoutes(j)(n.primMux)
-	}
-	// Flip the serving layer: install the journal first so the very
-	// next request admitted past the cleared gate writes through it.
-	n.d.srv.SetJournal(j)
-	n.d.srv.SetReplica(nil)
-	// Followers run no stream detection and join no cluster.
-	n.d.srv.SetFeatures(primaryFeatures(j, false, false))
-	n.journal = j
-	warnf("repl: promoted to primary (epoch %d, next barrier %d)", j.Epoch(), seq)
-	return n.statusLocked(), nil
+	st := repl.Status(d.journal)
+	st.Shards = d.engine.Shards() // without -wal there are no logs to count
+	return st, nil
 }
 
 // deathWatch promotes the node once the primary has been silent past
@@ -241,18 +214,6 @@ func (n *replNode) deathWatch(done <-chan struct{}, after time.Duration) {
 	}
 }
 
-// close stops replication and, on a promoted node, shuts the promoted
-// journal down gracefully.
-func (n *replNode) close() error {
-	n.follower.Stop()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.journal == nil {
-		return nil
-	}
-	return n.journal.Close()
-}
-
 // promoteRemote is the `ratingd -promote <url>` one-shot: ask the
 // daemon at base to promote, print the resulting role, exit.
 func promoteRemote(base string) error {
@@ -279,10 +240,4 @@ func promoteRemote(base string) error {
 	fmt.Printf("promoted: role=%s epoch=%d shards=%d barrier=%d\n",
 		st.Role, st.Epoch, st.Shards, st.BarrierSeq)
 	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -23,25 +22,37 @@ import (
 // and served on an httptest listener.
 type replDaemon struct {
 	ts     *httptest.Server
-	d      *daemon
+	d      *daemon // nil once the test has shut it down itself
 	walDir string
 }
 
-// startReplDaemon builds a durable daemon over a fresh WAL directory,
-// serves it, and shuts it down gracefully when the test ends.
-func startReplDaemon(t *testing.T, ctor func(options) (*daemon, error), shards int, extra ...string) *replDaemon {
+// serveDaemon builds a daemon, serves it, and shuts it down gracefully
+// when the test ends unless the test set d to nil after closing or
+// aborting it.
+func serveDaemon(t *testing.T, ctor func(options) (*daemon, error), args ...string) *replDaemon {
 	t.Helper()
-	walDir := t.TempDir()
-	d := build(t, ctor, append([]string{"-wal", walDir, "-shards", strconv.Itoa(shards),
-		"-fsync", "never", "-batch", "64", "-batch-interval", "1ms"}, extra...)...)
+	r := &replDaemon{d: build(t, ctor, args...)}
 	t.Cleanup(func() {
-		if err := d.close(); err != nil {
+		if r.d == nil {
+			return
+		}
+		if err := r.d.close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	})
-	ts := httptest.NewServer(d.handler)
-	t.Cleanup(ts.Close)
-	return &replDaemon{ts: ts, d: d, walDir: walDir}
+	r.ts = httptest.NewServer(r.d.handler)
+	t.Cleanup(r.ts.Close)
+	return r
+}
+
+// startReplDaemon serves a durable daemon over a fresh WAL directory.
+func startReplDaemon(t *testing.T, ctor func(options) (*daemon, error), shards int, extra ...string) *replDaemon {
+	t.Helper()
+	walDir := t.TempDir()
+	r := serveDaemon(t, ctor, append([]string{"-wal", walDir, "-shards", strconv.Itoa(shards),
+		"-fsync", "never", "-batch", "64", "-batch-interval", "1ms"}, extra...)...)
+	r.walDir = walDir
+	return r
 }
 
 func startPrimaryDaemon(t *testing.T, shards int) *replDaemon {
@@ -120,25 +131,9 @@ func waitDaemon(t *testing.T, d time.Duration, what string, cond func() bool) {
 // client — commits a fresh WAL epoch and starts accepting writes.
 // GET /v1 reports replication exactly while the node serves it.
 func TestDaemonFollowerServesAndPromotes(t *testing.T) {
-	p := startPrimaryDaemon(t, 2)
-
-	var batch []string
-	for i := 0; i < 20; i++ {
-		batch = append(batch, fmt.Sprintf(`{"rater":%d,"object":%d,"value":%g,"time":%g}`,
-			i%5+1, i%3+1, 0.2+float64(i%4)*0.2, float64(i)))
-	}
-	if res, data := postJSON(t, p.ts.URL+"/v1/ratings", "["+strings.Join(batch, ",")+"]"); res.StatusCode != http.StatusOK {
-		t.Fatalf("primary submit: %d %s", res.StatusCode, data)
-	}
-	if res, data := postJSON(t, p.ts.URL+"/v1/process", `{"start":0,"end":30}`); res.StatusCode != http.StatusOK {
-		t.Fatalf("primary process: %d %s", res.StatusCode, data)
-	}
-
+	p := seedPrimary(t)
 	f := startFollowerDaemon(t, p.ts.URL, 2)
-	waitDaemon(t, 10*time.Second, "follower convergence", func() bool {
-		st := replStatus(t, f.ts.URL)
-		return st.Role == api.RoleFollower && st.BarrierSeq == 1 && st.LagRecords == 0
-	})
+	awaitCaughtUp(t, f)
 
 	// Reads: byte-identical to the primary, stamped with the lag header.
 	for _, path := range []string{"/v1/stats", "/v1/objects/1/aggregate", "/v1/raters/1/trust"} {

@@ -2,8 +2,8 @@ package main
 
 // Streaming-detection wiring: -stream-detect switches the engine's
 // online detection path on and exposes its alert log on /v1/alerts.
-// The daemon adapts shard.Streaming's alert log to the server's
-// AlertSource (the server package never imports shard), and — when
+// The daemon adapts shard.Streaming's alert log, in shard types, to
+// the server's AlertSource, in wire types, and — when
 // -maintain-every is set — lets the rating clock drive authoritative
 // maintenance windows through the journal so they are durable exactly
 // like client-issued /v1/process calls.

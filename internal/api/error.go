@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 )
@@ -163,4 +164,22 @@ func CodeForStatus(status int) string {
 	default:
 		return CodeInternal
 	}
+}
+
+// WriteJSON is the v1 surface's one JSON responder: it writes v with
+// status, stamps X-Api-Version, and echoes the request's X-Request-Id
+// into an *Error envelope. Routes mounted outside the server's
+// middleware (the cluster exchange, replication) use it too, so they
+// answer exactly like the API. r may be nil where no request is in
+// hand.
+func WriteJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+	if e, ok := v.(*Error); ok && r != nil {
+		if rid := r.Header.Get(RequestIDHeader); rid != "" {
+			e.RequestID = rid
+		}
+	}
+	w.Header().Set(VersionHeader, Version)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }

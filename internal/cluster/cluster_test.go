@@ -142,7 +142,7 @@ func newTestClusterTable(t testing.TB, nodes, shards int, mkTable func(urls []st
 			t.Fatal(err)
 		}
 		n.eng = eng
-		member, err := NewMember(tc.table, n.url, eng)
+		member, err := NewMember(tc.table, n.url, eng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,10 @@ type Member struct {
 	snap Snapshotter
 }
 
-// NewMember builds the member for selfURL under table.
-func NewMember(table Table, selfURL string, eng *shard.Engine) (*Member, error) {
+// NewMember builds the member for selfURL under table, making each
+// apply durable through snap before it is acked; a member without
+// durable state passes nil.
+func NewMember(table Table, selfURL string, eng *shard.Engine, snap Snapshotter) (*Member, error) {
 	if err := table.Validate(); err != nil {
 		return nil, err
 	}
@@ -51,12 +53,8 @@ func NewMember(table Table, selfURL string, eng *shard.Engine) (*Member, error) 
 	if eng == nil {
 		return nil, fmt.Errorf("cluster: nil engine")
 	}
-	return &Member{table: table, self: self, eng: eng}, nil
+	return &Member{table: table, self: self, eng: eng, snap: snap}, nil
 }
-
-// SetSnapshotter installs the durability hook run before an apply is
-// acked.
-func (m *Member) SetSnapshotter(s Snapshotter) { m.snap = s }
 
 // Table returns the member's routing table.
 func (m *Member) Table() Table { return m.table }
@@ -94,22 +92,6 @@ func (m *Member) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/cluster/apply", m.handleApply)
 }
 
-// writeJSON mirrors the server's responder; these routes mount outside
-// the server's middleware stack, so they stamp the version themselves.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set(api.VersionHeader, api.Version)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, r *http.Request, status int, e *api.Error) {
-	if rid := r.Header.Get(api.RequestIDHeader); rid != "" {
-		e.RequestID = rid
-	}
-	writeJSON(w, status, e)
-}
-
 func (m *Member) handleScan(w http.ResponseWriter, r *http.Request) {
 	if !server.CheckEpoch(w, r, m.table.Epoch) {
 		return
@@ -118,18 +100,18 @@ func (m *Member) handleScan(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
+		api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
 			"decode scan request: %v", err))
 		return
 	}
 	if req.End <= req.Start {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
+		api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
 			"scan window [%g,%g)", req.Start, req.End))
 		return
 	}
 	evidence, err := m.eng.ScanWindow(req.Start, req.End)
 	if err != nil {
-		writeErr(w, r, http.StatusConflict, api.NewError(api.CodeConflict, "%v", err))
+		api.WriteJSON(w, r, http.StatusConflict, api.NewError(api.CodeConflict, "%v", err))
 		return
 	}
 	resp := api.ClusterScanResponse{Objects: make([]api.ObjectEvidence, len(evidence))}
@@ -151,7 +133,7 @@ func (m *Member) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Objects[i] = oe
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -162,12 +144,12 @@ func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
+		api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
 			"decode apply request: %v", err))
 		return
 	}
 	if req.End <= req.Start {
-		writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
+		api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
 			"apply window [%g,%g)", req.Start, req.End))
 		return
 	}
@@ -184,7 +166,7 @@ func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err := m.eng.ApplyObservations(obs, req.End); err != nil {
-			writeErr(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest, "%v", err))
+			api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest, "%v", err))
 			return
 		}
 	}
@@ -196,12 +178,12 @@ func (m *Member) handleApply(w http.ResponseWriter, r *http.Request) {
 		// objects only), so the snapshot is what carries the applied
 		// trust across a crash.
 		if err := m.snap.Snapshot(); err != nil {
-			writeErr(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
+			api.WriteJSON(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
 				"apply snapshot: %v", err))
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, api.ClusterApplyResponse{
+	api.WriteJSON(w, r, http.StatusOK, api.ClusterApplyResponse{
 		Raters:    len(req.Observations),
 		WindowEnd: m.eng.LastWindowEnd(),
 	})

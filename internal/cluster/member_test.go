@@ -48,7 +48,12 @@ func TestClusterApplyAckIsDurable(t *testing.T) {
 	tc := newTestCluster(t, 1, 2)
 	m := tc.members[0]
 	snap := &failOnceSnapshotter{eng: m.eng}
-	m.member.SetSnapshotter(snap)
+	member, err := NewMember(tc.table, m.url, m.eng, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.member = member
+	m.up()
 
 	apply := func() int {
 		t.Helper()

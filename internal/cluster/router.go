@@ -416,7 +416,7 @@ var (
 // each member is probed for its own cluster doc, contributing its
 // window high-water mark; an unreachable member is reported down, not
 // omitted.
-func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
+func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	doc := rt.table.Doc(-1)
 	for i := range rt.table.Nodes {
 		nodeDoc, err := rt.fetchClusterDoc(i)
@@ -431,7 +431,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	api.WriteJSON(w, r, http.StatusOK, doc)
 }
 
 // fetchClusterDoc probes one member's GET /v1/cluster. The probe is

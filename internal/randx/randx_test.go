@@ -346,3 +346,12 @@ func TestDeriveStreamIndependence(t *testing.T) {
 		t.Fatalf("cross-stream correlation %.4f, want ~0", corr)
 	}
 }
+
+// When 3×Min overflows, the first draw still spans [Min, Max] instead
+// of collapsing onto Min.
+func TestBackoffOverflowUsesMax(t *testing.T) {
+	b := Backoff{Min: 1 << 62, Max: math.MaxInt64}
+	if d := b.Next(New(1)); d <= b.Min {
+		t.Fatalf("first draw %d, want above Min %d", d, b.Min)
+	}
+}

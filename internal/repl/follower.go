@@ -155,7 +155,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	})
 	defer stop()
 
-	backoff := newBackoff(randx.Derive(f.cfg.Seed, 1<<16), f.cfg.ReconnectMin, f.cfg.ReconnectMax)
+	backoff, rng := f.reconnect(1 << 16)
 	for {
 		if f.isStopped() || ctx.Err() != nil {
 			return nil
@@ -165,12 +165,12 @@ func (f *Follower) Run(ctx context.Context) error {
 				return nil
 			}
 			f.cfg.Warnf("repl: bootstrap from %s: %v", f.cfg.PrimaryURL, err)
-			if !sleepCtx(ctx, backoff.next()) {
+			if randx.SleepCtx(ctx, backoff.Next(rng)) != nil {
 				return nil
 			}
 			continue
 		}
-		backoff.reset()
+		backoff.Reset()
 
 		// Each bootstrap round gets its own context so a reset request
 		// (or Stop) wakes tailers blocked in a long-poll read.
@@ -318,7 +318,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // tail streams one shard log, reconnecting with decorrelated-jitter
 // backoff, until stop/reset/context-end.
 func (f *Follower) tail(ctx context.Context, shardIdx int) {
-	backoff := newBackoff(randx.Derive(f.cfg.Seed, shardIdx), f.cfg.ReconnectMin, f.cfg.ReconnectMax)
+	backoff, rng := f.reconnect(shardIdx)
 	first := true
 	for {
 		f.mu.Lock()
@@ -349,13 +349,13 @@ func (f *Follower) tail(ctx context.Context, shardIdx int) {
 			f.mu.Unlock()
 			f.cfg.Metrics.Resyncs.Inc()
 		case err != nil:
-			if !sleepCtx(ctx, backoff.next()) {
+			if randx.SleepCtx(ctx, backoff.Next(rng)) != nil {
 				return
 			}
 			continue
 		}
 		// Clean long-poll end (or resync): reconnect promptly.
-		backoff.reset()
+		backoff.Reset()
 	}
 }
 
@@ -650,45 +650,9 @@ func (f *Follower) Promote() (nextBarrierSeq uint64) {
 	return f.appliedBarrier + 1
 }
 
-// sleepCtx sleeps d or until ctx ends; it reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
-	}
+// reconnect returns the reconnect schedule of one stream (a shard, or
+// 1<<16 for bootstrap) and the Rand it draws from, seeded per stream
+// so that shards, and followers with distinct seeds, diverge.
+func (f *Follower) reconnect(stream int) (randx.Backoff, *randx.Rand) {
+	return randx.Backoff{Min: f.cfg.ReconnectMin, Max: f.cfg.ReconnectMax}, randx.DeriveRand(f.cfg.Seed, stream)
 }
-
-// backoff is AWS-style decorrelated jitter: each delay is uniform in
-// [min, 3*prev], capped. Two followers with different seeds draw
-// divergent schedules, so a restarted primary isn't hit by a
-// synchronized stampede.
-type backoff struct {
-	rng      *randx.Rand
-	min, max time.Duration
-	prev     time.Duration
-}
-
-func newBackoff(seed int64, min, max time.Duration) *backoff {
-	return &backoff{rng: randx.New(seed), min: min, max: max}
-}
-
-func (b *backoff) next() time.Duration {
-	if b.prev < b.min {
-		b.prev = b.min
-	}
-	hi := 3 * b.prev
-	if hi > b.max {
-		hi = b.max
-	}
-	d := b.min
-	if hi > b.min {
-		d = time.Duration(b.rng.Uniform(float64(b.min), float64(hi)))
-	}
-	b.prev = d
-	return d
-}
-
-func (b *backoff) reset() { b.prev = 0 }

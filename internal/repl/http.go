@@ -9,16 +9,6 @@ import (
 	"repro/internal/wal"
 )
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, api.NewError(code, "%s", msg))
-}
-
 func isSegmentGone(err error) bool { return errors.Is(err, wal.ErrSegmentGone) }
 
 // frameWriter writes NDJSON frames and flushes each one, so a

@@ -8,13 +8,12 @@
 // checksummed snapshot, then tails each shard log and applies records
 // through the same shard.Recover/apply path local recovery uses — so
 // its in-memory state is byte-identical to the primary's at every
-// barrier. Promotion truncates to the last complete barrier and flips
-// the follower into a primary through the existing epoch/manifest
-// machinery (internal/journal.Promote; cmd/ratingd wires it).
+// barrier. Promotion truncates to the last complete barrier and
+// commits that state as a new WAL epoch (internal/journal.Promote);
+// cmd/ratingd then serves it as it serves any primary.
 package repl
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -94,7 +93,7 @@ func (p *Primary) Routes(mux *http.ServeMux) {
 
 // handleStatus serves the primary's Status.
 func (p *Primary) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Status(p.cfg.Journal))
+	api.WriteJSON(w, r, http.StatusOK, Status(p.cfg.Journal))
 }
 
 // Status is a primary's replication status over j: its epoch, barrier
@@ -123,8 +122,8 @@ func Status(j Journal) api.ReplStatusResponse {
 // by this process and is counted by AppendedRecords.
 func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err := p.cfg.Journal.Snapshot(); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable,
-			fmt.Sprintf("snapshot for bootstrap: %v", err))
+		api.WriteJSON(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
+			"snapshot for bootstrap: %v", err))
 		return
 	}
 	logs := p.cfg.Journal.Logs()
@@ -137,8 +136,8 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	for i, l := range logs {
 		data, cur, ft, err := l.LatestSnapshot()
 		if err != nil {
-			writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable,
-				fmt.Sprintf("shard %d snapshot: %v", i, err))
+			api.WriteJSON(w, r, http.StatusServiceUnavailable, api.NewError(api.CodeUnavailable,
+				"shard %d snapshot: %v", i, err))
 			return
 		}
 		resp.Snapshots = append(resp.Snapshots, api.ReplShardSnapshot{
@@ -146,7 +145,7 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	p.cfg.Metrics.SnapshotsSent.Inc()
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 // handleStream long-polls one shard log from a cursor, writing NDJSON
@@ -157,27 +156,28 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 	logs := p.cfg.Journal.Logs()
 	shard, err := strconv.Atoi(q.Get("shard"))
 	if err != nil || shard < 0 || shard >= len(logs) {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Sprintf("shard %q out of range [0,%d)", q.Get("shard"), len(logs)))
+		api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
+			"shard %q out of range [0,%d)", q.Get("shard"), len(logs)))
 		return
 	}
 	epoch, err := strconv.Atoi(q.Get("epoch"))
 	if err != nil || epoch != p.cfg.Journal.Epoch() {
-		writeErr(w, http.StatusConflict, api.CodeConflict,
-			fmt.Sprintf("epoch %q != primary epoch %d; re-bootstrap", q.Get("epoch"), p.cfg.Journal.Epoch()))
+		api.WriteJSON(w, r, http.StatusConflict, api.NewError(api.CodeConflict,
+			"epoch %q != primary epoch %d; re-bootstrap", q.Get("epoch"), p.cfg.Journal.Epoch()))
 		return
 	}
 	seg, serr := strconv.Atoi(q.Get("seg"))
 	off, oerr := strconv.ParseInt(q.Get("off"), 10, 64)
 	if serr != nil || oerr != nil || seg < 0 || off < 0 {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Sprintf("bad cursor seg=%q off=%q", q.Get("seg"), q.Get("off")))
+		api.WriteJSON(w, r, http.StatusBadRequest, api.NewError(api.CodeBadRequest,
+			"bad cursor seg=%q off=%q", q.Get("seg"), q.Get("off")))
 		return
 	}
 	p.cfg.Metrics.Streams.Inc()
 
 	log := logs[shard]
 	cur := wal.Cursor{Seg: seg, Off: off}
+	w.Header().Set(api.VersionHeader, api.Version)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -165,7 +165,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 			// header never promises an earlier retry than the envelope.
 			w.Header().Set("Retry-After",
 				strconv.Itoa(int(math.Ceil(retry.Seconds()))))
-			writeEnvelope(w, r, http.StatusTooManyRequests,
+			api.WriteJSON(w, r, http.StatusTooManyRequests,
 				api.NewError(api.CodeOverloaded,
 					"overloaded: mutation shed (%s)", result).
 					WithRetryAfter(retry.Seconds()))

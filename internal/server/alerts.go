@@ -33,10 +33,8 @@ const alertsPath = "/v1/alerts"
 // requested waits are clamped, and clients simply re-poll.
 const maxAlertWait = 30 * time.Second
 
-// AlertSource is the detection-alert feed a Server fronts. It is
-// declared here — rather than importing the shard package — so the
-// server stays backend-agnostic; cmd/ratingd adapts
-// shard.Streaming's alert log to it.
+// AlertSource is the detection-alert feed a Server fronts, in wire
+// types; cmd/ratingd adapts shard.Streaming's alert log to it.
 type AlertSource interface {
 	// Alerts returns the alerts with Seq > since and the log's tail
 	// sequence.
@@ -52,23 +50,8 @@ func WithAlerts(src AlertSource) Option {
 	return func(s *Server) { s.alerts = src }
 }
 
-// SetAlerts installs or clears (nil) the alert feed at runtime; the
-// daemon calls it after enabling streaming detection on a recovered
-// engine, and promotion can call it once a follower starts detecting.
-func (s *Server) SetAlerts(src AlertSource) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.alerts = src
-}
-
-func (s *Server) getAlerts() AlertSource {
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	return s.alerts
-}
-
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	src := s.getAlerts()
+	src := s.alerts
 	if src == nil {
 		writeError(w, r, http.StatusNotFound,
 			errors.New("streaming detection is not enabled on this node"))
@@ -107,5 +90,5 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if alerts == nil {
 		alerts = []api.Alert{}
 	}
-	writeJSON(w, http.StatusOK, api.AlertsResponse{Alerts: alerts, Next: next})
+	api.WriteJSON(w, r, http.StatusOK, api.AlertsResponse{Alerts: alerts, Next: next})
 }

@@ -66,6 +66,7 @@ func WithRetry(p RetryPolicy) ClientOption {
 	return func(c *Client) {
 		c.retry = p.withDefaults()
 		c.rng = randx.New(randx.Derive(p.Seed, int(clientInstance.Add(1))))
+		c.delays = randx.Backoff{Min: c.retry.BaseDelay, Max: c.retry.MaxDelay}
 	}
 }
 
@@ -83,9 +84,9 @@ type Client struct {
 	retry  RetryPolicy
 	header http.Header // extra headers on every request (epoch pinning)
 
-	mu        sync.Mutex
-	rng       *randx.Rand   // jitter + request IDs; nil when retries are off
-	prevDelay time.Duration // decorrelated-jitter state (guarded by mu)
+	mu     sync.Mutex
+	rng    *randx.Rand   // jitter + request IDs; nil when retries are off
+	delays randx.Backoff // the retry schedule, drawn from rng
 }
 
 // WithHeader attaches a header to every request the client sends; a
@@ -121,40 +122,16 @@ func (c *Client) nextRequestID() string {
 	return fmt.Sprintf("%016x%016x", uint64(c.rng.Int63()), uint64(c.rng.Int63()))
 }
 
-// backoff returns the pre-attempt delay: decorrelated jitter, each
-// delay uniform in [BaseDelay, 3×previous] capped at MaxDelay. Unlike
-// truncated exponential backoff, consecutive draws share no fixed
-// grid, so clients that failed together spread out instead of
-// re-colliding on the 2^n marks. retryN == 1 resets the schedule for
-// a fresh logical call.
+// backoff returns the pre-attempt delay: decorrelated jitter between
+// BaseDelay and MaxDelay (randx.Backoff). retryN == 1 resets the
+// schedule for a fresh logical call.
 func (c *Client) backoff(retryN int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev := c.prevDelay
-	if retryN == 1 || prev < c.retry.BaseDelay {
-		prev = c.retry.BaseDelay
+	if retryN == 1 {
+		c.delays.Reset()
 	}
-	hi := 3 * prev
-	if hi > c.retry.MaxDelay || hi <= 0 {
-		hi = c.retry.MaxDelay
-	}
-	d := c.retry.BaseDelay
-	if hi > d {
-		d = time.Duration(c.rng.Uniform(float64(d), float64(hi)))
-	}
-	c.prevDelay = d
-	return d
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return c.delays.Next(c.rng)
 }
 
 // APIError is a non-2xx response from the service, carrying the typed
@@ -438,7 +415,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 				delay = hint
 			}
 			hint = 0
-			if err := sleepCtx(ctx, delay); err != nil {
+			if err := randx.SleepCtx(ctx, delay); err != nil {
 				return fmt.Errorf("server: %w (last error: %v)", err, lastErr)
 			}
 		}

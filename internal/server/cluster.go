@@ -50,20 +50,6 @@ func WithFeatures(f api.DiscoveryFeatures) Option {
 	return func(s *Server) { s.features = f }
 }
 
-// SetFeatures replaces the discovery feature flags at runtime
-// (promotion changes them).
-func (s *Server) SetFeatures(f api.DiscoveryFeatures) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.features = f
-}
-
-func (s *Server) getFeatures() api.DiscoveryFeatures {
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	return s.features
-}
-
 // stampVersion marks every response with the contract major version,
 // so clients can detect a surface change before decoding. It sits at
 // the outermost layer: headers set here survive http.TimeoutHandler's
@@ -79,9 +65,9 @@ func stampVersion(next http.Handler) http.Handler {
 // table is at epoch have, and reports whether the request may proceed.
 // A pin on another epoch is refused with a typed 409 (stale_epoch), so
 // a router holding a stale table never silently misroutes; a malformed
-// pin gets a 400; an unpinned request passes. The refusal stamps
-// X-Api-Version itself, because the cluster-internal routes that call
-// it mount outside the server's middleware.
+// pin gets a 400; an unpinned request passes. The cluster-internal
+// routes that call it mount outside the server's middleware, so the
+// refusal must stamp X-Api-Version itself, as api.WriteJSON does.
 func CheckEpoch(w http.ResponseWriter, r *http.Request, have uint64) bool {
 	pinned := r.Header.Get(api.ClusterEpochHeader)
 	if pinned == "" {
@@ -102,8 +88,7 @@ func CheckEpoch(w http.ResponseWriter, r *http.Request, have uint64) bool {
 	default:
 		return true
 	}
-	w.Header().Set(api.VersionHeader, api.Version)
-	writeEnvelope(w, r, status, e)
+	api.WriteJSON(w, r, status, e)
 	return false
 }
 
@@ -127,7 +112,7 @@ func (s *Server) checkOwnership(w http.ResponseWriter, r *http.Request, obj rati
 	if s.cluster == nil || s.cluster.OwnsObject(obj) {
 		return true
 	}
-	writeEnvelope(w, r, http.StatusMisdirectedRequest,
+	api.WriteJSON(w, r, http.StatusMisdirectedRequest,
 		api.NewError(api.CodeWrongNode,
 			"object %d is owned by another node", obj).
 			WithOwner(s.cluster.OwnerURL(obj)))
@@ -142,7 +127,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("this node is not a cluster member"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cluster.Doc())
+	api.WriteJSON(w, r, http.StatusOK, s.cluster.Doc())
 }
 
 // v1Routes is the discovery document's route list — the full v1
@@ -165,8 +150,8 @@ var v1Routes = []string{
 
 // handleDiscovery serves GET /v1: the contract version, the route
 // list, this node's request limits, and its feature flags.
-func (s *Server) handleDiscovery(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, api.DiscoveryResponse{
+func (s *Server) handleDiscovery(w http.ResponseWriter, r *http.Request) {
+	api.WriteJSON(w, r, http.StatusOK, api.DiscoveryResponse{
 		Version: api.Version,
 		Routes:  v1Routes,
 		Limits: api.DiscoveryLimits{
@@ -174,6 +159,6 @@ func (s *Server) handleDiscovery(w http.ResponseWriter, _ *http.Request) {
 			MaxStreamLineBytes:    maxStreamLineBytes,
 			RequestTimeoutSeconds: s.reqTimeout.Seconds(),
 		},
-		Features: s.getFeatures(),
+		Features: s.features,
 	})
 }

@@ -542,10 +542,16 @@ func TestWireContractAlerts(t *testing.T) {
 
 	// Replicas refuse the read as misdirected even though it is a GET:
 	// detection state lives on the primary.
-	srv.SetReplica(func() ReplicaInfo {
-		return ReplicaInfo{Primary: "http://primary.example:8080", Ready: true}
-	})
-	res, err = ts.Client().Get(ts.URL + "/v1/alerts")
+	replica, err := New(core.Config{Detector: detector.Config{Threshold: 0.05}}, WithAlerts(src),
+		WithReplica(func() ReplicaInfo {
+			return ReplicaInfo{Primary: "http://primary.example:8080", Ready: true}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsReplica := httptest.NewServer(replica)
+	t.Cleanup(tsReplica.Close)
+	res, err = tsReplica.Client().Get(tsReplica.URL + "/v1/alerts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,8 +602,14 @@ func TestWireContractReplica(t *testing.T) {
 	// Within bounds, reads serve normally and still advertise their lag.
 	fresh := stale
 	fresh.LagRecords, fresh.LagSeconds = 0, 0.042
-	srv.SetReplica(func() ReplicaInfo { return fresh })
-	res, err = ts.Client().Get(ts.URL + "/v1/stats")
+	freshSrv, err := New(core.Config{Detector: detector.Config{Threshold: 0.05}},
+		WithReplica(func() ReplicaInfo { return fresh }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsFresh := httptest.NewServer(freshSrv)
+	t.Cleanup(tsFresh.Close)
+	res, err = tsFresh.Client().Get(tsFresh.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,8 @@ package server
 // X-Replica-Lag header and are refused with a typed 503
 // (replica_stale) once the replica falls past its staleness bound;
 // mutations are refused with a typed 421 (not_primary) envelope that
-// names the primary. At promotion the daemon clears the replica marker
-// and installs a journal, and the same Server starts serving as a
-// primary without restarting.
+// names the primary. A Server is a replica for its whole lifetime: at
+// promotion the daemon builds a primary's Server and switches to it.
 
 import (
 	"fmt"
@@ -38,57 +37,29 @@ type ReplicaInfo struct {
 }
 
 // WithReplica marks the server as a read replica; info is sampled per
-// request (the follower's live lag). Passing it as a function — rather
-// than importing the repl package — keeps server free of a dependency
-// cycle and lets the daemon clear the marker at promotion.
+// request (the follower's live lag). Passing it as a function keeps
+// the server free of the repl package.
 func WithReplica(info func() ReplicaInfo) Option {
 	return func(s *Server) { s.replica = info }
 }
 
-// SetReplica installs or clears (nil) the replica marker at runtime.
-// Promotion calls SetReplica(nil) so the node starts accepting writes.
-func (s *Server) SetReplica(info func() ReplicaInfo) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.replica = info
-}
-
-// SetJournal installs or replaces the journal, which must not be nil,
-// at runtime. Promotion uses it to hand the server the promoted WAL
-// journal.
-func (s *Server) SetJournal(j Journal) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.journal = j
-}
-
-func (s *Server) getJournal() Journal {
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	return s.journal
-}
-
-func (s *Server) getReplica() func() ReplicaInfo {
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	return s.replica
-}
-
-// replicaGate enforces the replica serving contract around next. With
-// no replica marker installed it is a passthrough.
+// replicaGate enforces the replica serving contract around next. A
+// server that is no replica serves next as it is.
 func (s *Server) replicaGate(next http.Handler) http.Handler {
+	if s.replica == nil {
+		return next
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		info := s.getReplica()
-		if info == nil || r.URL.Path == "/healthz" {
+		if r.URL.Path == "/healthz" {
 			next.ServeHTTP(w, r)
 			return
 		}
-		rep := info()
+		rep := s.replica()
 		// Alerts reflect the primary's live detection state — a replica
 		// has no streaming engine — so the read is misdirected, not
 		// merely stale.
 		if r.Method != http.MethodGet || r.URL.Path == alertsPath {
-			writeEnvelope(w, r, http.StatusMisdirectedRequest,
+			api.WriteJSON(w, r, http.StatusMisdirectedRequest,
 				api.NewError(api.CodeNotPrimary,
 					"this node is a read replica; send writes to the primary").
 					WithPrimary(rep.Primary))
@@ -97,7 +68,7 @@ func (s *Server) replicaGate(next http.Handler) http.Handler {
 		w.Header().Set(ReplicaLagHeader,
 			fmt.Sprintf("records=%d seconds=%.3f", rep.LagRecords, rep.LagSeconds))
 		if !rep.Ready {
-			writeEnvelope(w, r, http.StatusServiceUnavailable,
+			api.WriteJSON(w, r, http.StatusServiceUnavailable,
 				api.NewError(api.CodeReplicaStale,
 					"replica is bootstrapping and not yet serving reads").
 					WithRetryAfter(1))
@@ -105,7 +76,7 @@ func (s *Server) replicaGate(next http.Handler) http.Handler {
 		}
 		if (rep.MaxLagRecords > 0 && rep.LagRecords > rep.MaxLagRecords) ||
 			(rep.MaxLagSeconds > 0 && rep.LagSeconds > rep.MaxLagSeconds) {
-			writeEnvelope(w, r, http.StatusServiceUnavailable,
+			api.WriteJSON(w, r, http.StatusServiceUnavailable,
 				api.NewError(api.CodeReplicaStale,
 					"replica lag %d records / %.3fs exceeds bound %d records / %gs",
 					rep.LagRecords, rep.LagSeconds, rep.MaxLagRecords, rep.MaxLagSeconds).

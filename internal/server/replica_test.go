@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/detector"
-	"repro/internal/rating"
 )
 
 func decodeBody(res *http.Response, out any) error {
@@ -20,7 +18,7 @@ func decodeBody(res *http.Response, out any) error {
 	return json.NewDecoder(res.Body).Decode(out)
 }
 
-func replicaPair(t *testing.T) (primary, replica *httptest.Server, replicaSrv *Server, info *ReplicaInfo) {
+func replicaPair(t *testing.T) (primary, replica *httptest.Server, info *ReplicaInfo) {
 	t.Helper()
 	cfg := core.Config{Detector: detector.Config{Threshold: 0.05}}
 	p, err := New(cfg)
@@ -40,13 +38,13 @@ func replicaPair(t *testing.T) (primary, replica *httptest.Server, replicaSrv *S
 	tsR := httptest.NewServer(r)
 	t.Cleanup(tsP.Close)
 	t.Cleanup(tsR.Close)
-	return tsP, tsR, r, ri
+	return tsP, tsR, ri
 }
 
 // A fresh replica serves read bodies byte-identical to the primary's,
 // with the lag header as the only addition.
 func TestReplicaFreshReadsByteIdentical(t *testing.T) {
-	tsP, tsR, _, _ := replicaPair(t)
+	tsP, tsR, _ := replicaPair(t)
 	// Every typed read endpoint; /v1/snapshot is excluded because its
 	// record order is map-iteration order even on a single node.
 	for _, path := range []string{
@@ -89,7 +87,7 @@ func TestReplicaFreshReadsByteIdentical(t *testing.T) {
 // are always a typed 421 naming the primary; /healthz stays exempt so
 // orchestrators can still probe liveness.
 func TestReplicaGateRefusals(t *testing.T) {
-	_, tsR, _, ri := replicaPair(t)
+	_, tsR, ri := replicaPair(t)
 
 	ri.LagRecords = 101 // one past MaxLagRecords
 	res, err := tsR.Client().Get(tsR.URL + "/v1/stats")
@@ -144,60 +142,5 @@ func TestReplicaGateRefusals(t *testing.T) {
 	}
 	if res.StatusCode != http.StatusServiceUnavailable || env.Code != api.CodeReplicaStale {
 		t.Fatalf("unbootstrapped read: status %d code %q", res.StatusCode, env.Code)
-	}
-}
-
-// promotedJournal records that mutations flow through the journal
-// installed at promotion.
-type promotedJournal struct {
-	sys     Backend
-	submits int
-}
-
-func (j *promotedJournal) SubmitAll(rs []rating.Rating) error {
-	j.submits++
-	return j.sys.SubmitAll(rs)
-}
-func (j *promotedJournal) ProcessWindow(start, end float64) (core.ProcessReport, error) {
-	return j.sys.ProcessWindow(start, end)
-}
-func (j *promotedJournal) Restore(io.Reader) error { return errors.New("not supported") }
-
-// SetReplica(nil) + SetJournal flip a serving replica into a primary
-// in place: the very next request writes through the new journal.
-func TestReplicaPromotionFlip(t *testing.T) {
-	_, tsR, srvR, _ := replicaPair(t)
-
-	body := `[{"rater":900,"object":1,"value":0.5,"time":60}]`
-	res, err := tsR.Client().Post(tsR.URL+"/v1/ratings", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("pre-promotion write: %d", res.StatusCode)
-	}
-
-	j := &promotedJournal{sys: srvR.System()}
-	srvR.SetReplica(nil)
-	srvR.SetJournal(j)
-
-	res, err = tsR.Client().Post(tsR.URL+"/v1/ratings", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub api.SubmitResponse
-	if err := decodeBody(res, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if res.StatusCode != http.StatusOK || sub.Accepted != 1 {
-		t.Fatalf("post-promotion write: status %d accepted %d", res.StatusCode, sub.Accepted)
-	}
-	if j.submits != 1 {
-		t.Fatalf("promoted journal saw %d submits, want 1", j.submits)
-	}
-	if res.Header.Get(ReplicaLagHeader) != "" {
-		t.Fatal("promoted node still advertises replica lag")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/detector"
+	"repro/internal/randx"
 	"repro/internal/rating"
 )
 
@@ -201,6 +202,23 @@ func TestRetryDivergenceUnderFixedSeed(t *testing.T) {
 			t.Fatalf("draw %d: backoff %v > 3x previous %v", n, d, prev)
 		}
 		prev = d
+	}
+}
+
+// The client's retry delays at a fixed seed. Each is uniform in
+// [BaseDelay, 3×previous] capped at MaxDelay, and retry 1 restarts the
+// schedule for a fresh logical call.
+func TestClientBackoffFirstDelays(t *testing.T) {
+	c := NewClient("http://unused", nil, WithRetry(RetryPolicy{
+		MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 30 * time.Millisecond}))
+	c.rng = randx.New(42)
+	for i, tc := range []struct {
+		retryN int
+		want   time.Duration
+	}{{1, 17460567}, {2, 11320009}, {3, 22081877}, {4, 14176374}, {5, 10876369}, {1, 17663865}} {
+		if got := c.backoff(tc.retryN); got != tc.want {
+			t.Errorf("draw %d (retry %d): %d, want %d", i, tc.retryN, got, tc.want)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -105,22 +104,19 @@ var ErrUnavailable = errors.New("backend unavailable")
 // line and per read instead — see stream.go).
 const streamPath = "/v1/ratings:stream"
 
-// Server is the HTTP facade over one rating system.
+// Server is the HTTP facade over one rating system. Everything it
+// serves with is fixed at construction; a daemon that changes role
+// builds a new Server.
 type Server struct {
 	sys     Backend
 	mux     *http.ServeMux
 	handler http.Handler
 
-	// journal, replica, alerts and features can be swapped at runtime
-	// (promotion flips a follower into a primary on a live server); jmu
-	// guards all four.
-	jmu      sync.RWMutex
-	journal  Journal
-	replica  func() ReplicaInfo
-	alerts   AlertSource
-	features api.DiscoveryFeatures
-
-	cluster    ClusterView // fixed at construction (WithCluster)
+	journal    Journal
+	replica    func() ReplicaInfo
+	alerts     AlertSource
+	features   api.DiscoveryFeatures
+	cluster    ClusterView
 	dedupe     *dedupeCache
 	admission  *admission
 	maxBody    int64
@@ -301,8 +297,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("PUT /v1/snapshot", s.observe("/v1/snapshot", s.admit(s.handleSnapshotPut)))
 	s.mux.HandleFunc("GET /v1", s.observe("/v1", s.handleDiscovery))
 	s.mux.HandleFunc("GET /v1/cluster", s.observe("/v1/cluster", s.handleCluster))
-	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, api.HealthResponse{Status: "ok"})
+	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteJSON(w, r, http.StatusOK, api.HealthResponse{Status: "ok"})
 	}))
 }
 
@@ -334,14 +330,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.getJournal().SubmitAll(rs); err != nil {
+	if err := s.journal.SubmitAll(rs); err != nil {
 		// Durability is unavailable; refuse the write so the client
 		// retries rather than accepting state a crash would silently
 		// lose.
 		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.SubmitResponse{Accepted: len(rs)})
+	api.WriteJSON(w, r, http.StatusOK, api.SubmitResponse{Accepted: len(rs)})
 }
 
 func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
@@ -363,11 +359,11 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		// replicated trust state locally — the fold needs every node's
 		// evidence. Windows run through the router's scan/apply
 		// orchestration.
-		writeEnvelope(w, r, http.StatusConflict, api.NewError(api.CodeConflict,
+		api.WriteJSON(w, r, http.StatusConflict, api.NewError(api.CodeConflict,
 			"this node is a cluster member; maintenance windows run through the cluster router"))
 		return
 	}
-	rep, err := s.getJournal().ProcessWindow(req.Start, req.End)
+	rep, err := s.journal.ProcessWindow(req.Start, req.End)
 	if err != nil {
 		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("journal: %w", err))
 		return
@@ -380,7 +376,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 	for _, obj := range rep.Objects {
 		resp.Suspicious += len(obj.Detection.SuspiciousWindows())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
@@ -398,7 +394,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, backendStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.AggregateResponse{
+	api.WriteJSON(w, r, http.StatusOK, api.AggregateResponse{
 		Object:   int(agg.Object),
 		Value:    agg.Value,
 		Used:     agg.Used,
@@ -432,7 +428,7 @@ func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, backendStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TrustResponse{Rater: id, Trust: v})
+	api.WriteJSON(w, r, http.StatusOK, api.TrustResponse{Rater: id, Trust: v})
 }
 
 func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
@@ -511,7 +507,7 @@ func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
 	if paginated {
 		resp.Page = &api.Page{Total: total, Offset: offset, Limit: limit}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 // parseBounds parses the stats endpoint's bounds parameter: a
@@ -553,7 +549,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if bounds != nil {
 		resp.Distribution = &api.TrustDistribution{Bounds: bounds, Counts: st.Distribution}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, _ *http.Request) {
@@ -566,17 +562,11 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	if err := s.getJournal().Restore(r.Body); err != nil {
+	if err := s.journal.Restore(r.Body); err != nil {
 		writeError(w, r, bodyErrStatus(err), err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError emits the envelope with the status's default code.
@@ -586,20 +576,7 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 
 // writeErrorCode emits the api.Error envelope for this failure.
 func writeErrorCode(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
-	writeEnvelope(w, r, status, api.NewError(code, "%s", err.Error()))
-}
-
-// writeEnvelope stamps the request's attribution ID onto the envelope
-// and emits it. Every error path funnels through here, so request_id
-// echoes uniformly on all envelopes (r may be nil on paths with no
-// request in hand).
-func writeEnvelope(w http.ResponseWriter, r *http.Request, status int, e *api.Error) {
-	if r != nil {
-		if rid := r.Header.Get(api.RequestIDHeader); rid != "" {
-			e.RequestID = rid
-		}
-	}
-	writeJSON(w, status, e)
+	api.WriteJSON(w, r, status, api.NewError(code, "%s", err.Error()))
 }
 
 // bodyErrStatus distinguishes an over-limit body (413) from ordinary

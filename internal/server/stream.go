@@ -155,7 +155,7 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
-	journal := s.getJournal()
+	journal := s.journal
 	async, _ := journal.(AsyncSubmitter)
 	body := io.Reader(r.Body)
 	if s.reqTimeout > 0 {
