@@ -99,9 +99,10 @@ func TestMetricsEndpointCoversAllSubsystems(t *testing.T) {
 		"trust_raters 12",
 		`trust_records{le="1"} 12`,
 		// Parallel fan-out observed via the bridge: the startup WAL open
-		// (one shard log) and the window scan (two objects).
-		"parallel_items_total 3",
-		"parallel_runs_total 2",
+		// and baseline snapshot (one shard log each) and the window scan
+		// (two objects).
+		"parallel_items_total 4",
+		"parallel_runs_total 3",
 		// Process gauges.
 		"process_uptime_seconds",
 		"process_goroutines",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/rating"
@@ -59,14 +60,10 @@ type StateView struct {
 // object's ratings time-sorted — the same order WriteSnapshot has
 // always serialized.
 func (s *System) View() StateView {
-	v := StateView{Records: s.manager.Records()}
-	for _, obj := range s.store.Objects() {
-		rs, err := s.store.ForObject(obj)
-		if err != nil {
-			continue // unreachable: Objects() only lists known objects
-		}
+	v := StateView{Records: s.manager.Records(), Ratings: slices.Grow([]rating.Rating(nil), s.store.Len())}
+	s.store.Each(func(_ rating.ObjectID, rs []rating.Rating) {
 		v.Ratings = append(v.Ratings, rs...)
-	}
+	})
 	return v
 }
 
@@ -76,7 +73,20 @@ func (s *System) View() StateView {
 // It appends them by hand into one presized buffer and writes it once.
 // NaN and ±Inf are refused, as encoding/json refuses them.
 func (v StateView) Encode(w io.Writer) error {
-	b := make([]byte, 0, 64+80*(len(v.Ratings)+len(v.Records)))
+	b, err := v.AppendEncode(nil)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: snapshot encode: %w", err)
+	}
+	return nil
+}
+
+// AppendEncode appends the bytes Encode writes to b, growing it once
+// by an estimate of their length, and returns the extended slice.
+func (v StateView) AppendEncode(b []byte) ([]byte, error) {
+	b = slices.Grow(b, 64+80*(len(v.Ratings)+len(v.Records)))
 	b = append(b, `{"version":`...)
 	b = strconv.AppendInt(b, snapshotVersion, 10)
 	b = append(b, `,"ratings":`...)
@@ -93,10 +103,10 @@ func (v StateView) Encode(w io.Writer) error {
 		b = append(b, `,"object":`...)
 		b = strconv.AppendInt(b, int64(r.Object), 10)
 		if b, err = appendFloatField(b, `,"value":`, r.Value); err != nil {
-			return err
+			return nil, err
 		}
 		if b, err = appendFloatField(b, `,"time":`, r.Time); err != nil {
-			return err
+			return nil, err
 		}
 		b = append(b, '}')
 	}
@@ -114,24 +124,20 @@ func (v StateView) Encode(w io.Writer) error {
 		b = append(b, `{"rater":`...)
 		b = strconv.AppendInt(b, int64(id), 10)
 		if b, err = appendFloatField(b, `,"s":`, rec.S); err != nil {
-			return err
+			return nil, err
 		}
 		if b, err = appendFloatField(b, `,"f":`, rec.F); err != nil {
-			return err
+			return nil, err
 		}
 		if b, err = appendFloatField(b, `,"lastUpdate":`, rec.LastUpdate); err != nil {
-			return err
+			return nil, err
 		}
 		b = append(b, '}')
 	}
 	if len(v.Records) > 0 {
 		b = append(b, ']')
 	}
-	b = append(b, "}\n"...)
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("core: snapshot encode: %w", err)
-	}
-	return nil
+	return append(b, "}\n"...), nil
 }
 
 // appendFloatField appends key and then f as encoding/json writes a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -334,5 +335,33 @@ func TestPromoteBumpsPastStaleManifest(t *testing.T) {
 	defer j2.Abort()
 	if got, want := fingerprint(t, e2), fingerprint(t, e); got != want {
 		t.Fatalf("promoted state did not recover:\nwant %q\ngot  %q", want, got)
+	}
+}
+
+// rebaseLogs snapshots its logs concurrently but reports like the
+// serial pass it replaced: the lowest-indexed failing shard's error,
+// however late that shard is, with every other log still rebased.
+func TestRebaseLogsReportsLowestFailingShard(t *testing.T) {
+	e := newEngine(t, 3)
+	if err := e.SubmitAll([]rating.Rating{testRating(0), testRating(1), testRating(2)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, closed := range [][]int{{2}, {1, 2}} {
+		root := t.TempDir()
+		logs, _, err := openLogSet(testConfig(root), 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range closed {
+			logs[i].Close()
+		}
+		err = rebaseLogs(logs, e, 0)
+		if !errors.Is(err, wal.ErrClosed) || !strings.HasPrefix(err.Error(), fmt.Sprintf("shard %d:", closed[0])) {
+			t.Fatalf("logs %v closed: rebase error %v, want shard %d's ErrClosed", closed, err, closed[0])
+		}
+		if snap, _, _, err := logs[0].LatestSnapshot(); err != nil || len(snap) == 0 {
+			t.Fatalf("logs %v closed: log 0 not rebased (%d bytes, %v)", closed, len(snap), err)
+		}
+		closeLogSet(logs)
 	}
 }

@@ -196,17 +196,21 @@ func closeLogSet(logs []*wal.Log) {
 }
 
 // rebaseLogs writes every shard's current state into its log as the
-// new baseline, all at the same barrier height.
+// new baseline, all at the same barrier height, one goroutine per log.
+// It returns the lowest-indexed shard's error. A pass that fails
+// partway leaves some logs rebased and others not, which recovery
+// accepts: barriers a log's snapshot already covers replay without
+// cross-log alignment.
 func rebaseLogs(logs []*wal.Log, engine *shard.Engine, barrier uint64) error {
-	for i, l := range logs {
-		i := i
-		if err := l.Snapshot(func(w io.Writer) error {
+	_, err := parallel.Map(len(logs), len(logs), func(i int) (struct{}, error) {
+		if err := logs[i].Snapshot(func(w io.Writer) error {
 			return shard.WriteShardSnapshot(engine, i, barrier, w)
 		}); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return struct{}{}, fmt.Errorf("shard %d: %w", i, err)
 		}
-	}
-	return nil
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // Open recovers engine from the journal directory cfg.Dir and returns

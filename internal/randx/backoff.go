@@ -23,9 +23,9 @@ func (b *Backoff) Next(r *Rand) time.Duration {
 	if prev < b.Min {
 		prev = b.Min
 	}
-	hi := 3 * prev
-	if hi > b.Max || hi <= 0 { // hi <= 0: 3×prev overflowed
-		hi = b.Max
+	hi := b.Max
+	if prev <= b.Max/3 { // above it, 3×prev would overflow
+		hi = min(3*prev, b.Max)
 	}
 	d := b.Min
 	if hi > d {

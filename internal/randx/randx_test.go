@@ -355,3 +355,16 @@ func TestBackoffOverflowUsesMax(t *testing.T) {
 		t.Fatalf("first draw %d, want above Min %d", d, b.Min)
 	}
 }
+
+// Past Max/3 the product 3×previous wraps, to a small positive value
+// as often as to a negative one; every later draw must still span
+// [Min, Max] instead of collapsing onto Min.
+func TestBackoffWrappedProductUsesMax(t *testing.T) {
+	b := Backoff{Min: 1 << 62, Max: math.MaxInt64}
+	r := New(1)
+	for i := 1; i <= 8; i++ {
+		if d := b.Next(r); d <= b.Min {
+			t.Fatalf("draw %d = %d, want above Min %d", i, d, b.Min)
+		}
+	}
+}

@@ -246,6 +246,16 @@ func (s *Store) Objects() []ObjectID {
 	return append([]ObjectID(nil), s.objects...)
 }
 
+// Each calls fn with every object, in first-seen order, and its
+// time-sorted ratings. The slices are the store's own, not copies: fn
+// must neither modify nor keep them, and the store must not change
+// until Each returns.
+func (s *Store) Each(fn func(id ObjectID, rs []Rating)) {
+	for _, id := range s.objects {
+		fn(id, s.byObject[id])
+	}
+}
+
 // ForObject returns the ratings of one object in time order. The slice
 // is a copy, so callers may slice and mutate freely.
 func (s *Store) ForObject(id ObjectID) ([]Rating, error) {

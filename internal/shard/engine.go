@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -386,8 +387,13 @@ func (e *Engine) viewLocked() core.StateView {
 	e.trustMu.RLock()
 	v := core.StateView{Records: e.manager.Records()}
 	e.trustMu.RUnlock()
+	n := 0
 	for _, st := range e.states {
-		appendStoreRatings(&v, st.store)
+		n += st.store.Len()
+	}
+	v.Ratings = slices.Grow(v.Ratings, n)
+	for _, st := range e.states {
+		v.Ratings = appendStoreRatings(v.Ratings, st.store)
 	}
 	return v
 }
@@ -402,19 +408,20 @@ func (e *Engine) shardView(i int) core.StateView {
 	e.trustMu.RUnlock()
 	st := e.states[i]
 	st.mu.Lock()
-	appendStoreRatings(&v, st.store)
+	v.Ratings = appendStoreRatings(nil, st.store)
 	st.mu.Unlock()
 	return v
 }
 
-func appendStoreRatings(v *core.StateView, store *rating.Store) {
-	for _, obj := range store.Objects() {
-		rs, err := store.ForObject(obj)
-		if err != nil {
-			continue // unreachable: Objects() only lists known objects
-		}
-		v.Ratings = append(v.Ratings, rs...)
-	}
+// appendStoreRatings appends every rating of store to dst, each
+// object's in time order and the objects in first-seen order, growing
+// dst at most once.
+func appendStoreRatings(dst []rating.Rating, store *rating.Store) []rating.Rating {
+	dst = slices.Grow(dst, store.Len())
+	store.Each(func(_ rating.ObjectID, rs []rating.Rating) {
+		dst = append(dst, rs...)
+	})
+	return dst
 }
 
 // WriteSnapshot serializes the full engine state in the core snapshot

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
+	"repro/internal/rating"
 	"repro/internal/wal"
 )
 
@@ -37,38 +40,37 @@ type shardSnapshot struct {
 // WriteShardSnapshot serializes shard i's state (plus the global
 // trust records) as a shard snapshot with the given barrier sequence.
 // The envelope is written by hand around the state's bytes, in one
-// Write: the bytes json.Encoder writes for shardSnapshot, without its
-// second pass over the state, which as a json.RawMessage would be
-// validated and compacted only to drop Encode's trailing newline.
+// buffer and one Write: the bytes json.Encoder writes for
+// shardSnapshot, without its second pass over the state, which as a
+// json.RawMessage would be validated and compacted only to drop
+// Encode's trailing newline.
 func WriteShardSnapshot(e *Engine, i int, barrierSeq uint64, w io.Writer) error {
 	if i < 0 || i >= len(e.states) {
 		return fmt.Errorf("shard: snapshot shard %d of %d", i, len(e.states))
 	}
 	view := e.shardView(i)
-	var buf bytes.Buffer
-	buf.WriteString(`{"version":`)
-	buf.WriteString(strconv.Itoa(shardSnapshotVersion))
-	buf.WriteString(`,"shard":`)
-	buf.WriteString(strconv.Itoa(i))
-	buf.WriteString(`,"shards":`)
-	buf.WriteString(strconv.Itoa(len(e.states)))
-	buf.WriteString(`,"barrierSeq":`)
-	buf.WriteString(strconv.FormatUint(barrierSeq, 10))
+	b := []byte(`{"version":`)
+	b = strconv.AppendInt(b, shardSnapshotVersion, 10)
+	b = append(b, `,"shard":`...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, `,"shards":`...)
+	b = strconv.AppendInt(b, int64(len(e.states)), 10)
+	b = append(b, `,"barrierSeq":`...)
+	b = strconv.AppendUint(b, barrierSeq, 10)
 	if end := e.LastWindowEnd(); end != 0 { // omitempty
 		f, err := json.Marshal(end)
 		if err != nil {
 			return fmt.Errorf("shard: snapshot encode: %w", err)
 		}
-		buf.WriteString(`,"windowEnd":`)
-		buf.Write(f)
+		b = append(append(b, `,"windowEnd":`...), f...)
 	}
-	buf.WriteString(`,"state":`)
-	if err := view.Encode(&buf); err != nil {
+	b = append(b, `,"state":`...)
+	b, err := view.AppendEncode(b)
+	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	buf.Truncate(buf.Len() - 1) // the state's trailing newline
-	buf.WriteString("}\n")
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	b = append(b[:len(b)-1], "}\n"...) // over the state's trailing newline
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("shard: snapshot encode: %w", err)
 	}
 	return nil
@@ -87,6 +89,83 @@ func decodeShardSnapshot(data []byte) (shardSnapshot, core.StateView, error) {
 		return shardSnapshot{}, core.StateView{}, err
 	}
 	return snap, view, nil
+}
+
+// replayChunk is how many ratings recovery hands SubmitShard at once:
+// about a serving flush, so replay grows no store's merge scratch past
+// what serving grows it to.
+const replayChunk = 512
+
+// skippedRating is a logged rating that failed validation: its log,
+// its position there, and the refusal.
+type skippedRating struct {
+	log, at int
+	err     error
+}
+
+// replayRatings applies the rating records of shards[i].Records[from[i]:
+// to[i]] for every log i, one goroutine per destination shard, and
+// skips the barriers in those ranges. Each destination takes the logs
+// in index order and each log in record order, in chunks of
+// replayChunk through SubmitShard, so every store comes out as one
+// Submit per record in that order would leave it. It returns how many
+// ratings applied and the invalid ones, in log and then record order.
+func replayRatings(e *Engine, shards []RecoveredShard, from, to []int) (int, []skippedRating, error) {
+	type replayed struct {
+		applied int
+		skipped []skippedRating
+	}
+	n := len(e.states)
+	outs, err := parallel.Map(n, n, func(d int) (replayed, error) {
+		var out replayed
+		chunk := make([]rating.Rating, 0, replayChunk)
+		submit := func() error {
+			if err := e.SubmitShard(d, chunk); err != nil {
+				return err
+			}
+			out.applied += len(chunk)
+			chunk = chunk[:0]
+			return nil
+		}
+		for i, sh := range shards {
+			for at := from[i]; at < to[i]; at++ {
+				rec := &sh.Records[at]
+				if rec.Type != wal.TypeRating || ShardFor(rec.Rating.Object, n) != d {
+					continue
+				}
+				if err := rec.Rating.Validate(); err != nil {
+					// Worded as Submit refuses a lone rating.
+					out.skipped = append(out.skipped, skippedRating{i, at, fmt.Errorf("shard: rating 0: %w", err)})
+					continue
+				}
+				if chunk = append(chunk, rec.Rating); len(chunk) == replayChunk {
+					if err := submit(); err != nil {
+						return out, err
+					}
+				}
+			}
+		}
+		if len(chunk) > 0 {
+			return out, submit()
+		}
+		return out, nil
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	applied := 0
+	var skipped []skippedRating
+	for _, out := range outs {
+		applied += out.applied
+		skipped = append(skipped, out.skipped...)
+	}
+	sort.Slice(skipped, func(a, b int) bool {
+		if skipped[a].log != skipped[b].log {
+			return skipped[a].log < skipped[b].log
+		}
+		return skipped[a].at < skipped[b].at
+	})
+	return applied, skipped, nil
 }
 
 // ConsistencyError reports that the per-shard WAL tails cannot be
@@ -158,6 +237,10 @@ type RecoverStats struct {
 // The number of recovered logs does not need to match e's shard
 // count: placement is a pure function of object ID and shard count,
 // so a changed -shards remaps cleanly (Stats.Remapped).
+//
+// The snapshots decode, and each run of ratings between barriers
+// replays, one goroutine per shard (see replayRatings); the engine,
+// stats and warnings are those of applying every record in turn.
 func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args ...any)) (RecoverStats, error) {
 	if warnf == nil {
 		warnf = func(string, ...any) {}
@@ -168,42 +251,54 @@ func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args 
 	}
 
 	// Seed from snapshots: newest barrier wins the trust records;
-	// ratings from every snapshot reroute by hash.
+	// ratings from every snapshot reroute by hash. The snapshots
+	// decode one goroutine per log.
+	type decoded struct {
+		snap shardSnapshot
+		view core.StateView
+	}
+	snaps, err := parallel.Map(len(shards), len(shards), func(i int) (*decoded, error) {
+		if shards[i].Snapshot == nil {
+			return nil, nil
+		}
+		snap, view, err := decodeShardSnapshot(shards[i].Snapshot)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		return &decoded{snap, view}, nil
+	})
+	if err != nil {
+		return stats, err
+	}
 	var (
 		records   core.StateView
 		haveTrust bool
 		trustBase uint64
 		windowEnd float64
 	)
-	views := make([]*core.StateView, len(shards))
-	for i, sh := range shards {
-		if sh.Snapshot == nil {
+	for i, d := range snaps {
+		if d == nil {
 			continue
 		}
-		snap, view, err := decodeShardSnapshot(sh.Snapshot)
-		if err != nil {
-			return stats, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if snap.Shards != len(e.states) || snap.Shard != i {
+		if d.snap.Shards != len(e.states) || d.snap.Shard != i {
 			stats.Remapped = true
 		}
-		views[i] = &view
-		if snap.WindowEnd > windowEnd {
-			windowEnd = snap.WindowEnd
+		if d.snap.WindowEnd > windowEnd {
+			windowEnd = d.snap.WindowEnd
 		}
-		if !haveTrust || snap.BarrierSeq > trustBase {
+		if !haveTrust || d.snap.BarrierSeq > trustBase {
 			haveTrust = true
-			trustBase = snap.BarrierSeq
-			records = view
+			trustBase = d.snap.BarrierSeq
+			records = d.view
 		}
 	}
 	var seed core.StateView
 	if haveTrust {
 		seed.Records = records.Records
 	}
-	for _, view := range views {
-		if view != nil {
-			seed.Ratings = append(seed.Ratings, view.Ratings...)
+	for _, d := range snaps {
+		if d != nil {
+			seed.Ratings = append(seed.Ratings, d.view.Ratings...)
 		}
 	}
 	if haveTrust || len(seed.Ratings) > 0 {
@@ -222,6 +317,7 @@ func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args 
 	// up to its next live barrier, then require the live barriers to
 	// agree before replaying the window they announce.
 	cursors := make([]int, len(shards))
+	ends := make([]int, len(shards))
 	for {
 		// Phase 1: drain rating records up to the next live barrier.
 		// Barriers already folded into the seeding snapshot (Seq <=
@@ -233,24 +329,25 @@ func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args 
 		// in the seeded trust records; the ratings around them are not,
 		// and still apply.
 		for i, sh := range shards {
-			for cursors[i] < len(sh.Records) {
-				rec := sh.Records[cursors[i]]
-				if rec.Type == wal.TypeBarrier {
-					if rec.Seq > trustBase {
-						break
-					}
-					cursors[i]++
-					continue
+			end := cursors[i]
+			for end < len(sh.Records) {
+				if rec := &sh.Records[end]; rec.Type == wal.TypeBarrier && rec.Seq > trustBase {
+					break
 				}
-				cursors[i]++
-				if err := e.Submit(rec.Rating); err != nil {
-					warnf("shard: replay log %d rating: %v", i, err)
-					stats.Skipped++
-				} else {
-					stats.Applied++
-				}
+				end++
 			}
+			ends[i] = end
 		}
+		applied, skipped, err := replayRatings(e, shards, cursors, ends)
+		stats.Applied += applied
+		stats.Skipped += len(skipped)
+		for _, sk := range skipped {
+			warnf("shard: replay log %d rating: %v", sk.log, sk.err)
+		}
+		if err != nil {
+			return stats, err
+		}
+		copy(cursors, ends)
 
 		// Phase 2: align the barriers.
 		present, exhausted := 0, 0

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/detector"
+	"repro/internal/parallel"
 	"repro/internal/rating"
 )
 
@@ -57,9 +58,9 @@ type objStream struct {
 }
 
 // streamShard is one shard's streaming state: a bounded queue of
-// observed batches and the per-object streams its pump owns. objs is
-// touched only by the pump (and by the rebuild pass, which runs
-// before pumps start).
+// observed batches and the per-object streams its pump owns. objs,
+// buffering and accruals are touched only by the pump (and by the
+// rebuild pass, which runs before pumps start).
 type streamShard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -67,6 +68,19 @@ type streamShard struct {
 	closed  bool
 	ch      chan []rating.Rating
 	objs    map[rating.ObjectID]*objStream
+
+	// While buffering (the rebuild), the shard's streams append their
+	// accruals here instead of folding them into the alert log.
+	buffering bool
+	accruals  []accrual
+}
+
+// accrual is one stream suspicion increment, as a detector.Stream
+// reports it for one of the shard's objects.
+type accrual struct {
+	rater     rating.RaterID
+	obj       rating.ObjectID
+	delta, at float64
 }
 
 // Streaming is the engine's online detection state. Obtain it from
@@ -113,6 +127,40 @@ type StreamStats struct {
 // be called before the engine serves overlapping traffic and at most
 // once.
 func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
+	s, err := e.newStreaming(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Rebuild from the stores under all shard locks, then publish the
+	// pointer before releasing them: every submit completes either
+	// entirely before (its ratings are in the store the rebuild reads)
+	// or entirely after (it observes the published pointer), so no
+	// rating is double-pushed or missed.
+	e.lockAll()
+	// Raters the durable trust state already holds malicious were
+	// window-flagged by pre-restart closes; seed the flag set (no
+	// alerts) so recovery matches a never-crashed run's flag state.
+	s.sink.seedWindowFlags(e.maliciousRaters())
+	s.rebuild()
+	if !e.streaming.CompareAndSwap(nil, s) {
+		e.unlockAll()
+		return nil, fmt.Errorf("shard: streaming already enabled")
+	}
+	e.unlockAll()
+
+	// Catch up maintenance boundaries the stored ratings had already
+	// crossed but whose close never became durable before a crash.
+	s.fireDue()
+	for i := range s.shards {
+		s.wg.Add(1)
+		go s.pump(i)
+	}
+	return s, nil
+}
+
+// newStreaming validates cfg and builds the streaming state with
+// empty streams and no pumps.
+func (e *Engine) newStreaming(cfg StreamConfig) (*Streaming, error) {
 	if cfg.AlertThreshold == 0 {
 		cfg.AlertThreshold = 0.5
 	}
@@ -144,50 +192,40 @@ func (e *Engine) EnableStreaming(cfg StreamConfig) (*Streaming, error) {
 		ss.cond = sync.NewCond(&ss.mu)
 		s.shards[i] = ss
 	}
+	return s, nil
+}
 
-	// Rebuild from the stores under all shard locks, then publish the
-	// pointer before releasing them: every submit completes either
-	// entirely before (its ratings are in the store the rebuild reads)
-	// or entirely after (it observes the published pointer), so no
-	// rating is double-pushed or missed.
-	e.lockAll()
-	// Raters the durable trust state already holds malicious were
-	// window-flagged by pre-restart closes; seed the flag set (no
-	// alerts) so recovery matches a never-crashed run's flag state.
-	s.sink.seedWindowFlags(e.maliciousRaters())
-	for i, st := range e.states {
+// rebuild pushes every stored rating into its object's stream, one
+// goroutine per shard, reading each store in place under the shard
+// locks the caller holds. Each shard buffers its accruals, and the
+// buffers fold into the alert log afterwards in shard order: the
+// order a pass over the shards one after the other accrues in, so
+// alert sequence numbers, suspicions and FirstFlagged come out the
+// same as that pass's.
+func (s *Streaming) rebuild() {
+	bufs, _ := parallel.Map(len(s.shards), len(s.shards), func(i int) ([]accrual, error) {
 		ss := s.shards[i]
-		for _, obj := range st.store.Objects() {
-			rs, err := st.store.ForObject(obj)
-			if err != nil {
-				continue // unreachable: Objects() lists known objects
-			}
-			pushed := 0
+		ss.buffering = true
+		pushed, maxT := 0, math.Inf(-1)
+		s.engine.states[i].store.Each(func(_ rating.ObjectID, rs []rating.Rating) {
 			for _, r := range rs {
 				if s.pushOne(i, ss, r) {
 					pushed++
 				}
 			}
-			s.countPushed(i, pushed)
-			if n := len(rs); n > 0 {
-				s.noteTime(rs[n-1].Time)
-			}
+			maxT = max(maxT, rs[len(rs)-1].Time)
+		})
+		s.countPushed(i, pushed)
+		s.noteTime(maxT)
+		buf := ss.accruals
+		ss.buffering, ss.accruals = false, nil
+		return buf, nil
+	})
+	for _, buf := range bufs {
+		for _, a := range buf {
+			s.sink.accrueStream(a.rater, a.obj, a.delta, a.at)
 		}
 	}
-	if !e.streaming.CompareAndSwap(nil, s) {
-		e.unlockAll()
-		return nil, fmt.Errorf("shard: streaming already enabled")
-	}
-	e.unlockAll()
-
-	// Catch up maintenance boundaries the stored ratings had already
-	// crossed but whose close never became durable before a crash.
-	s.fireDue()
-	for i := range s.shards {
-		s.wg.Add(1)
-		go s.pump(i)
-	}
-	return s, nil
 }
 
 // observe enqueues one accepted shard batch for the shard's pump. It
@@ -257,6 +295,10 @@ func (s *Streaming) pushOne(shard int, ss *streamShard, r rating.Rating) bool {
 		}
 		obj := r.Object
 		ds.OnAccrue = func(id rating.RaterID, delta, at float64) {
+			if ss.buffering {
+				ss.accruals = append(ss.accruals, accrual{id, obj, delta, at})
+				return
+			}
 			s.sink.accrueStream(id, obj, delta, at)
 		}
 		os = &objStream{ds: ds}

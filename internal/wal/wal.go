@@ -290,7 +290,11 @@ func Open(opts Options) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("wal: read segment %s: %w", name, err)
 		}
 		recs, good, perr := parseFrames(data)
-		rec.Records = append(rec.Records, recs...)
+		if rec.Records == nil {
+			rec.Records = recs // the usual lone segment: no copy
+		} else {
+			rec.Records = append(rec.Records, recs...)
+		}
 		rec.Segments++
 		lastSeq, lastSize = seq, int64(len(data))
 		if perr != nil {
@@ -768,8 +772,21 @@ func appendFrame(buf []byte, rec Record) []byte {
 // parseFrames decodes data's frames. It returns the decoded records,
 // the offset just past the last intact frame, and a non-nil error
 // describing the first torn or corrupt frame (nil when data parses
-// cleanly to its end).
+// cleanly to its end). The records are allocated once, sized by a
+// first pass that only steps over the frames' length prefixes, up to
+// the first implausible one (a zero-filled tail counts no frames).
 func parseFrames(data []byte) (recs []Record, good int, err error) {
+	frames := 0
+	for off := 0; len(data)-off >= frameHeader; frames++ {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n == 0 || n > maxPayload {
+			break
+		}
+		off += frameHeader + n
+	}
+	if frames > 0 {
+		recs = make([]Record, 0, frames)
+	}
 	off := 0
 	for off < len(data) {
 		rec, next, perr := parseFrame(data, off)
