@@ -58,8 +58,10 @@ allocs:
 # NDJSON stream framing (hostile streams must keep the in-band error
 # protocol intact), the stream fast-path parser (differential
 # against the strict decoder, bit-identical or bail), the memoized Beta
-# filter (differential against direct BetaQuantile calls) and the
-# snapshot encoder (differential against encoding/json).
+# filter (differential against direct BetaQuantile calls), the
+# snapshot encoder (differential against encoding/json) and the
+# one-pass shard snapshot decoder (differential against the two-pass
+# decode it replaced).
 fuzz:
 	$(GO) test -fuzz FuzzParseFrames -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/wal/
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCollusionGraph -fuzztime $(FUZZTIME) ./internal/collusion/
 	$(GO) test -fuzz FuzzBetaApply -fuzztime $(FUZZTIME) ./internal/filter/
 	$(GO) test -fuzz FuzzStateViewEncode -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzDecodeShardSnapshot -fuzztime $(FUZZTIME) ./internal/shard/
 
 # ci is the gate every change must pass: formatting, static checks, a
 # full build, the test suite under the race detector, the non-race

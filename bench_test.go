@@ -83,7 +83,7 @@ func BenchmarkARCovarianceFitWS50(b *testing.B) {
 	// The zero-allocation path: one warm Workspace reused across fits,
 	// as the detector hot loop runs it.
 	x := benchWindow(50)
-	ws := signal.NewWorkspace()
+	ws := new(signal.Workspace)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := signal.FitWS(x, 4, signal.Options{Method: signal.MethodCovariance}, ws)

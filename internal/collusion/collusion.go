@@ -3,6 +3,7 @@ package collusion
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rating"
@@ -348,7 +349,7 @@ func mineGroups(edges []Edge, minSize int) ([]Group, map[rating.RaterID]float64)
 		for _, id := range [2]rating.RaterID{e.A, e.B} {
 			root := find(id)
 			list := members[root]
-			if len(list) == 0 || !containsID(list, id) {
+			if len(list) == 0 || !slices.Contains(list, id) {
 				members[root] = append(list, id)
 			}
 		}
@@ -405,13 +406,4 @@ func mineGroups(edges []Edge, minSize int) ([]Group, map[rating.RaterID]float64)
 		}
 	}
 	return groups, suspicion
-}
-
-func containsID(list []rating.RaterID, id rating.RaterID) bool {
-	for _, v := range list {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

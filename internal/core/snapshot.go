@@ -20,12 +20,14 @@ const snapshotVersion = 1
 // incompatible format version.
 var ErrSnapshotVersion = errors.New("core: unsupported snapshot version")
 
-// snapshot is the on-disk envelope. Ratings and trust records are
-// stored exhaustively; configuration is NOT persisted — the caller
-// reconstructs the System with its own Config, so operational tuning
-// (thresholds, filters) can change across restarts without invalidating
-// the state.
-type snapshot struct {
+// SnapshotDoc is the snapshot document as encoding/json decodes it.
+// Ratings and trust records are stored exhaustively; configuration is
+// NOT persisted — the caller reconstructs the System with its own
+// Config, so operational tuning (thresholds, filters) can change
+// across restarts without invalidating the state. A format that
+// embeds a snapshot declares a SnapshotDoc field, so its own fields
+// and the snapshot decode in one pass, and then calls View.
+type SnapshotDoc struct {
 	Version int              `json:"version"`
 	Ratings []snapshotRating `json:"ratings"`
 	Records []snapshotRecord `json:"records"`
@@ -168,19 +170,24 @@ func appendFloatField(b []byte, key string, f float64) ([]byte, error) {
 // WriteSnapshot) back into a state view, validating the format
 // version. The ratings keep their serialized order.
 func DecodeSnapshot(r io.Reader) (StateView, error) {
-	var snap snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
+	var doc SnapshotDoc
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return StateView{}, fmt.Errorf("core: snapshot decode: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return StateView{}, fmt.Errorf("core: snapshot version %d: %w", snap.Version, ErrSnapshotVersion)
+	return doc.View()
+}
+
+// View validates the document's format version and converts it into a
+// state view. The ratings keep their serialized order.
+func (d *SnapshotDoc) View() (StateView, error) {
+	if d.Version != snapshotVersion {
+		return StateView{}, fmt.Errorf("core: snapshot version %d: %w", d.Version, ErrSnapshotVersion)
 	}
-	v := StateView{Records: make(map[rating.RaterID]trust.Record, len(snap.Records))}
-	if len(snap.Ratings) > 0 {
-		v.Ratings = make([]rating.Rating, len(snap.Ratings))
+	v := StateView{Records: make(map[rating.RaterID]trust.Record, len(d.Records))}
+	if len(d.Ratings) > 0 {
+		v.Ratings = make([]rating.Rating, len(d.Ratings))
 	}
-	for i, sr := range snap.Ratings {
+	for i, sr := range d.Ratings {
 		v.Ratings[i] = rating.Rating{
 			Rater:  rating.RaterID(sr.Rater),
 			Object: rating.ObjectID(sr.Object),
@@ -188,7 +195,7 @@ func DecodeSnapshot(r io.Reader) (StateView, error) {
 			Time:   sr.Time,
 		}
 	}
-	for _, rec := range snap.Records {
+	for _, rec := range d.Records {
 		v.Records[rating.RaterID(rec.Rater)] = trust.Record{
 			S:          rec.S,
 			F:          rec.F,

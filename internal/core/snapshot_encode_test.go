@@ -14,7 +14,7 @@ import (
 // jsonEncodeView is StateView.Encode through encoding/json, as it was
 // written before the hand-written encoder: records in the order given.
 func jsonEncodeView(v StateView, order []rating.RaterID) ([]byte, error) {
-	snap := snapshot{Version: snapshotVersion}
+	snap := SnapshotDoc{Version: snapshotVersion}
 	for _, r := range v.Ratings {
 		snap.Ratings = append(snap.Ratings, snapshotRating{
 			Rater: int(r.Rater), Object: int(r.Object), Value: r.Value, Time: r.Time,
@@ -40,7 +40,7 @@ func checkEncodeMatchesJSON(t testing.TB, v StateView) {
 	if err := v.Encode(&got); err != nil {
 		t.Fatal(err)
 	}
-	var snap snapshot
+	var snap SnapshotDoc
 	if err := json.Unmarshal(got.Bytes(), &snap); err != nil {
 		t.Fatalf("output is not JSON: %v", err)
 	}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/collusion"
@@ -235,7 +235,7 @@ func matrixRun(runSeed int64, det matrixDetector, strat attack.Strategy) (matrix
 	for id := range snapshot {
 		ids = append(ids, id)
 	}
-	sortRaterIDs(ids)
+	slices.Sort(ids)
 	scores := make([]float64, len(ids))
 	labels := make([]bool, len(ids))
 	for i, id := range ids {
@@ -250,7 +250,7 @@ func matrixRun(runSeed int64, det matrixDetector, strat attack.Strategy) (matrix
 	for obj := range attacked {
 		objs = append(objs, obj)
 	}
-	sortObjectIDs(objs)
+	slices.Sort(objs)
 	for _, obj := range objs {
 		agg, err := sys.Aggregate(obj)
 		if err != nil {
@@ -357,12 +357,4 @@ func Matrix(seed int64, mode Mode, opt Options) (Result, error) {
 			metricTable("aggregation error on attacked objects", func(c MatrixCell) float64 { return c.AggError }),
 		},
 	}, nil
-}
-
-func sortRaterIDs(ids []rating.RaterID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortObjectIDs(ids []rating.ObjectID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

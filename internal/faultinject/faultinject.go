@@ -28,8 +28,9 @@ import (
 
 // File is the subset of *os.File the durability layer needs.
 type File interface {
-	io.Reader
+	io.ReaderAt
 	io.Writer
+	Stat() (fs.FileInfo, error)
 	Truncate(size int64) error
 	Sync() error
 	Close() error

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"io"
+	"math"
 	"os"
 	"testing"
 )
@@ -26,7 +27,7 @@ func readAll(t *testing.T, m *MemFS, name string) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(f)
+	data, err := io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,10 @@ import (
 	"io"
 	"io/fs"
 	"path"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/randx"
 )
@@ -203,8 +205,9 @@ func (h *memHandle) node() (*inode, error) {
 	return nd, nil
 }
 
-// Read implements io.Reader.
-func (h *memHandle) Read(p []byte) (int, error) {
+// ReadAt implements io.ReaderAt; like os.File's, it leaves the
+// handle's position alone.
+func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	nd, err := h.node()
@@ -214,13 +217,40 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	if !h.rd {
 		return 0, fs.ErrPermission
 	}
-	if h.pos >= len(nd.data) {
+	if off >= int64(len(nd.data)) {
 		return 0, io.EOF
 	}
-	n := copy(p, nd.data[h.pos:])
-	h.pos += n
+	n := copy(p, nd.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
 	return n, nil
 }
+
+// Stat reports the file's name and current (volatile) size.
+func (h *memHandle) Stat() (fs.FileInfo, error) {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	nd, err := h.node()
+	if err != nil {
+		return nil, err
+	}
+	return memFileInfo{name: path.Base(h.name), size: int64(len(nd.data))}, nil
+}
+
+// memFileInfo is the fs.FileInfo of a MemFS file: a regular file
+// with a name and a size.
+type memFileInfo struct {
+	name string
+	size int64
+}
+
+func (fi memFileInfo) Name() string       { return fi.name }
+func (fi memFileInfo) Size() int64        { return fi.size }
+func (fi memFileInfo) Mode() fs.FileMode  { return 0 }
+func (fi memFileInfo) ModTime() time.Time { return time.Time{} }
+func (fi memFileInfo) IsDir() bool        { return false }
+func (fi memFileInfo) Sys() any           { return nil }
 
 // Write implements io.Writer. With O_APPEND, writes go to the end of
 // the file regardless of position, as with os.File.
@@ -374,7 +404,7 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 			names = append(names, path.Base(name))
 		}
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return names, nil
 }
 
@@ -403,14 +433,6 @@ func (m *MemFS) SyncDir(dir string) error {
 		}
 	}
 	return nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // NewSeededInjector returns a deterministic Injector: each operation

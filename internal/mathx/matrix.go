@@ -189,34 +189,16 @@ func SymSolve(a [][]float64, b []float64) ([]float64, error) {
 	return SolveLU(a, b)
 }
 
-// RidgeSymSolve solves (A + λI) x = b. A small ridge keeps the covariance
-// normal equations solvable on constant or near-constant rating windows.
-func RidgeSymSolve(a [][]float64, b []float64, lambda float64) ([]float64, error) {
-	n := len(a)
-	x := make([]float64, n)
-	ws := NewSolveWorkspace(n)
-	if err := RidgeSymSolveInto(x, a, b, lambda, ws); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveWorkspace holds the scratch an in-place symmetric solve needs:
 // one n×n matrix and one length-n vector. One workspace serves any
-// system of order <= its capacity; it is not safe for concurrent use
-// (one workspace per goroutine, never shared).
+// system of order <= its capacity; the zero value is ready to use. It
+// is not safe for concurrent use (one workspace per goroutine, never
+// shared).
 type SolveWorkspace struct {
 	order int
 	m     [][]float64
 	y     []float64
 	back  []float64
-}
-
-// NewSolveWorkspace allocates scratch for systems up to order n.
-func NewSolveWorkspace(n int) *SolveWorkspace {
-	ws := &SolveWorkspace{}
-	ws.ensure(n)
-	return ws
 }
 
 // ensure shapes the scratch for order n, allocating only when the order
@@ -240,10 +222,11 @@ func (ws *SolveWorkspace) ensure(n int) {
 }
 
 // RidgeSymSolveInto solves (A + λI) x = b into x without allocating:
-// all scratch comes from ws (grown as needed). It prefers an in-place
-// Cholesky factorization and falls back to in-place pivoted LU when the
-// ridged matrix is not numerically positive definite. a and b are not
-// modified.
+// all scratch comes from ws (grown as needed). A small ridge keeps the
+// covariance normal equations solvable on constant or near-constant
+// rating windows. It prefers an in-place Cholesky factorization and
+// falls back to in-place pivoted LU when the ridged matrix is not
+// numerically positive definite. a and b are not modified.
 func RidgeSymSolveInto(x []float64, a [][]float64, b []float64, lambda float64, ws *SolveWorkspace) error {
 	n := len(a)
 	if len(b) != n || len(x) != n {

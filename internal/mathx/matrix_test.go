@@ -151,20 +151,42 @@ func TestSolveCholeskyDimensionError(t *testing.T) {
 	}
 }
 
+// ridgeSolve is the solve the AR fit runs, RidgeSymSolveInto, with
+// λ = 0 and a zero-value workspace.
+func ridgeSolve(a [][]float64, b []float64) ([]float64, error) {
+	x := make([]float64, len(a))
+	if err := RidgeSymSolveInto(x, a, b, 0, new(SolveWorkspace)); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+type namedSolver struct {
+	name  string
+	solve func(a [][]float64, b []float64) ([]float64, error)
+}
+
+// luSolvers are the pivoted-LU solves the cases below pin: SolveLU,
+// the reference, and RidgeSymSolveInto, whose in-place LU fallback
+// runs whenever Cholesky fails, as it does on every non-SPD case here.
+var luSolvers = []namedSolver{{"SolveLU", SolveLU}, {"RidgeSymSolveInto", ridgeSolve}}
+
 func TestSolveLUKnown(t *testing.T) {
 	a := [][]float64{{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}}
 	b := []float64{-8, 0, 3}
-	x, err := SolveLU(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MatVec(a, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range b {
-		if math.Abs(got[i]-b[i]) > 1e-10 {
-			t.Fatalf("A x = %v, want %v", got, b)
+	for _, s := range luSolvers {
+		x, err := s.solve(a, b)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		got, err := MatVec(a, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b {
+			if math.Abs(got[i]-b[i]) > 1e-10 {
+				t.Fatalf("%s: A x = %v, want %v", s.name, got, b)
+			}
 		}
 	}
 }
@@ -172,42 +194,54 @@ func TestSolveLUKnown(t *testing.T) {
 func TestSolveLUNeedsPivoting(t *testing.T) {
 	// Zero on the leading diagonal forces a row swap.
 	a := [][]float64{{0, 1}, {1, 0}}
-	x, err := SolveLU(a, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 3 || x[1] != 2 {
-		t.Fatalf("x = %v, want [3 2]", x)
+	for _, s := range luSolvers {
+		x, err := s.solve(a, []float64{2, 3})
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if x[0] != 3 || x[1] != 2 {
+			t.Fatalf("%s: x = %v, want [3 2]", s.name, x)
+		}
 	}
 }
 
 func TestSolveLUSingular(t *testing.T) {
 	a := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLU(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
+	for _, s := range luSolvers {
+		if _, err := s.solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
+			t.Fatalf("%s: err = %v, want ErrSingular", s.name, err)
+		}
 	}
 }
 
 func TestSolveLUDoesNotMutateInputs(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{3, 5}
-	if _, err := SolveLU(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if a[0][0] != 2 || a[1][0] != 1 || b[0] != 3 {
-		t.Fatal("SolveLU mutated its inputs")
+	// An SPD system, where RidgeSymSolveInto takes its Cholesky path,
+	// and an indefinite one, where it takes its LU path.
+	for _, a := range [][][]float64{{{2, 1}, {1, 3}}, {{1, 2}, {2, 1}}} {
+		for _, s := range luSolvers {
+			a0, a1 := a[0][0], a[1][0]
+			b := []float64{3, 5}
+			if _, err := s.solve(a, b); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if a[0][0] != a0 || a[1][0] != a1 || b[0] != 3 {
+				t.Fatalf("%s mutated its inputs", s.name)
+			}
+		}
 	}
 }
 
 func TestSymSolveFallsBackToLU(t *testing.T) {
 	// Symmetric indefinite: Cholesky fails, LU must still solve it.
 	a := [][]float64{{0, 1}, {1, 0}}
-	x, err := SymSolve(a, []float64{5, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 7 || x[1] != 5 {
-		t.Fatalf("x = %v, want [7 5]", x)
+	for _, s := range []namedSolver{{"SymSolve", SymSolve}, {"RidgeSymSolveInto", ridgeSolve}} {
+		x, err := s.solve(a, []float64{5, 7})
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if x[0] != 7 || x[1] != 5 {
+			t.Fatalf("%s: x = %v, want [7 5]", s.name, x)
+		}
 	}
 }
 
@@ -216,8 +250,8 @@ func TestRidgeSymSolveRegularizesSingular(t *testing.T) {
 	if _, err := SymSolve(a, []float64{1, 1}); err == nil {
 		t.Fatal("expected the unridged singular system to fail")
 	}
-	x, err := RidgeSymSolve(a, []float64{1, 1}, 1e-6)
-	if err != nil {
+	x := make([]float64, 2)
+	if err := RidgeSymSolveInto(x, a, []float64{1, 1}, 1e-6, new(SolveWorkspace)); err != nil {
 		t.Fatal(err)
 	}
 	// Symmetric problem: both components equal, near 0.5.

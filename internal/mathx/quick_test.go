@@ -63,10 +63,10 @@ func TestQuickSymSolveRecovers(t *testing.T) {
 	}
 }
 
-// TestQuickRidgeSolveMatchesPlain: with lambda = 0 the ridge path
-// (including the workspace-reusing variant) must agree with SymSolve.
+// TestQuickRidgeSolveMatchesPlain: with lambda = 0 the ridge path,
+// reusing one workspace across orders, must agree with SymSolve.
 func TestQuickRidgeSolveMatchesPlain(t *testing.T) {
-	ws := NewSolveWorkspace(0)
+	ws := new(SolveWorkspace)
 	prop := func(seed int64) bool {
 		rng := randx.New(seed)
 		n := 1 + rng.Intn(6)
@@ -86,16 +86,58 @@ func TestQuickRidgeSolveMatchesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ridge, err := RidgeSymSolve(a, b, 0)
-		if err != nil {
-			return false
-		}
 		into := make([]float64, n)
 		if err := RidgeSymSolveInto(into, a, b, 0, ws); err != nil {
 			return false
 		}
 		for i := range plain {
-			if math.Abs(plain[i]-ridge[i]) > 1e-10 || math.Abs(plain[i]-into[i]) > 1e-10 {
+			if math.Abs(plain[i]-into[i]) > 1e-10 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickRidgeSolveIndefiniteMatchesLU: on symmetric systems with a
+// negative diagonal entry, which no positive-definite matrix has,
+// RidgeSymSolveInto with lambda = 0 must leave Cholesky for its
+// in-place LU fallback and agree with SolveLU bit for bit, errors
+// included, reusing one workspace across orders.
+func TestQuickRidgeSolveIndefiniteMatchesLU(t *testing.T) {
+	ws := new(SolveWorkspace)
+	prop := func(seed int64) bool {
+		rng := randx.New(seed)
+		n := 1 + rng.Intn(6)
+		a := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				v := rng.Uniform(-1, 1)
+				a[i][j], a[j][i] = v, v
+			}
+		}
+		a[n-1][n-1] = -rng.Uniform(0.5, 2)
+		if _, ok := Cholesky(a); ok {
+			t.Logf("seed %d: Cholesky accepted an indefinite matrix", seed)
+			return false
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.Uniform(-3, 3)
+		}
+		want, errWant := SolveLU(a, b)
+		got := make([]float64, n)
+		errGot := RidgeSymSolveInto(got, a, b, 0, ws)
+		if (errWant == nil) != (errGot == nil) {
+			t.Logf("seed %d: err %v, want %v", seed, errGot, errWant)
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Logf("seed %d: x[%d] = %g, want %g", seed, i, got[i], want[i])
 				return false
 			}
 		}

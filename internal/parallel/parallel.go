@@ -26,10 +26,10 @@ import (
 	"time"
 )
 
-// Report describes one completed Map/MapLocal/MapReduce call for an
-// Observer: how many items ran on how many workers, the call's wall
-// time, and the summed busy time across workers. Busy/(Wall·Workers)
-// is the pool's utilization; Items/Wall.Seconds() its throughput.
+// Report describes one completed Map/MapLocal call for an Observer:
+// how many items ran on how many workers, the call's wall time, and
+// the summed busy time across workers. Busy/(Wall·Workers) is the
+// pool's utilization; Items/Wall.Seconds() its throughput.
 type Report struct {
 	Items, Workers int
 	Wall, Busy     time.Duration
@@ -156,19 +156,4 @@ func MapLocal[T, L any](n, workers int, newLocal func() L, fn func(i int, local 
 		}
 	}
 	return out, nil
-}
-
-// MapReduce runs fn over [0, n) like Map and folds the results in item
-// order: acc = reduce(acc, result[0]), then result[1], and so on. The
-// fold is strictly ordered, so non-commutative reductions are safe.
-func MapReduce[T, A any](n, workers int, fn func(i int) (T, error), acc A, reduce func(A, T) A) (A, error) {
-	results, err := Map(n, workers, fn)
-	if err != nil {
-		var zero A
-		return zero, err
-	}
-	for _, r := range results {
-		acc = reduce(acc, r)
-	}
-	return acc, nil
 }

@@ -156,21 +156,6 @@ func TestMapLocalSerialFastPath(t *testing.T) {
 	}
 }
 
-func TestMapReduceOrderedFold(t *testing.T) {
-	// Fold order must be item order: build a string so any reorder shows.
-	for _, workers := range []int{1, 3, 8} {
-		s, err := MapReduce(6, workers,
-			func(i int) (string, error) { return fmt.Sprintf("%d", i), nil },
-			"", func(acc, v string) string { return acc + v })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s != "012345" {
-			t.Fatalf("workers=%d: fold = %q", workers, s)
-		}
-	}
-}
-
 func TestWorkersCappedAtItems(t *testing.T) {
 	// More workers than items must not deadlock or misbehave.
 	out, err := Map(3, 64, func(i int) (int, error) { return i, nil })

@@ -4,8 +4,8 @@
 // *Rand so that every table and figure is reproducible from a seed.
 //
 // It wraps math/rand (stdlib only) and adds the distributions the paper
-// needs: Gaussian ratings parameterized by variance, Poisson arrival
-// counts and arrival-time processes, Bernoulli trials, discrete rating
+// needs: Gaussian ratings parameterized by variance, Poisson
+// arrival-time processes, Bernoulli trials, discrete rating
 // quantization, and sampling without replacement for recruiting
 // collaborative raters.
 package randx
@@ -85,15 +85,6 @@ func (r *Rand) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()
 }
 
-// UniformInt returns a uniform integer in [lo, hi] inclusive.
-// It panics if hi < lo.
-func (r *Rand) UniformInt(lo, hi int) int {
-	if hi < lo {
-		panic(fmt.Sprintf("randx: UniformInt bounds [%d,%d]", lo, hi))
-	}
-	return lo + r.src.Intn(hi-lo+1)
-}
-
 // Bernoulli reports true with probability p (clamped to [0,1]).
 func (r *Rand) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -119,34 +110,6 @@ func (r *Rand) NormalVar(mean, variance float64) float64 {
 		return mean
 	}
 	return r.Normal(mean, math.Sqrt(variance))
-}
-
-// Poisson returns a Poisson-distributed count with the given mean.
-// It uses Knuth's product method for small means and a Gaussian
-// approximation (rounded, floored at zero) for large means, which is
-// more than accurate enough for arrival counts.
-func (r *Rand) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.src.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		n := math.Round(r.Normal(mean, math.Sqrt(mean)))
-		if n < 0 {
-			return 0
-		}
-		return int(n)
-	}
 }
 
 // PoissonProcess returns event times of a homogeneous Poisson process

@@ -52,11 +52,11 @@ type Store struct {
 	objects  []ObjectID
 	n        int
 
-	// groups and groupOf are AddBatch's reusable per-object bucket
-	// state: instead of a full (object, time) comparison sort of the
-	// batch, ratings are scattered into per-object buckets in one map-
-	// lookup pass and only each (small) bucket is sorted by time. Both
-	// are reused across batches so the steady-state ingest path
+	// groups and groupOf are AddBatchValidated's reusable per-object
+	// bucket state: instead of a full (object, time) comparison sort of
+	// the batch, ratings are scattered into per-object buckets in one
+	// map-lookup pass and only each (small) bucket is sorted by time.
+	// Both are reused across batches so the steady-state ingest path
 	// allocates nothing once they have grown to the widest batch seen.
 	groups  [][]Rating
 	groupOf map[ObjectID]int
@@ -91,33 +91,22 @@ func (s *Store) Add(r Rating) error {
 	return nil
 }
 
-// AddBatch inserts a batch of ratings in one pass per object: the
-// batch is stably sorted by (object, time) and each object's group is
-// merged into its existing slice with a single linear merge, instead
-// of one ordered insert (worst case O(len(slice)) memmove) per
-// rating. Acceptance is all-or-nothing: the batch is validated up
-// front and an invalid rating rejects the whole batch untouched.
+// AddBatchValidated inserts a batch of ratings in one pass per object:
+// the batch is scattered into per-object buckets and each object's
+// bucket is merged into its existing slice with a single linear merge,
+// instead of one ordered insert (worst case O(len(slice)) memmove) per
+// rating.
 //
-// AddBatch is equivalent to calling Add for each rating in order:
-// ties on time keep existing ratings before batch ratings and batch
-// ratings in submission order, exactly like repeated Add.
-func (s *Store) AddBatch(rs []Rating) error {
-	for i, r := range rs {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("rating %d: %w", i, err)
-		}
-	}
-	s.AddBatchValidated(rs)
-	return nil
-}
-
-// AddBatchValidated is AddBatch without the validation pre-scan: the
-// caller guarantees every rating passes Validate (the sharded engine
-// fuses validation with its shard-placement check in one pass, and
-// the router validates at the submission edge). Passing an invalid
-// rating corrupts no invariants here but stores a value downstream
-// consumers were promised never to see — so only trusted ingest paths
-// may call this.
+// It is equivalent to calling Add for each rating in order: ties on
+// time keep existing ratings before batch ratings and batch ratings in
+// submission order, exactly like repeated Add.
+//
+// It skips Add's validation: the caller guarantees every rating passes
+// Validate (the sharded engine fuses validation with its
+// shard-placement check in one pass, and the router validates at the
+// submission edge). Passing an invalid rating corrupts no invariants
+// here but stores a value downstream consumers were promised never to
+// see — so only trusted ingest paths may call this.
 func (s *Store) AddBatchValidated(rs []Rating) {
 	if len(rs) == 0 {
 		return
@@ -222,16 +211,6 @@ func (s *Store) mergeObject(id ObjectID, add []Rating) {
 		}
 	}
 	s.byObject[id] = dst
-}
-
-// AddAll inserts every rating, stopping at the first invalid one.
-func (s *Store) AddAll(rs []Rating) error {
-	for i, r := range rs {
-		if err := s.Add(r); err != nil {
-			return fmt.Errorf("rating %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Len returns the total number of stored ratings.

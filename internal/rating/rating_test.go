@@ -35,8 +35,10 @@ func TestStoreAddAndRetrieve(t *testing.T) {
 		{Rater: 2, Object: 7, Value: 0.6, Time: 1},
 		{Rater: 3, Object: 9, Value: 0.7, Time: 5},
 	}
-	if err := s.AddAll(in); err != nil {
-		t.Fatal(err)
+	for _, r := range in {
+		if err := s.Add(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
@@ -92,9 +94,7 @@ func TestStoreWindowMatchesFilter(t *testing.T) {
 				Time: float64(rng.Intn(40)) / 2,
 			}
 		}
-		if err := s.AddBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+		s.AddBatchValidated(batch)
 		windows := [][2]float64{
 			{-10, -1}, {-5, 3}, {0, 20}, {2.5, 7}, {3, 3}, {7, 2.5},
 			{15.5, 30}, {25, 40}, {math.Inf(-1), math.Inf(1)},
@@ -134,8 +134,10 @@ func TestStoreWindowMatchesFilter(t *testing.T) {
 
 func TestStoreWindowCopiesAndUnknown(t *testing.T) {
 	s := NewStore()
-	if err := s.AddAll([]Rating{{Object: 1, Value: 0.5, Time: 1}, {Object: 1, Value: 0.6, Time: 2}}); err != nil {
-		t.Fatal(err)
+	for _, r := range []Rating{{Object: 1, Value: 0.5, Time: 1}, {Object: 1, Value: 0.6, Time: 2}} {
+		if err := s.Add(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rs, err := s.Window(1, 0, 3)
 	if err != nil || len(rs) != 2 {
@@ -154,12 +156,6 @@ func TestStoreRejectsInvalid(t *testing.T) {
 	s := NewStore()
 	if err := s.Add(Rating{Value: 2, Time: 0}); err == nil {
 		t.Fatal("invalid rating accepted")
-	}
-	if err := s.AddAll([]Rating{{Value: 0.5, Time: 1}, {Value: -1, Time: 2}}); err == nil {
-		t.Fatal("invalid batch accepted")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("partial batch Len = %d, want 1", s.Len())
 	}
 }
 
@@ -392,8 +388,8 @@ func TestStoreSortedProperty(t *testing.T) {
 	}
 }
 
-// Property: AddBatch is observably identical to calling Add for each
-// rating in order — same object order, same per-object sequences
+// Property: AddBatchValidated, fed valid ratings, is observably
+// identical to calling Add for each rating in order — same object order, same per-object sequences
 // (including equal-time tie order), same length.
 func TestAddBatchEquivalentToSequentialAdd(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -430,9 +426,7 @@ func TestAddBatchEquivalentToSequentialAdd(t *testing.T) {
 				return false
 			}
 		}
-		if err := bat.AddBatch(batch); err != nil {
-			return false
-		}
+		bat.AddBatchValidated(batch)
 		if seq.Len() != bat.Len() {
 			return false
 		}
@@ -467,27 +461,5 @@ func TestAddBatchEquivalentToSequentialAdd(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// AddBatch rejects the whole batch when any rating is invalid, leaving
-// the store untouched.
-func TestAddBatchAllOrNothing(t *testing.T) {
-	s := NewStore()
-	if err := s.Add(Rating{Rater: 1, Object: 1, Value: 0.5, Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	batch := []Rating{
-		{Rater: 2, Object: 1, Value: 0.6, Time: 2},
-		{Rater: 3, Object: 2, Value: math.NaN(), Time: 3},
-	}
-	if err := s.AddBatch(batch); err == nil {
-		t.Fatal("want error for invalid batch rating")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("store mutated by rejected batch: len=%d", s.Len())
-	}
-	if len(s.Objects()) != 1 {
-		t.Fatalf("objects mutated by rejected batch: %v", s.Objects())
 	}
 }

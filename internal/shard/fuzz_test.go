@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rating"
 )
 
@@ -93,4 +97,92 @@ func TestShardHashPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// twoPassDecodeShardSnapshot is decodeShardSnapshot as it was before
+// the envelope and its state decoded in one pass: the envelope with the
+// state as a json.RawMessage, then that copy through
+// core.DecodeSnapshot. It is the reference FuzzDecodeShardSnapshot
+// holds the one-pass decoder to.
+func twoPassDecodeShardSnapshot(data []byte) (shardSnapshotHeader, core.StateView, error) {
+	var snap struct {
+		Version    int             `json:"version"`
+		Shard      int             `json:"shard"`
+		Shards     int             `json:"shards"`
+		BarrierSeq uint64          `json:"barrierSeq"`
+		WindowEnd  float64         `json:"windowEnd,omitempty"`
+		State      json.RawMessage `json:"state"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return shardSnapshotHeader{}, core.StateView{}, fmt.Errorf("shard: snapshot decode: %w", err)
+	}
+	if snap.Version != shardSnapshotVersion {
+		return shardSnapshotHeader{}, core.StateView{}, fmt.Errorf("shard: snapshot version %d", snap.Version)
+	}
+	view, err := core.DecodeSnapshot(bytes.NewReader(snap.State))
+	if err != nil {
+		return shardSnapshotHeader{}, core.StateView{}, err
+	}
+	return shardSnapshotHeader{snap.Version, snap.Shard, snap.Shards, snap.BarrierSeq, snap.WindowEnd}, view, nil
+}
+
+// FuzzDecodeShardSnapshot feeds arbitrary bytes to the shard snapshot
+// decoder recovery runs. It must never panic, and on every input it
+// must agree with the two-pass reference: both fail, or both return
+// the same header and view, float bits included (%v prints a float's
+// shortest exact form, -0 included, and a map in key order).
+func FuzzDecodeShardSnapshot(f *testing.F) {
+	// Seeds stay small: the fuzzer's minimization of each new input
+	// grows with the square of its length.
+	e, err := NewEngine(core.Config{}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := e.SubmitAll([]rating.Rating{{Rater: 1, Object: 2, Value: 0.5, Time: 1}, {Rater: 3, Object: 2, Value: 0.25, Time: 2.5}}); err != nil {
+		f.Fatal(err)
+	}
+	for _, window := range []bool{false, true} {
+		if window { // trust records and windowEnd
+			if _, err := e.ProcessWindow(0, 3); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteShardSnapshot(e, 0, 7, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	const r1 = `{"rater":1,"object":2,"value":0.5,"time":1}`
+	for _, s := range []string{
+		``, `null`, `{}`, `[]`, `{"version":1}`, `{"version":1,"state":null}`,
+		`{"version":2,"state":{"version":1}}`,
+		`{"version":1,"state":{"version":2}}`,
+		`{"version":1,"state":{"version":1}}`,
+		`{"version":1,"state":{"version":1,"ratings":[` + r1 + `]}} x`,
+		`{"version":1,"state":{"version":1,"ratings":[{"value":-0,"time":1e308}],"records":[{"rater":3,"s":-0}]}}`,
+		`{"version":1,"state":{"version":1,"ratings":[{"rater":"x"}]}}`,
+		`{"version":1,"windowEnd":-0,"state":{"version":1}}`,
+		// Repeated state keys: the last value is the state.
+		`{"version":1,"state":{"version":1,"ratings":[` + r1 + `]},"state":{"version":1}}`,
+		`{"version":1,"state":{"version":1,"ratings":[` + r1 + `]},"state":null}`,
+		`{"version":1,"state":{"version":"x"},"STATE":{"version":1}}`,
+		`{"version":1,"state":{"version":1,"ratings":[` + r1 + `]},"ſtate":{"version":1}}`,
+		`{"version":1,"state":{"version":1,"ratings":[` + r1 + `]},"st\u0061te":{"version":1}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, v, err := decodeShardSnapshot(data)
+		wh, wv, werr := twoPassDecodeShardSnapshot(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%q: err %v, two-pass err %v", data, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := fmt.Sprintf("%+v %+v", h, v), fmt.Sprintf("%+v %+v", wh, wv); got != want {
+			t.Fatalf("%q: decoded\n%s\ntwo-pass\n%s", data, got, want)
+		}
+	})
 }

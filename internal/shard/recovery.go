@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -17,14 +18,14 @@ import (
 // shardSnapshotVersion is bumped on incompatible wrapper changes.
 const shardSnapshotVersion = 1
 
-// shardSnapshot is the on-disk envelope of one shard's snapshot: the
-// shard's ratings plus the full global trust record set (every shard
-// snapshot is a self-sufficient trust carrier), tagged with the shard
-// layout it was written under and the last maintenance barrier folded
-// into its trust records. Recovery uses BarrierSeq to pick the newest
-// trust state and to skip replaying windows the snapshot already
-// reflects.
-type shardSnapshot struct {
+// shardSnapshotHeader is the envelope of one shard's snapshot around
+// its state (the shard's ratings plus the full global trust record
+// set: every shard snapshot is a self-sufficient trust carrier): the
+// shard layout it was written under and the last maintenance barrier
+// folded into its trust records. Recovery uses BarrierSeq to pick the
+// newest trust state and to skip replaying windows the snapshot
+// already reflects.
+type shardSnapshotHeader struct {
 	Version    int    `json:"version"`
 	Shard      int    `json:"shard"`
 	Shards     int    `json:"shards"`
@@ -33,17 +34,16 @@ type shardSnapshot struct {
 	// snapshot time (additive; absent in older snapshots). Recovery
 	// restores it so streaming detection knows which auto windows are
 	// already durably charged.
-	WindowEnd float64         `json:"windowEnd,omitempty"`
-	State     json.RawMessage `json:"state"`
+	WindowEnd float64 `json:"windowEnd,omitempty"`
 }
 
 // WriteShardSnapshot serializes shard i's state (plus the global
 // trust records) as a shard snapshot with the given barrier sequence.
 // The envelope is written by hand around the state's bytes, in one
-// buffer and one Write: the bytes json.Encoder writes for
-// shardSnapshot, without its second pass over the state, which as a
-// json.RawMessage would be validated and compacted only to drop
-// Encode's trailing newline.
+// buffer and one Write: the bytes json.Encoder writes for the header's
+// fields followed by the state as a json.RawMessage, without the
+// encoder's second pass over the state, which would be validated and
+// compacted only to drop Encode's trailing newline.
 func WriteShardSnapshot(e *Engine, i int, barrierSeq uint64, w io.Writer) error {
 	if i < 0 || i >= len(e.states) {
 		return fmt.Errorf("shard: snapshot shard %d of %d", i, len(e.states))
@@ -76,19 +76,53 @@ func WriteShardSnapshot(e *Engine, i int, barrierSeq uint64, w io.Writer) error 
 	return nil
 }
 
-func decodeShardSnapshot(data []byte) (shardSnapshot, core.StateView, error) {
-	var snap shardSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return shardSnapshot{}, core.StateView{}, fmt.Errorf("shard: snapshot decode: %w", err)
+// decodeShardSnapshot decodes one shard snapshot's envelope and state
+// in one json.Unmarshal. Where the key "state" may repeat, it decodes
+// the envelope with the state as a json.RawMessage and then the state:
+// encoding/json merges a repeated key's values into a struct but keeps
+// only the last one in a RawMessage, and the last one is the state.
+func decodeShardSnapshot(data []byte) (shardSnapshotHeader, core.StateView, error) {
+	var snap struct {
+		shardSnapshotHeader
+		State core.SnapshotDoc `json:"state"`
+	}
+	err := json.Unmarshal(data, &snap)
+	if mayRepeatState(data) {
+		var raw struct {
+			shardSnapshotHeader
+			State json.RawMessage `json:"state"`
+		}
+		if err = json.Unmarshal(data, &raw); err == nil {
+			snap.shardSnapshotHeader, snap.State = raw.shardSnapshotHeader, core.SnapshotDoc{}
+			err = json.Unmarshal(raw.State, &snap.State)
+		}
+	}
+	if err != nil {
+		return shardSnapshotHeader{}, core.StateView{}, fmt.Errorf("shard: snapshot decode: %w", err)
 	}
 	if snap.Version != shardSnapshotVersion {
-		return shardSnapshot{}, core.StateView{}, fmt.Errorf("shard: snapshot version %d", snap.Version)
+		return shardSnapshotHeader{}, core.StateView{}, fmt.Errorf("shard: snapshot version %d", snap.Version)
 	}
-	view, err := core.DecodeSnapshot(bytes.NewReader(snap.State))
-	if err != nil {
-		return shardSnapshot{}, core.StateView{}, err
+	view, err := snap.State.View()
+	return snap.shardSnapshotHeader, view, err
+}
+
+// mayRepeatState reports whether data may hold the key "state" more
+// than once as encoding/json matches keys: case-insensitively and
+// after unescaping. It over-reports, counting any escape or non-ASCII
+// byte as a possible repeat; the snapshots WriteShardSnapshot writes
+// hold neither.
+func mayRepeatState(data []byte) bool {
+	n := 0
+	for i, c := range data {
+		if c == '\\' || c >= utf8.RuneSelf {
+			return true
+		}
+		if c == '"' && i+6 < len(data) && data[i+6] == '"' && bytes.EqualFold(data[i+1:i+6], []byte("state")) {
+			n++
+		}
 	}
-	return snap, view, nil
+	return n > 1
 }
 
 // replayChunk is how many ratings recovery hands SubmitShard at once:
@@ -254,7 +288,7 @@ func Recover(e *Engine, shards []RecoveredShard, warnf func(format string, args 
 	// ratings from every snapshot reroute by hash. The snapshots
 	// decode one goroutine per log.
 	type decoded struct {
-		snap shardSnapshot
+		snap shardSnapshotHeader
 		view core.StateView
 	}
 	snaps, err := parallel.Map(len(shards), len(shards), func(i int) (*decoded, error) {

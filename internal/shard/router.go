@@ -77,9 +77,9 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // doorbell channel, and block only when a ring is full (backpressure)
 // or on their submission's acknowledgement. The coalescing is what
 // makes sharding pay on a single core: a shard's flush applies its
-// whole batch with one sorted merge per object (Store.AddBatch), so
-// per-rating insertion cost drops with the batch size the shard
-// accumulates.
+// whole batch with one sorted merge per object
+// (Store.AddBatchValidated), so per-rating insertion cost drops with
+// the batch size the shard accumulates.
 type Router struct {
 	cfg     RouterConfig
 	workers []*shardWorker
@@ -330,11 +330,6 @@ func (r *Router) SubmitAsync(rs []rating.Rating) (func() error, error) {
 		return nil, err
 	}
 	return sub.wait, nil
-}
-
-// SubmitOne routes a single rating.
-func (r *Router) SubmitOne(rt rating.Rating) error {
-	return r.Submit([]rating.Rating{rt})
 }
 
 // submit validates rs, publishes every rating into its shard's ring

@@ -233,11 +233,11 @@ func countingRouter(t *testing.T, batch int, interval time.Duration) (r *shard.R
 	return r, flushes, ratings
 }
 
-// submitOne runs a blocking SubmitOne on its own goroutine; the
+// submitOne runs a blocking one-rating Submit on its own goroutine; the
 // channel delivers its error.
 func submitOne(r *shard.Router, rt rating.Rating) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- r.SubmitOne(rt) }()
+	go func() { done <- r.Submit([]rating.Rating{rt}) }()
 	return done
 }
 
@@ -377,7 +377,7 @@ func TestRouterPropagatesFlushErrors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = r.SubmitOne(mk(1, i))
+			errs[i] = r.Submit([]rating.Rating{mk(1, i)})
 		}(i)
 	}
 	wg.Wait()
@@ -400,7 +400,7 @@ func TestRouterValidatesUpfront(t *testing.T) {
 	}
 	defer r.Close()
 	bad := rating.Rating{Object: 1, Value: 7}
-	if err := r.SubmitOne(bad); err == nil {
+	if err := r.Submit([]rating.Rating{bad}); err == nil {
 		t.Fatal("invalid rating accepted")
 	}
 }
@@ -429,7 +429,7 @@ func TestRouterCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = r.SubmitOne(mk(1, i))
+			errs[i] = r.Submit([]rating.Rating{mk(1, i)})
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond) // let submitters block on the flush
@@ -455,7 +455,7 @@ func TestRouterCloseDrains(t *testing.T) {
 	if got := ratings.Load(); got != int64(accepted) {
 		t.Fatalf("flushed %d ratings, %d submissions were accepted", got, accepted)
 	}
-	if err := r.SubmitOne(mk(1, 99)); !errors.Is(err, shard.ErrRouterClosed) {
+	if err := r.Submit([]rating.Rating{mk(1, 99)}); !errors.Is(err, shard.ErrRouterClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }

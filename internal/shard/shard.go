@@ -9,6 +9,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/rating"
@@ -43,14 +44,19 @@ func Index(key []byte, n int) int {
 	return int(Hash64(key) % uint64(n))
 }
 
+// idKey is what shard placement and the keyspace ring hash for an
+// object or rater ID: the ID's 8-byte little-endian encoding. These
+// bytes are an on-disk and wire format, so they never change.
+func idKey(id int64) [8]byte {
+	var key [8]byte
+	binary.LittleEndian.PutUint64(key[:], uint64(id))
+	return key
+}
+
 // ShardFor places an object: the object ID's 8-byte little-endian
 // encoding hashed into [0, n).
 func ShardFor(obj rating.ObjectID, n int) int {
-	v := uint64(int64(obj))
-	var key [8]byte
-	for i := 0; i < 8; i++ {
-		key[i] = byte(v >> (8 * i))
-	}
+	key := idKey(int64(obj))
 	return Index(key[:], n)
 }
 
@@ -60,11 +66,7 @@ func ShardFor(obj rating.ObjectID, n int) int {
 // 2^32 space, so ownership — like shard placement — never moves
 // across runs, builds or platforms.
 func KeyPoint(obj rating.ObjectID) uint32 {
-	v := uint64(int64(obj))
-	var key [8]byte
-	for i := 0; i < 8; i++ {
-		key[i] = byte(v >> (8 * i))
-	}
+	key := idKey(int64(obj))
 	return uint32(Hash64(key[:]))
 }
 
@@ -73,10 +75,6 @@ func KeyPoint(obj rating.ObjectID) uint32 {
 // rater set (e.g. a merged /v1/malicious) still partition the work by
 // rater point so each member answers a disjoint slice.
 func RaterPoint(r rating.RaterID) uint32 {
-	v := uint64(int64(r))
-	var key [8]byte
-	for i := 0; i < 8; i++ {
-		key[i] = byte(v >> (8 * i))
-	}
+	key := idKey(int64(r))
 	return uint32(Hash64(key[:]))
 }

@@ -110,10 +110,6 @@ type Workspace struct {
 	bcur     []float64 // Burg current-order coefficients
 }
 
-// NewWorkspace returns an empty Workspace (equivalent to new(Workspace);
-// provided for symmetry with the other packages' constructors).
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // ensureOrder shapes the order-dependent buffers, allocating only when
 // the model order changes.
 func (ws *Workspace) ensureOrder(p int) {
@@ -349,56 +345,6 @@ func fitBurg(x []float64, p int, ws *Workspace) (Model, error) {
 	}, nil
 }
 
-// Residuals returns the prediction residuals
-// e(n) = x(n) + Σ_k a(k) x(n−k) for n in [p, len(x)). It errors when x
-// is shorter than order+1 samples.
-func Residuals(x, coeffs []float64) ([]float64, error) {
-	return ResidualsInto(nil, x, coeffs)
-}
-
-// ResidualsInto is Residuals appending into dst (which may be nil or a
-// reused scratch slice truncated to length zero); it returns the
-// extended slice, letting hot loops score windows without allocating.
-func ResidualsInto(dst, x, coeffs []float64) ([]float64, error) {
-	p := len(coeffs)
-	if len(x) <= p {
-		return nil, fmt.Errorf("residuals order %d with %d samples: %w", p, len(x), ErrTooShort)
-	}
-	if dst == nil {
-		dst = make([]float64, 0, len(x)-p)
-	}
-	for n := p; n < len(x); n++ {
-		e := x[n]
-		for k := 1; k <= p; k++ {
-			e += coeffs[k-1] * x[n-k]
-		}
-		dst = append(dst, e)
-	}
-	return dst, nil
-}
-
-// NormalizedPredictionError evaluates how well the coefficients predict
-// x: residual energy over signal energy across the prediction region,
-// clamped to [0, 1]. It lets one window's model be scored on another
-// window's data.
-func NormalizedPredictionError(x, coeffs []float64) (float64, error) {
-	res, err := Residuals(x, coeffs)
-	if err != nil {
-		return 0, err
-	}
-	var num, den float64
-	for _, v := range res {
-		num += v * v
-	}
-	for _, v := range x[len(coeffs):] {
-		den += v * v
-	}
-	if den <= 1e-15 {
-		return 0, nil
-	}
-	return mathx.Clamp(num/den, 0, 1), nil
-}
-
 // MinSamples returns the minimum window length Fit accepts for the
 // given method and order.
 func MinSamples(m Method, order int) int {
@@ -406,18 +352,4 @@ func MinSamples(m Method, order int) int {
 		return order + 1
 	}
 	return 2*order + 1
-}
-
-// IsPredictable is a convenience: fits the model and reports whether
-// the normalized error fell below threshold, swallowing ErrTooShort as
-// "not predictable". Other errors are returned.
-func IsPredictable(x []float64, order int, threshold float64, opts Options) (bool, Model, error) {
-	m, err := Fit(x, order, opts)
-	if err != nil {
-		if errors.Is(err, ErrTooShort) {
-			return false, Model{}, nil
-		}
-		return false, Model{}, err
-	}
-	return m.NormalizedError < threshold, m, nil
 }

@@ -195,48 +195,6 @@ func TestDemeanOption(t *testing.T) {
 	}
 }
 
-func TestResiduals(t *testing.T) {
-	// Perfect AR(1): x(n) = 0.5 x(n-1), coeffs = [-0.5] -> residuals 0.
-	x := []float64{1, 0.5, 0.25, 0.125}
-	res, err := Residuals(x, []float64{-0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("len = %d", len(res))
-	}
-	for _, v := range res {
-		if math.Abs(v) > 1e-12 {
-			t.Fatalf("residuals = %v, want zeros", res)
-		}
-	}
-}
-
-func TestResidualsTooShort(t *testing.T) {
-	if _, err := Residuals([]float64{1}, []float64{-0.5, 0.2}); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestNormalizedPredictionError(t *testing.T) {
-	x := []float64{1, 0.5, 0.25, 0.125, 0.0625}
-	e, err := NormalizedPredictionError(x, []float64{-0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e > 1e-12 {
-		t.Fatalf("perfect model error = %g", e)
-	}
-	// Terrible model on the same data.
-	e2, err := NormalizedPredictionError(x, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2 <= e {
-		t.Fatal("bad model did not score worse")
-	}
-}
-
 func TestMinSamples(t *testing.T) {
 	if MinSamples(MethodCovariance, 4) != 9 {
 		t.Fatal("covariance min wrong")
@@ -246,25 +204,6 @@ func TestMinSamples(t *testing.T) {
 	}
 	if MinSamples(MethodBurg, 3) != 7 {
 		t.Fatal("burg min wrong")
-	}
-}
-
-func TestIsPredictable(t *testing.T) {
-	x := make([]float64, 40)
-	for i := range x {
-		x[i] = 0.9
-	}
-	ok, m, err := IsPredictable(x, 3, 0.02, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("constant window not predictable: %+v", m)
-	}
-	// Too-short window: not predictable, no error.
-	ok, _, err = IsPredictable(x[:4], 3, 0.02, Options{})
-	if err != nil || ok {
-		t.Fatalf("short window: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -333,7 +272,7 @@ func TestFitWSMatchesFitBitwise(t *testing.T) {
 	// across methods, orders, and demeaning, with the same workspace
 	// carried (dirty) from window to window.
 	rng := randx.New(99)
-	ws := NewWorkspace()
+	ws := new(Workspace)
 	for trial := 0; trial < 30; trial++ {
 		n := 30 + rng.Intn(60)
 		x := genAR2(rng.Split(), n, -0.6, 0.3, 0.1)
@@ -368,7 +307,7 @@ func TestFitWSAllocs(t *testing.T) {
 	// With a warm workspace, the only per-fit allocation is the
 	// returned Coeffs slice (plus the Model escape analysis may add).
 	x := genAR2(randx.New(7), 50, -0.6, 0.3, 0.1)
-	ws := NewWorkspace()
+	ws := new(Workspace)
 	if _, err := FitWS(x, 4, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
@@ -379,39 +318,5 @@ func TestFitWSAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("FitWS allocates %.1f objects/op with a warm workspace, want <= 2", allocs)
-	}
-}
-
-func TestResidualsIntoReuse(t *testing.T) {
-	x := genAR2(randx.New(3), 60, -0.5, 0.2, 0.1)
-	m, err := Fit(x, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Residuals(x, m.Coeffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, 0, len(x))
-	got, err := ResidualsInto(buf, x, m.Coeffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("residual %d: %g != %g", i, got[i], want[i])
-		}
-	}
-	// Second use must reuse the buffer, not allocate.
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := ResidualsInto(got[:0], x, m.Coeffs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("ResidualsInto allocates %.1f/op with adequate buffer", allocs)
 	}
 }

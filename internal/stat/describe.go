@@ -44,36 +44,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased (divide by n-1) variance.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(n) / float64(n-1)
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the minimum and maximum of xs. It returns ErrEmpty for
-// an empty slice.
-func MinMax(xs []float64) (minV, maxV float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	minV, maxV = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV, nil
-}
-
 // Quantile returns the q-quantile (q in [0, 1]) of xs using linear
 // interpolation between order statistics (type-7, the common default).
 // xs is not modified.
@@ -101,37 +71,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 
 // Median returns the 0.5-quantile.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Summary bundles the moments of a sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64
-	StdDev   float64
-	Min      float64
-	Max      float64
-}
-
-// Describe computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	minV, maxV, err := MinMax(xs)
-	if err != nil {
-		return Summary{}, err
-	}
-	v := Variance(xs)
-	return Summary{
-		N:        len(xs),
-		Mean:     Mean(xs),
-		Variance: v,
-		StdDev:   math.Sqrt(v),
-		Min:      minV,
-		Max:      maxV,
-	}, nil
-}
 
 // Demean returns xs shifted to zero mean, leaving xs untouched. The
 // paper inspects x(t) − E[x(t)] for whiteness; this is that operator.

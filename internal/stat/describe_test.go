@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -24,29 +25,6 @@ func TestVariance(t *testing.T) {
 	// Population variance of {1,2,3,4} is 1.25.
 	if got := Variance([]float64{1, 2, 3, 4}); math.Abs(got-1.25) > 1e-12 {
 		t.Fatalf("Variance = %g, want 1.25", got)
-	}
-	// Sample variance of the same is 5/3.
-	if got := SampleVariance([]float64{1, 2, 3, 4}); math.Abs(got-5.0/3) > 1e-12 {
-		t.Fatalf("SampleVariance = %g, want 5/3", got)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 4}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("StdDev = %g, want 1", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	minV, maxV, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if minV != -1 || maxV != 7 {
-		t.Fatalf("MinMax = %g,%g", minV, maxV)
-	}
-	if _, _, err := MinMax(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -96,22 +74,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	s, err := Describe([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("Describe = %+v", s)
-	}
-	if math.Abs(s.Variance-1.25) > 1e-12 || math.Abs(s.StdDev-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("Describe moments = %+v", s)
-	}
-	if _, err := Describe(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestDemean(t *testing.T) {
 	xs := []float64{1, 2, 3}
 	out := Demean(xs)
@@ -144,8 +106,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		minV, maxV, _ := MinMax(xs)
-		return v1 <= v2+1e-12 && v1 >= minV-1e-12 && v2 <= maxV+1e-12
+		return v1 <= v2+1e-12 && v1 >= slices.Min(xs)-1e-12 && v2 <= slices.Max(xs)+1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -33,13 +33,6 @@ func (h *Histogram) Add(v float64) {
 	h.total++
 }
 
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, v := range xs {
-		h.Add(v)
-	}
-}
-
 // Remove un-records one sample previously added; used by the sequential
 // entropy filter to test "distribution without this rating". Removing a
 // value that was never added corrupts the histogram; callers own that

@@ -19,7 +19,9 @@ func TestHistogramBinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddAll([]float64{0, 0.05, 0.15, 0.95, 1.0})
+	for _, v := range []float64{0, 0.05, 0.15, 0.95, 1.0} {
+		h.Add(v)
+	}
 	if h.Counts[0] != 2 {
 		t.Fatalf("bin 0 = %d, want 2", h.Counts[0])
 	}
@@ -58,7 +60,9 @@ func TestHistogramProbabilities(t *testing.T) {
 	if p := h.Probabilities(); p[0] != 0 || p[1] != 0 {
 		t.Fatalf("empty probabilities = %v", p)
 	}
-	h.AddAll([]float64{0.1, 0.2, 0.9, 0.8})
+	for _, v := range []float64{0.1, 0.2, 0.9, 0.8} {
+		h.Add(v)
+	}
 	p := h.Probabilities()
 	if p[0] != 0.5 || p[1] != 0.5 {
 		t.Fatalf("probabilities = %v", p)
@@ -78,7 +82,9 @@ func TestHistogramEntropy(t *testing.T) {
 	}
 	// Uniform over 4 bins: 2 bits.
 	h2, _ := NewHistogram(0, 1, 4)
-	h2.AddAll([]float64{0.1, 0.3, 0.6, 0.9})
+	for _, v := range []float64{0.1, 0.3, 0.6, 0.9} {
+		h2.Add(v)
+	}
 	if math.Abs(h2.Entropy()-2) > 1e-12 {
 		t.Fatalf("uniform entropy = %g, want 2", h2.Entropy())
 	}

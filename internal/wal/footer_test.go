@@ -94,7 +94,7 @@ func TestSnapshotCorruptFooterFallsBack(t *testing.T) {
 				}
 			}
 			full := path.Join("wal", name)
-			data, err := readFile(fsys, full)
+			data, _, err := readFile(fsys, full, 0)
 			if err != nil {
 				t.Fatalf("read snap: %v", err)
 			}
@@ -145,7 +145,7 @@ func TestSnapshotLegacyNoFooterStillRecovers(t *testing.T) {
 			continue
 		}
 		full := path.Join("wal", n)
-		data, err := readFile(fsys, full)
+		data, _, err := readFile(fsys, full, 0)
 		if err != nil {
 			t.Fatalf("read snap: %v", err)
 		}

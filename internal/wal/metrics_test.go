@@ -97,7 +97,7 @@ func TestMetricsCountTornRecovery(t *testing.T) {
 	}
 	// Tear the final frame: chop the last 5 bytes of the segment.
 	name := "wal/" + segmentName(log.SegmentSeq())
-	data, err := readFile(fs, name)
+	data, _, err := readFile(fs, name, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

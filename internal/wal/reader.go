@@ -64,24 +64,27 @@ func (l *Log) ReadFrom(cur Cursor, maxRecords int) ([]Record, Cursor, error) {
 	}
 	var out []Record
 	for {
-		data, err := readFile(fsys, path.Join(dir, segmentName(cur.Seg)))
+		// Only the bytes past the cursor are read: an idle poll at the
+		// live tail reads none.
+		data, size, err := readFile(fsys, path.Join(dir, segmentName(cur.Seg)), cur.Off)
 		if err != nil {
 			if os.IsNotExist(err) && cur.Seg < liveSeq {
 				return out, cur, fmt.Errorf("%w (segment %d compacted)", ErrSegmentGone, cur.Seg)
 			}
 			return out, cur, err
 		}
-		if cur.Off > int64(len(data)) {
+		if cur.Off > size {
 			if cur.Seg < liveSeq {
 				// A verified cursor can't point past a sealed segment's
 				// end; this log's history diverged from the cursor's.
-				return out, cur, fmt.Errorf("%w (cursor %d/%d past sealed end %d)", ErrSegmentGone, cur.Seg, cur.Off, len(data))
+				return out, cur, fmt.Errorf("%w (cursor %d/%d past sealed end %d)", ErrSegmentGone, cur.Seg, cur.Off, size)
 			}
 			// A failed append is being truncated back; retry later.
 			return out, cur, nil
 		}
-		for cur.Off < int64(len(data)) && len(out) < maxRecords {
-			rec, next, perr := parseFrame(data, int(cur.Off))
+		base := cur.Off // data[0] is the byte at base
+		for cur.Off < base+int64(len(data)) && len(out) < maxRecords {
+			rec, next, perr := parseFrame(data, int(cur.Off-base))
 			if perr != nil {
 				if cur.Seg >= liveSeq {
 					return out, cur, nil // live tail tear: block before it
@@ -92,10 +95,10 @@ func (l *Log) ReadFrom(cur Cursor, maxRecords int) ([]Record, Cursor, error) {
 				if len(out) > 0 {
 					return out, cur, nil // the window starts its own batch
 				}
-				return []Record{rec}, Cursor{Seg: cur.Seg, Off: int64(next)}, nil
+				return []Record{rec}, Cursor{Seg: cur.Seg, Off: base + int64(next)}, nil
 			}
 			out = append(out, rec)
-			cur.Off = int64(next)
+			cur.Off = base + int64(next)
 		}
 		if len(out) >= maxRecords {
 			return out, cur, nil

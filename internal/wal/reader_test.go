@@ -3,8 +3,10 @@ package wal
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -38,6 +40,65 @@ func readAllFrom(t *testing.T, l *Log, cur Cursor) ([]Record, Cursor) {
 			return out, cur
 		}
 		cur = next
+	}
+}
+
+// countingFS counts the bytes read from the files it opens.
+type countingFS struct {
+	faultinject.FS
+	read atomic.Int64
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (faultinject.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{File: f, read: &c.read}, nil
+}
+
+type countingFile struct {
+	faultinject.File
+	read *atomic.Int64
+}
+
+func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.read.Add(int64(n))
+	return n, err
+}
+
+// A replication poll reads only the segment bytes past its cursor: an
+// idle poll at the live tail reads none, and catching up on one append
+// reads just that record's frame.
+func TestReadFromReadsOnlyPastCursor(t *testing.T) {
+	fsys := &countingFS{FS: faultinject.NewMemFS()}
+	l := openTestLog(t, fsys, 1<<20)
+	for i := 0; i < 50; i++ {
+		if err := l.Append(RatingRecord(testRating(i))); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	_, cur := readAllFrom(t, l, Cursor{Seg: l.SegmentSeq()})
+	fsys.read.Store(0)
+	for i := 0; i < 50; i++ {
+		recs, next, err := l.ReadFrom(cur, 0)
+		if err != nil || len(recs) != 0 || next != cur {
+			t.Fatalf("idle poll: %d records, cursor %+v, err %v", len(recs), next, err)
+		}
+	}
+	if got := fsys.read.Load(); got != 0 {
+		t.Fatalf("50 idle polls read %d segment bytes, want 0", got)
+	}
+	if err := l.Append(RatingRecord(testRating(50))); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	recs, next, err := l.ReadFrom(cur, 0)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("catch-up poll: %d records, err %v", len(recs), err)
+	}
+	if got, want := fsys.read.Load(), next.Off-cur.Off; got != want {
+		t.Fatalf("catching up one record read %d bytes, want its frame's %d", got, want)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"math"
 	"os"
 	"path"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -240,15 +241,15 @@ func Open(opts Options) (*Log, *Recovery, error) {
 			_ = fsys.Remove(path.Join(opts.Dir, name))
 		}
 	}
-	sortInts(segSeqs)
-	sortInts(snapSeqs)
+	slices.Sort(segSeqs)
+	slices.Sort(snapSeqs)
 
 	rec := &Recovery{}
 
 	// Latest readable snapshot wins; unreadable ones fall back.
 	snapSeq := 0
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
-		data, err := readFile(fsys, path.Join(opts.Dir, snapName(snapSeqs[i])))
+		data, _, err := readFile(fsys, path.Join(opts.Dir, snapName(snapSeqs[i])), 0)
 		if err != nil || len(data) == 0 {
 			// An empty snapshot is the signature of a rename whose
 			// content never reached disk; treat it like a read error.
@@ -285,7 +286,7 @@ func Open(opts Options) (*Log, *Recovery, error) {
 			_ = fsys.Remove(full)
 			continue
 		}
-		data, err := readFile(fsys, full)
+		data, _, err := readFile(fsys, full, 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: read segment %s: %w", name, err)
 		}
@@ -328,13 +329,26 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-func readFile(fsys faultinject.FS, name string) ([]byte, error) {
+// readFile reads name from byte off to its end into one buffer sized
+// from Stat, as os.ReadFile sizes it, and returns the bytes with the
+// file's size. Bytes appended after the Stat are left for the next
+// read; a file truncated meanwhile reads short.
+func readFile(fsys faultinject.FS, name string, off int64) ([]byte, int64, error) {
 	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	data := make([]byte, max(fi.Size()-off, 0))
+	n, err := f.ReadAt(data, off)
+	if err != nil && err != io.EOF {
+		return nil, 0, err
+	}
+	return data[:n], fi.Size(), nil
 }
 
 func truncateFile(fsys faultinject.FS, name string, size int64) error {
@@ -731,7 +745,7 @@ func (l *Log) LatestSnapshot() ([]byte, Cursor, SnapshotFooter, error) {
 	if best < 0 {
 		return nil, Cursor{}, SnapshotFooter{}, errors.New("wal: no snapshot")
 	}
-	data, err := readFile(fsys, path.Join(dir, snapName(best)))
+	data, _, err := readFile(fsys, path.Join(dir, snapName(best)), 0)
 	if err != nil {
 		return nil, Cursor{}, SnapshotFooter{}, fmt.Errorf("wal: latest snapshot: %w", err)
 	}
@@ -829,13 +843,5 @@ func decodeRecord(payload []byte) (Record, error) {
 		}, nil
 	default:
 		return Record{}, fmt.Errorf("unknown record type %d", payload[0])
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
