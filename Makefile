@@ -81,8 +81,8 @@ fuzz:
 # (exercises the parallel Monte-Carlo path end to end without
 # benchmark-grade runtimes), the chaos sweep, the detector×attack
 # matrix grid, and one-shot runs of the replication catch-up, unary
-# journal submit, primary startup and cluster window-exchange
-# benchmarks.
+# journal submit, primary startup, engine aggregate read and cluster
+# window-exchange benchmarks.
 ci:
 	$(MAKE) fmt
 	$(MAKE) vet
@@ -101,6 +101,7 @@ ci:
 	$(GO) test -run=NONE -bench=BenchmarkFollowerCatchup -benchtime=1x ./internal/repl/
 	$(GO) test -run=NONE -bench=BenchmarkJournalUnarySubmit -benchtime=1x ./internal/journal/
 	$(GO) test -run=NONE -bench=BenchmarkPrimaryStartup -benchtime=1x ./cmd/ratingd/
+	$(GO) test -run=NONE -bench=BenchmarkEngineAggregate -benchtime=1x ./internal/shard/
 	$(GO) test -run=NONE -bench=BenchmarkRouterWindowExchange -benchtime=1x ./internal/cluster/
 
 # matrix prints the detector×attack benchmark grid: every detector

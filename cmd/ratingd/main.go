@@ -23,8 +23,7 @@
 //	curl localhost:8080/v1/raters/1/trust
 //	curl 'localhost:8080/v1/malicious?offset=0&limit=100'
 //
-// The engine caches aggregates and the malicious list, serving each
-// answer only while the state it was computed from holds; mutating
+// Every read is computed from the engine's current state; mutating
 // routes can shed under overload with typed 429s once -admit-max is
 // set.
 package main

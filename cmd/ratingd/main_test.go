@@ -98,10 +98,9 @@ func getAggregate(t *testing.T, base string, obj rating.ObjectID) api.AggregateR
 	return agg
 }
 
-// requireFreshAggregate reads obj's aggregate from base twice (the
-// second read is a cache hit) and requires both to equal the oracle's
-// bit for bit and to differ from before, so a stale answer cannot
-// pass. It returns the answer.
+// requireFreshAggregate reads obj's aggregate from base twice and
+// requires both to equal the oracle's bit for bit and to differ from
+// before, so a stale answer cannot pass. It returns the answer.
 func requireFreshAggregate(t *testing.T, base string, oracle *core.System, obj rating.ObjectID, before api.AggregateResponse) api.AggregateResponse {
 	t.Helper()
 	res, err := oracle.Aggregate(obj)

@@ -220,7 +220,7 @@ func TestDaemonFollowerServesFreshReads(t *testing.T) {
 	submitBoth(t, p.ts.URL, oracle, shardtest.UnevenCharge(1))
 	caughtUp("follower catch-up", func() bool { return f.d.engine.Len() == oracle.Len() })
 	first := getAggregate(t, f.ts.URL, 1)
-	getAggregate(t, f.ts.URL, 1) // a cache hit
+	getAggregate(t, f.ts.URL, 1) // a repeated read
 
 	submitBoth(t, p.ts.URL, oracle, []rating.Rating{{Rater: 3, Object: 1, Value: 0.7, Time: 8}})
 	caughtUp("replicated ratings", func() bool { return f.d.engine.Len() == oracle.Len() })

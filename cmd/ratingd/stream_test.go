@@ -146,7 +146,7 @@ func TestStreamWindowServesFreshReads(t *testing.T) {
 	submitBoth(t, ts.URL, oracle, shardtest.UnevenCharge(1))
 	d.stream.Sync()
 	before := getAggregate(t, ts.URL, 1)
-	getAggregate(t, ts.URL, 1) // a cache hit
+	getAggregate(t, ts.URL, 1) // a repeated read
 
 	submitBoth(t, ts.URL, oracle, []rating.Rating{{Rater: 5, Object: 7, Value: 0.5, Time: 12}})
 	d.stream.Sync() // the pump closes [0,10) through the journal

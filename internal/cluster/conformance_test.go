@@ -168,7 +168,7 @@ func TestClusterWindowServesFreshReads(t *testing.T) {
 		return agg
 	}
 	before := read()
-	read() // a cache hit on the owner
+	read() // a repeated read
 
 	if _, err := c.Process(ctx, 0, 30); err != nil {
 		t.Fatal(err)

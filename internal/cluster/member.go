@@ -27,8 +27,8 @@ type Snapshotter interface {
 // this node's index in it, and the engine the scan/apply exchange
 // drives. It implements server.ClusterView, so installing it on the
 // node's Server scopes the public surface to the owned range. An
-// apply changes trust through the engine alone, whose cached reads
-// check themselves against the trust they were computed from.
+// apply changes trust through the engine alone, whose reads compute
+// from current state.
 type Member struct {
 	table Table
 	self  int

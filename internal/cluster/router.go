@@ -342,13 +342,18 @@ func (rt *Router) Stats(bounds []float64) (shard.Stats, error) {
 
 // ---- server.Backend: snapshots ----
 
-// memberView fetches and decodes one member's full snapshot.
+// memberView fetches one member's full snapshot and decodes the
+// buffered bytes in place, with one parse.
 func (rt *Router) memberView(n int) (core.StateView, error) {
 	var buf bytes.Buffer
 	if err := rt.clients[n].Snapshot(context.Background(), &buf); err != nil {
 		return core.StateView{}, rt.unavailable(n, err)
 	}
-	return core.DecodeSnapshot(&buf)
+	var doc core.SnapshotDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		return core.StateView{}, fmt.Errorf("core: snapshot decode: %w", err)
+	}
+	return doc.View()
 }
 
 // WriteSnapshot implements server.Backend: the cluster-wide state as

@@ -11,6 +11,7 @@ import (
 	"repro/internal/rating"
 	"repro/internal/sim"
 	"repro/internal/stat"
+	"repro/internal/trust"
 )
 
 // AblationAttacks evaluates the full pipeline against the adaptive
@@ -88,11 +89,11 @@ func AblationAttacks(seed int64, mode Mode, opt Options) (Result, error) {
 				honestMean := stat.Mean(rating.Values(sim.Ratings(honest)))
 				naive := stat.Mean(rating.Values(rs))
 
-				attackedAgg, err := pipelineAggregate(rs, p.Object)
+				attackedAgg, err := pipelineAggregate(rs, p.Object, trust.ManagerConfig{})
 				if err != nil {
 					return outcome{}, err
 				}
-				honestAgg, err := pipelineAggregate(sim.Ratings(honest), p.Object)
+				honestAgg, err := pipelineAggregate(sim.Ratings(honest), p.Object, trust.ManagerConfig{})
 				if err != nil {
 					return outcome{}, err
 				}
@@ -140,13 +141,15 @@ func AblationAttacks(seed int64, mode Mode, opt Options) (Result, error) {
 }
 
 // pipelineAggregate runs one trace through the full system (two 30-day
-// maintenance windows) and returns the trust-weighted aggregate.
-func pipelineAggregate(rs []rating.Rating, obj rating.ObjectID) (float64, error) {
+// maintenance windows) under the given trust configuration and returns
+// the trust-weighted aggregate.
+func pipelineAggregate(rs []rating.Rating, obj rating.ObjectID, trustCfg trust.ManagerConfig) (float64, error) {
 	sys, err := core.NewSystem(core.Config{
 		Detector: detector.Config{
 			Width: 10, TimeStep: 5, Order: 4,
 			Threshold: illustrativeThreshold, MinWindow: 25,
 		},
+		Trust: trustCfg,
 	})
 	if err != nil {
 		return 0, err

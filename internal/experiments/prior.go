@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/core"
-	"repro/internal/detector"
 	"repro/internal/parallel"
 	"repro/internal/randx"
-	"repro/internal/rating"
 	"repro/internal/sim"
 	"repro/internal/stat"
 	"repro/internal/trust"
@@ -63,11 +60,11 @@ func AblationPrior(seed int64, mode Mode, opt Options) (Result, error) {
 				combined := append(append([]sim.LabeledRating(nil), honest...), campaign...)
 				sim.SortByTime(combined)
 
-				attacked, err := priorPipelineAggregate(sim.Ratings(combined), p.Object, trustCfg)
+				attacked, err := pipelineAggregate(sim.Ratings(combined), p.Object, trustCfg)
 				if err != nil {
 					return 0, err
 				}
-				clean, err := priorPipelineAggregate(sim.Ratings(honest), p.Object, trustCfg)
+				clean, err := pipelineAggregate(sim.Ratings(honest), p.Object, trustCfg)
 				if err != nil {
 					return 0, err
 				}
@@ -100,32 +97,6 @@ func AblationPrior(seed int64, mode Mode, opt Options) (Result, error) {
 		},
 		Tables: []Table{table},
 	}, nil
-}
-
-func priorPipelineAggregate(rs []rating.Rating, obj rating.ObjectID, trustCfg trust.ManagerConfig) (float64, error) {
-	sys, err := core.NewSystem(core.Config{
-		Detector: detector.Config{
-			Width: 10, TimeStep: 5, Order: 4,
-			Threshold: illustrativeThreshold, MinWindow: 25,
-		},
-		Trust: trustCfg,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := sys.SubmitAll(rs); err != nil {
-		return 0, err
-	}
-	for _, w := range [][2]float64{{0, 30}, {30, 60}} {
-		if _, err := sys.ProcessWindow(w[0], w[1]); err != nil {
-			return 0, err
-		}
-	}
-	agg, err := sys.Aggregate(obj)
-	if err != nil {
-		return 0, err
-	}
-	return agg.Value, nil
 }
 
 // honestColdStartMonths counts months of clean activity until the

@@ -216,9 +216,6 @@ func (s *Store) mergeObject(id ObjectID, add []Rating) {
 // Len returns the total number of stored ratings.
 func (s *Store) Len() int { return s.n }
 
-// Count returns the number of stored ratings of one object.
-func (s *Store) Count(id ObjectID) int { return len(s.byObject[id]) }
-
 // Objects returns the object IDs in first-seen order. The slice is a
 // copy.
 func (s *Store) Objects() []ObjectID {

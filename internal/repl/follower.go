@@ -92,9 +92,8 @@ type pendingBarrier struct {
 // the last applied batch — promotion then truncates to the last
 // complete barrier simply because un-aligned pending barriers are
 // dropped, never half-applied. Replicated batches, windows and
-// bootstraps change the engine only; its cached reads check
-// themselves against the state they were computed from, so the
-// serving layer needs no hook to stay fresh.
+// bootstraps change the engine only; its reads compute from current
+// state, so the serving layer needs no hook to stay fresh.
 type Follower struct {
 	cfg FollowerConfig
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 )
 
@@ -19,7 +20,7 @@ import (
 type dedupeCache struct {
 	mu      sync.Mutex
 	entries map[string]*dedupeEntry
-	order   []string // FIFO eviction
+	order   []string // entries' keys, oldest first: FIFO eviction
 	cap     int
 }
 
@@ -60,7 +61,7 @@ func (c *dedupeCache) finish(id string, e *dedupeEntry, status int, contentType 
 	e.contentType = contentType
 	e.body = body
 	if status >= 500 {
-		delete(c.entries, id)
+		c.forget(id, e)
 	}
 	c.mu.Unlock()
 	close(e.done)
@@ -69,9 +70,23 @@ func (c *dedupeCache) finish(id string, e *dedupeEntry, status int, contentType 
 // abort forgets id after a leader panic; waiters see a zero status.
 func (c *dedupeCache) abort(id string, e *dedupeEntry) {
 	c.mu.Lock()
-	delete(c.entries, id)
+	c.forget(id, e)
 	c.mu.Unlock()
 	close(e.done)
+}
+
+// forget removes e and gives its eviction slot back, so the slot can
+// never evict a later entry for the same id. An e already evicted is
+// left alone: the map may hold a retry's entry under id by now. The
+// caller holds c.mu.
+func (c *dedupeCache) forget(id string, e *dedupeEntry) {
+	if c.entries[id] != e {
+		return
+	}
+	delete(c.entries, id)
+	if i := slices.Index(c.order, id); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 }
 
 // responseRecorder buffers a handler's response so it can be both sent

@@ -19,11 +19,8 @@ import (
 // Certainty is the contract: the fast path must never accept a line
 // the strict decoder would reject, and every float it produces must be
 // bit-identical to encoding/json's. The latter holds because
-// parseFloatFast either takes exactly the strconv fast path (exact
-// uint64 mantissa of at most 15 digits, decimal exponent within the
-// exactly-representable power-of-ten range) or delegates the
-// delimited number bytes to strconv.ParseFloat — the conversion
-// encoding/json itself performs.
+// parseFloatFast hands the delimited number bytes to
+// strconv.ParseFloat — the conversion encoding/json itself performs.
 func parseRatingLine(line []byte) (api.RatingPayload, bool) {
 	var p api.RatingPayload
 	i, n := skipSpace(line, 0), len(line)
@@ -187,152 +184,54 @@ func parseIntFast(b []byte, i int) (int, int, bool) {
 	return int(v), i, true
 }
 
-// pow10 holds the exactly-representable powers of ten; 10^22 is the
-// largest float64 power of ten with no rounding error.
-var pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
-// parseFloatFast reads a JSON number. When the decimal mantissa has
-// at most 15 significant digits and the decimal exponent keeps the
-// value within one exact power-of-ten multiply or divide it converts
-// inline — the same conditions under which strconv.ParseFloat takes
-// its exact fast path. Otherwise it hands the already-delimited number
-// bytes to strconv.ParseFloat itself, which is the exact conversion
-// encoding/json performs, so either way the result is bit-identical
-// to the strict decoder's. Only syntax the strict decoder would also
-// reject returns ok=false.
+// parseFloatFast reads a JSON number. It scans the JSON number
+// grammar itself, because strconv.ParseFloat also accepts forms JSON
+// does not (Inf, NaN, hex floats, a leading '+'), then hands exactly
+// the delimited bytes to strconv.ParseFloat, the conversion
+// encoding/json performs, so the result is bit-identical to the
+// strict decoder's. Only syntax the strict decoder would also reject,
+// or a conversion error (e.g. ErrRange), returns ok=false; the strict
+// decoder owns the authoritative error text.
 func parseFloatFast(b []byte, i int) (float64, int, bool) {
 	numStart := i
-	neg := false
 	if i < len(b) && b[i] == '-' {
-		neg = true
 		i++
 	}
-
 	// Integer part (JSON: one leading zero, or a nonzero-led run).
 	start := i
-	var mant uint64
-	digits := 0   // significant digits accumulated into mant
-	exact := true // mantissa (so far) fits 15 digits: inline convert OK
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		if digits == 0 && b[i] == '0' && mant == 0 {
-			// Leading zeros contribute nothing; JSON validity of "00"
-			// is checked below.
-			i++
-			continue
-		}
-		if digits >= 15 {
-			exact = false // mantissa would truncate: defer to strconv
-		} else {
-			mant = mant*10 + uint64(b[i]-'0')
-			digits++
-		}
-		i++
+	i = skipDigits(b, i)
+	if i == start || (b[start] == '0' && i-start > 1) {
+		return 0, i, false // no digits, or "00", "01"
 	}
-	intDigits := i - start
-	if intDigits == 0 {
-		return 0, i, false
-	}
-	if b[start] == '0' && intDigits > 1 {
-		return 0, i, false // "00", "01": invalid JSON, let the fallback reject
-	}
-	exp := 0 // decimal exponent applied to mant
-
-	// Fraction.
 	if i < len(b) && b[i] == '.' {
-		i++
-		fracStart := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			if mant == 0 && b[i] == '0' {
-				// 0.000x: leading fractional zeros only shift the exponent.
-				exp--
-				i++
-				continue
-			}
-			if digits >= 15 {
-				exact = false
-			} else {
-				mant = mant*10 + uint64(b[i]-'0')
-				digits++
-				exp--
-			}
-			i++
-		}
-		if i == fracStart {
+		fracStart := i + 1
+		if i = skipDigits(b, fracStart); i == fracStart {
 			return 0, i, false // "1." is not valid JSON
 		}
 	}
-
-	// Exponent.
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			eneg = b[i] == '-'
 			i++
 		}
 		eStart := i
-		e := 0
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			if e <= 10000 {
-				e = e*10 + int(b[i]-'0')
-			}
-			i++
-		}
-		if i == eStart {
+		if i = skipDigits(b, eStart); i == eStart {
 			return 0, i, false
 		}
-		if e > 10000 {
-			exact = false // far out of range: strconv's ErrRange decides
-		}
-		if eneg {
-			exp -= e
-		} else {
-			exp += e
-		}
 	}
-
-	// Exact inline conversion, mirroring strconv's fast path: the
-	// mantissa must fit the 52-bit significand and the power of ten
-	// must be one exact multiply or divide away.
-	if exact && mant>>52 == 0 {
-		f := float64(mant)
-		if neg {
-			f = -f
-		}
-		switch {
-		case exp == 0:
-			return f, i, true
-		case exp > 0 && exp <= 15+22:
-			g := f
-			e := exp
-			if e > 22 {
-				g *= pow10[e-22]
-				e = 22
-			}
-			if g <= 1e15 && g >= -1e15 {
-				return g * pow10[e], i, true
-			}
-			// Rounded multiply: fall through to strconv.
-		case exp < 0 && exp >= -22:
-			return f / pow10[-exp], i, true
-		}
-	}
-
-	// High-precision tail: the number's syntax is already delimited, so
-	// hand exactly its bytes to strconv.ParseFloat — the conversion
-	// encoding/json itself uses — for a bit-identical result without
-	// re-decoding the whole line. The unsafe.String view is read-only
-	// and does not outlive the call, and the slice is non-empty (at
-	// least one digit was consumed above). A conversion error (e.g.
-	// ErrRange on a huge exponent) bails to the strict decoder, which
-	// owns the authoritative error text.
+	// The unsafe.String view is read-only and does not outlive the
+	// call, and the slice is non-empty (at least one digit was read).
 	num := b[numStart:i]
 	f, err := strconv.ParseFloat(unsafe.String(unsafe.SliceData(num), len(num)), 64)
 	if err != nil {
 		return 0, i, false
 	}
 	return f, i, true
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
 }

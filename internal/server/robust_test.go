@@ -294,6 +294,56 @@ func TestDedupeDoesNotCacheFailures(t *testing.T) {
 	}
 }
 
+// A failed or aborted attempt gives its eviction slot back, so a
+// successful retry under the same ID stays replayable for a full
+// capacity of later requests, and an attempt that finishes after its
+// entry was evicted leaves the retry's entry alone.
+func TestDedupeFailedAttemptFreesSlot(t *testing.T) {
+	const capacity = 4
+	c := newDedupeCache(capacity)
+	attempt := func(id string, status int) {
+		t.Helper()
+		e, leader := c.begin(id)
+		if !leader {
+			t.Fatalf("%s: a fresh attempt was not the leader", id)
+		}
+		if status == 0 {
+			c.abort(id, e)
+		} else {
+			c.finish(id, e, status, "", nil)
+		}
+		if len(c.order) > capacity || len(c.order) != len(c.entries) {
+			t.Fatalf("after %s: %d eviction slots for %d entries, capacity %d", id, len(c.order), len(c.entries), capacity)
+		}
+	}
+	// Three requests fail once, then their retries succeed.
+	for _, id := range []string{"a", "b", "c"} {
+		if id == "b" {
+			attempt(id, 0) // the leader panicked
+		} else {
+			attempt(id, http.StatusServiceUnavailable)
+		}
+		attempt(id, http.StatusOK)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		if _, leader := c.begin(id); leader {
+			t.Fatalf("the successful retry of %s was evicted with %d entries cached", id, len(c.entries))
+		}
+	}
+
+	// An in-flight attempt evicted by newer requests, then retried:
+	// its late 503 must not delete the retry's entry.
+	e, _ := c.begin("x")
+	for _, id := range []string{"p", "q", "r", "s"} {
+		attempt(id, http.StatusOK)
+	}
+	attempt("x", http.StatusOK)
+	c.finish("x", e, http.StatusServiceUnavailable, "", nil)
+	if _, leader := c.begin("x"); leader {
+		t.Fatal("a late failure of an evicted attempt deleted its retry's entry")
+	}
+}
+
 // scriptedJournal fails its first failFirst SubmitAll calls, then
 // applies to the wrapped system; it can also panic on demand.
 type scriptedJournal struct {

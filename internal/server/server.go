@@ -136,8 +136,7 @@ func WithJournal(j Journal) Option { return func(s *Server) { s.journal = j } }
 // request counts, latencies, status codes, idempotency-cache hits,
 // admission and stream-ingest counters) on reg and enables
 // per-request instrumentation. A nil registry leaves the server
-// uninstrumented. The read cache counters belong to the engine
-// (shard.NewMetrics).
+// uninstrumented.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Server) { s.metrics = newServerMetrics(reg) }
 }
@@ -472,7 +471,7 @@ func (s *Server) handleMalicious(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ids, err := s.sys.MaliciousRaters() // shared: read, never modified
+	ids, err := s.sys.MaliciousRaters()
 	if err != nil {
 		writeError(w, r, backendStatus(err), err)
 		return

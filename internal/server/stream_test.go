@@ -309,7 +309,7 @@ func streamDirect(t *testing.T, srv *Server, body io.Reader) api.StreamSummary {
 }
 
 // primeAggregate seeds object 1, runs a window, and reads its
-// aggregate (which the engine caches).
+// aggregate.
 func primeAggregate(t *testing.T, client *Client) api.AggregateResponse {
 	t.Helper()
 	ctx := context.Background()
@@ -365,10 +365,10 @@ func TestStreamTerminalDrainsPendingAndInvalidatesCache(t *testing.T) {
 }
 
 // requireServedMatchesBackend asserts the HTTP-served aggregate of
-// object 1 is bit-identical to an uncached recompute of the backend's
-// state (a core.System restored from its snapshot) AND that it
-// differs from the pre-stream answer (so the equality is not vacuous:
-// a stale cache would serve `before`).
+// object 1 is bit-identical to a recompute of the backend's state (a
+// core.System restored from its snapshot) AND that it differs from
+// the pre-stream answer (so the equality is not vacuous: a stale read
+// would serve `before`).
 func requireServedMatchesBackend(t *testing.T, srv *Server, client *Client, before api.AggregateResponse) {
 	t.Helper()
 	after, err := client.Aggregate(context.Background(), 1)

@@ -34,15 +34,6 @@ import (
 // the rest of the time. Per-shard rating counts are mirrored in
 // atomic counters so Len (stats, telemetry) never touches a shard
 // lock while ingest runs.
-//
-// Read cache: Aggregate and MaliciousRaters cache their answers, each
-// stamped with the state it was computed from, and serve one only
-// while that state still holds. An aggregate carries the object's
-// rating count and the trust generation; the malicious list carries
-// the trust generation. The store only ever adds ratings, so an
-// unchanged count means unchanged ratings, and every trust rewrite
-// and store swap (applyWindow, loadView) bumps the generation under
-// trustMu. No write path does any other cache work.
 type Engine struct {
 	cfg  core.Config
 	pipe *core.Pipeline
@@ -56,14 +47,6 @@ type Engine struct {
 	// hand EnableStreaming a ResumeAfter that never re-fires a window
 	// whose charge is already durable.
 	lastWindowEnd float64
-	// trustGen counts trust rewrites and store swaps. It goes up only
-	// under trustMu (and, in loadView, every shard lock), so a reader
-	// holding a shard lock sees it consistent with that shard's store.
-	trustGen atomic.Uint64
-	// malicious is MaliciousRaters' cached list.
-	malicious atomic.Pointer[maliciousList]
-	// aggCap bounds each shard's cached aggregates.
-	aggCap int
 
 	// streaming, when set, is the online detection path (see
 	// EnableStreaming). Published once under all shard locks; the
@@ -77,27 +60,6 @@ type shardState struct {
 	mu    sync.Mutex
 	store *rating.Store
 	count atomic.Int64 // mirrors store.Len() for lock-free reads
-	aggs  map[rating.ObjectID]cachedAggregate
-}
-
-// aggregateCacheSize bounds the aggregates one engine caches, split
-// evenly across its shards (at least one per shard); past a shard's
-// share, an arbitrary entry of that shard is evicted per insert.
-const aggregateCacheSize = 4096
-
-// cachedAggregate is a cached answer and the state it was computed
-// from: the object's rating count and the trust generation.
-type cachedAggregate struct {
-	res   core.AggregateResult
-	count int
-	gen   uint64
-}
-
-// maliciousList is a cached malicious list and the trust generation
-// it was computed at.
-type maliciousList struct {
-	ids []rating.RaterID
-	gen uint64
 }
 
 // NewEngine builds an engine with the given shard count. The same
@@ -117,10 +79,9 @@ func NewEngine(cfg core.Config, shards int) (*Engine, error) {
 	}
 	states := make([]*shardState, shards)
 	for i := range states {
-		states[i] = &shardState{store: rating.NewStore(), aggs: make(map[rating.ObjectID]cachedAggregate)}
+		states[i] = &shardState{store: rating.NewStore()}
 	}
-	return &Engine{cfg: cfg, pipe: pipe, states: states, manager: manager,
-		aggCap: max(1, aggregateCacheSize/shards)}, nil
+	return &Engine{cfg: cfg, pipe: pipe, states: states, manager: manager}, nil
 }
 
 // SetMetrics attaches per-shard telemetry; nil disables it. Call
@@ -271,21 +232,13 @@ func (e *Engine) ProcessWindow(start, end float64) (core.ProcessReport, error) {
 	return report, nil
 }
 
-// Aggregate returns the object's trust-enhanced aggregate, from the
-// shard's cache while the object's rating count and the trust
-// generation match the cached entry's (see Engine).
+// Aggregate returns the object's trust-enhanced aggregate, computed
+// from the current state on every call, as core.System computes it.
 func (e *Engine) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	st := e.states[e.ShardFor(obj)]
 	st.mu.Lock()
-	gen := e.trustGen.Load()
-	if c, ok := st.aggs[obj]; ok && c.count == st.store.Count(obj) && c.gen == gen {
-		st.mu.Unlock()
-		e.metrics.readCache("aggregate", true)
-		return c.res, nil
-	}
 	stored, err := st.store.ForObject(obj)
 	st.mu.Unlock()
-	e.metrics.readCache("aggregate", false)
 	if err != nil {
 		// Worded as core.System words it: the unknown-object message
 		// is part of the wire contract, whatever engine serves it.
@@ -293,24 +246,8 @@ func (e *Engine) Aggregate(obj rating.ObjectID) (core.AggregateResult, error) {
 	}
 	// stored is ForObject's copy: safe to read outside the shard lock.
 	e.trustMu.RLock()
-	res, err := e.pipe.AggregateRatings(obj, stored, e.manager.Trust)
-	current := e.trustGen.Load() == gen
-	e.trustMu.RUnlock()
-	if err != nil || !current {
-		// Only an answer computed from exactly the stamped state is
-		// cached.
-		return res, err
-	}
-	st.mu.Lock()
-	if _, ok := st.aggs[obj]; !ok && len(st.aggs) >= e.aggCap {
-		for evict := range st.aggs {
-			delete(st.aggs, evict)
-			break
-		}
-	}
-	st.aggs[obj] = cachedAggregate{res: res, count: len(stored), gen: gen}
-	st.mu.Unlock()
-	return res, nil
+	defer e.trustMu.RUnlock()
+	return e.pipe.AggregateRatings(obj, stored, e.manager.Trust)
 }
 
 // TrustIn returns the system's current trust in a rater. An engine's
@@ -340,13 +277,13 @@ type Stats struct {
 }
 
 // Stats summarizes the engine's state. The rating count comes from
-// the per-shard counters and the malicious count from the cached
-// list, so it touches no shard lock. It never fails.
+// the per-shard counters, so it touches no shard lock. It never fails.
 func (e *Engine) Stats(bounds []float64) (Stats, error) {
-	st := Stats{Ratings: e.Len(), Malicious: len(e.maliciousRaters())}
+	st := Stats{Ratings: e.Len()}
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
 	st.Raters = e.manager.Len()
+	st.Malicious = len(e.manager.Malicious())
 	if len(bounds) > 0 {
 		st.Distribution = e.manager.TrustDistribution(bounds)
 	}
@@ -354,8 +291,7 @@ func (e *Engine) Stats(bounds []float64) (Stats, error) {
 }
 
 // MaliciousRaters returns raters below the malicious-trust threshold,
-// ascending. The list is cached until trust next changes and is
-// shared between callers, who must not modify it. It never fails.
+// ascending. It never fails.
 func (e *Engine) MaliciousRaters() ([]rating.RaterID, error) {
 	return e.maliciousRaters(), nil
 }
@@ -363,15 +299,7 @@ func (e *Engine) MaliciousRaters() ([]rating.RaterID, error) {
 func (e *Engine) maliciousRaters() []rating.RaterID {
 	e.trustMu.RLock()
 	defer e.trustMu.RUnlock()
-	gen := e.trustGen.Load()
-	if m := e.malicious.Load(); m != nil && m.gen == gen {
-		e.metrics.readCache("malicious", true)
-		return m.ids
-	}
-	ids := e.manager.Malicious()
-	e.malicious.Store(&maliciousList{ids: ids, gen: gen})
-	e.metrics.readCache("malicious", false)
-	return ids
+	return e.manager.Malicious()
 }
 
 // View captures the engine's full state as a copy: every shard's
@@ -471,7 +399,6 @@ func (e *Engine) loadView(v core.StateView) error {
 	}
 	e.trustMu.Lock()
 	e.manager = manager
-	e.trustGen.Add(1)
 	// A core snapshot carries no window history; recovery (Recover)
 	// restores the durable high-water mark right after seeding.
 	e.lastWindowEnd = 0

@@ -8,7 +8,7 @@ import (
 
 // Metrics is the sharded engine's telemetry: per-shard ingest counters
 // keyed by a "shard" label, batch-size distribution, flush outcomes,
-// streaming intake and read cache lookups. Window accounting goes to
+// streaming intake and alerts. Window accounting goes to
 // the engine config's core.Metrics, as a System's does. A nil *Metrics
 // disables instrumentation (every method is nil-safe), matching the
 // repo's other metric structs.
@@ -32,9 +32,6 @@ type Metrics struct {
 	StreamShedTotal *telemetry.CounterVec
 	// AlertsTotal counts alerts emitted, by source.
 	AlertsTotal *telemetry.CounterVec
-	// ReadCacheTotal counts read cache lookups by kind (aggregate,
-	// malicious) and result (hit, miss).
-	ReadCacheTotal *telemetry.CounterVec
 
 	// labels[i] is the precomputed label value for shard i, so hot
 	// paths don't re-format integers.
@@ -53,7 +50,6 @@ func NewMetrics(r *telemetry.Registry, shards int) *Metrics {
 		StreamLateTotal:   r.CounterVec("shard_stream_late_total", "ratings skipped by the streaming path as behind the stream clock", "shard"),
 		StreamShedTotal:   r.CounterVec("shard_stream_shed_total", "ratings shed by full streaming queues", "shard"),
 		AlertsTotal:       r.CounterVec("shard_alerts_total", "alerts emitted", "source"),
-		ReadCacheTotal:    r.CounterVec("http_read_cache_total", "read cache lookups by kind and result", "kind", "result"),
 		labels:            make([]string, shards),
 	}
 	for i := range m.labels {
@@ -118,15 +114,4 @@ func (m *Metrics) alertEmitted(source string) {
 		return
 	}
 	m.AlertsTotal.With(source).Inc()
-}
-
-func (m *Metrics) readCache(kind string, hit bool) {
-	if m == nil {
-		return
-	}
-	result := "miss"
-	if hit {
-		result = "hit"
-	}
-	m.ReadCacheTotal.With(kind, result).Inc()
 }

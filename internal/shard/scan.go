@@ -181,7 +181,6 @@ func (e *Engine) applyWindow(obs map[rating.RaterID]trust.Observation, end float
 		prevMal = e.manager.Malicious()
 	}
 	err := e.manager.UpdateBatch(obs, end)
-	e.trustGen.Add(1) // even on error: UpdateBatch may have charged some raters
 	if err == nil && end > e.lastWindowEnd {
 		e.lastWindowEnd = end
 	}

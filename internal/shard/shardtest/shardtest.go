@@ -141,7 +141,7 @@ func (w Workload) Generate() []Month {
 // UnevenCharge rates obj low (rater 1) and high (rater 2), all before
 // day 10; rater 2 also rates the five objects after obj. A window over
 // them charges the two raters unevenly, so it moves obj's aggregate
-// without touching obj's ratings — the case a cached read must notice.
+// without touching obj's ratings — the case a stale read would miss.
 func UnevenCharge(obj rating.ObjectID) []rating.Rating {
 	rs := []rating.Rating{
 		{Rater: 1, Object: obj, Value: 0.2, Time: 1},

@@ -205,9 +205,9 @@ func TestConcurrentSoakAcrossShardCounts(t *testing.T) {
 
 // Concurrent readers must never trip the race detector or observe torn
 // state: aggregates of every object, trust reads and the malicious
-// list run while writers stream and then while a window charges trust,
-// filling the read cache as they go. Every cached answer must give way
-// to the oracle's, once the writers finish and again after the window.
+// list run while writers stream and then while a window charges trust.
+// Every answer must equal the oracle's once the writers finish and
+// again after the window.
 func TestSoakReadersDuringIngest(t *testing.T) {
 	w := shardtest.Workload{Seed: 5, Months: 1, PerMonth: 400, Objects: 5}
 	month := w.Generate()[0]
