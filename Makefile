@@ -80,9 +80,9 @@ fuzz:
 # one-shot smoke run of the tab1 macro benchmark, serial and parallel
 # (exercises the parallel Monte-Carlo path end to end without
 # benchmark-grade runtimes), the chaos sweep, the detector×attack
-# matrix grid, and one-shot runs of the replication catch-up, unary
-# journal submit, primary startup, engine aggregate read and cluster
-# window-exchange benchmarks.
+# matrix grid, and one-shot runs of the batch and online detector,
+# replication catch-up, unary journal submit, primary startup, engine
+# aggregate read and cluster window-exchange benchmarks.
 ci:
 	$(MAKE) fmt
 	$(MAKE) vet
@@ -98,6 +98,7 @@ ci:
 	$(MAKE) chaos-repl
 	$(MAKE) chaos-cluster
 	$(MAKE) matrix
+	$(GO) test -run=NONE -bench='^(BenchmarkDetectIllustrativeTraceWS|BenchmarkDetectorStream)$$' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkFollowerCatchup -benchtime=1x ./internal/repl/
 	$(GO) test -run=NONE -bench=BenchmarkJournalUnarySubmit -benchtime=1x ./internal/journal/
 	$(GO) test -run=NONE -bench=BenchmarkPrimaryStartup -benchtime=1x ./cmd/ratingd/

@@ -156,6 +156,26 @@ func BenchmarkDetectIllustrativeTraceWS(b *testing.B) {
 	}
 }
 
+func BenchmarkDetectorStream(b *testing.B) {
+	// The online form of the same scan: the illustrative trace pushed
+	// rating by rating through a fresh stream, as each object's stream
+	// runs at ingest under ratingd -stream-detect.
+	rs := benchTrace(b)
+	cfg := repro.DetectorConfig{Mode: repro.WindowByCount, Size: 50, Step: 25, Threshold: 0.105}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := repro.NewDetectorStream(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rs {
+			if _, err := s.Push(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkBetaFilter(b *testing.B) {
 	rs := benchTrace(b)
 	f := repro.BetaFilter{Q: 0.1}

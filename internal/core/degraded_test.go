@@ -1,24 +1,42 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/rating"
-	"repro/internal/signal"
 )
 
-// With a deliberately broken AR estimator, every object whose windows
-// are large enough to fit fails detection. The maintenance window must
-// survive anyway: the failing object is reported degraded and falls
-// back to filter-only evidence, while objects that never reach the
-// estimator (too few ratings per window) stay clean.
+// nanFilter accepts every rating with its value replaced by NaN, so
+// every AR fit the detector attempts on what it accepts fails as
+// singular, a failure no config check can see.
+type nanFilter struct{}
+
+func (nanFilter) Name() string { return "nan" }
+
+func (nanFilter) Apply(rs []rating.Rating) (filter.Result, error) {
+	out := make([]rating.Rating, len(rs))
+	for i, r := range rs {
+		r.Value = math.NaN()
+		out[i] = r
+	}
+	return filter.Result{Accepted: out}, nil
+}
+
+// With every AR fit failing, every object whose windows are large
+// enough to fit fails detection. The maintenance window must survive
+// anyway: the failing object is reported degraded and falls back to
+// filter-only evidence, while objects that never reach the estimator
+// (too few ratings per window) stay clean. The failure comes from the
+// data: DetectWS validates its config on every call, so a broken one,
+// such as an unknown AR method, would degrade the sparse object too.
 func TestProcessWindowDegradesPerObject(t *testing.T) {
-	sys, err := NewSystem(Config{})
+	sys, err := NewSystem(Config{Filter: nanFilter{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.cfg.Detector.Signal.Method = signal.Method(99) // always-failing fit
 
 	// Object 1: dense, so the detector attempts (and fails) a fit.
 	for i := 0; i < 40; i++ {

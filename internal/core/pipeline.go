@@ -214,13 +214,15 @@ func (p *Pipeline) ChargeWindow(obs map[rating.RaterID]trust.Observation, scans 
 // the filter removes abnormal ratings, each remaining rater
 // contributes their latest rating, and the configured aggregator
 // weighs them by trust (falling back per the config). trustOf supplies
-// the current trust in a rater.
+// the current trust in a rater. The distrusted ratings are dropped in
+// place, so `all` must be the caller's own copy, which it must not
+// read again.
 func (p *Pipeline) AggregateRatings(obj rating.ObjectID, all []rating.Rating, trustOf func(rating.RaterID) float64) (AggregateResult, error) {
 	threshold := p.cfg.Trust.MaliciousThreshold
 	if threshold == 0 {
 		threshold = 0.5
 	}
-	kept := make([]rating.Rating, 0, len(all))
+	kept := all[:0]
 	for _, r := range all {
 		if trustOf(r.Rater) >= threshold {
 			kept = append(kept, r)
@@ -228,7 +230,8 @@ func (p *Pipeline) AggregateRatings(obj rating.ObjectID, all []rating.Rating, tr
 	}
 	if len(kept) == 0 {
 		// Every rater is distrusted; aggregate what exists rather than
-		// failing (the fallback aggregator owns this case).
+		// failing (the fallback aggregator owns this case). Nothing was
+		// written, so all is intact.
 		kept = all
 	}
 	res, err := p.cfg.Filter.Apply(kept)

@@ -303,17 +303,17 @@ func (s *System) Aggregate(obj rating.ObjectID) (AggregateResult, error) {
 }
 
 func (s *System) aggregate(obj rating.ObjectID, include func(rating.Rating) bool) (AggregateResult, error) {
-	stored, err := s.store.ForObject(obj)
+	all, err := s.store.ForObject(obj)
 	if err != nil {
 		return AggregateResult{}, fmt.Errorf("core: %w", err)
 	}
-	all := make([]rating.Rating, 0, len(stored))
-	for _, r := range stored {
+	kept := all[:0]
+	for _, r := range all {
 		if include(r) {
-			all = append(all, r)
+			kept = append(kept, r)
 		}
 	}
-	return s.pipe.AggregateRatings(obj, all, s.manager.Trust)
+	return s.pipe.AggregateRatings(obj, kept, s.manager.Trust)
 }
 
 // TrustIn returns the system's current trust in a rater (0.5 for

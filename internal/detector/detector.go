@@ -11,8 +11,8 @@
 package detector
 
 import (
-	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/rating"
 	"repro/internal/signal"
@@ -100,20 +100,29 @@ func (c Config) Validate() error {
 	if c.Size < 1 || c.Step < 1 {
 		return fmt.Errorf("detector: size=%d step=%d", c.Size, c.Step)
 	}
-	if c.Width <= 0 || c.TimeStep <= 0 {
+	// The float ranges are written so that NaN fails them.
+	if !(c.Width > 0 && c.TimeStep > 0) {
 		return fmt.Errorf("detector: width=%g timestep=%g", c.Width, c.TimeStep)
 	}
 	if c.Order < 1 {
 		return fmt.Errorf("detector: order %d", c.Order)
 	}
-	if c.Threshold <= 0 || c.Threshold >= 1 {
+	if !(c.Threshold > 0 && c.Threshold < 1) {
 		return fmt.Errorf("detector: threshold %g outside (0,1)", c.Threshold)
 	}
-	if c.Scale <= 0 || c.Scale > 1 {
+	if !(c.Scale > 0 && c.Scale <= 1) {
 		return fmt.Errorf("detector: scale %g outside (0,1]", c.Scale)
 	}
 	if c.MinWindow < 0 {
 		return fmt.Errorf("detector: min window %d", c.MinWindow)
+	}
+	// Either one makes every fit fail, and a Stream would then retry
+	// its first window on every push without ever compacting.
+	if m := c.Signal.Method; m < 0 || m > signal.MethodBurg {
+		return fmt.Errorf("detector: unknown AR method %d", int(m))
+	}
+	if math.IsNaN(c.Signal.Ridge) {
+		return fmt.Errorf("detector: ridge %g", c.Signal.Ridge)
 	}
 	return nil
 }
@@ -174,63 +183,112 @@ func (r Report) ModelErrors() (centers, errs []float64) {
 	return centers, errs
 }
 
-// Workspace carries the reusable state of a detection run: the AR-fit
-// scratch (signal.Workspace), the per-window value buffer, Procedure 1's
-// L_latest map and suspicious-rating marks, plus a rater-count hint used
-// to pre-size each report's PerRater map. Reusing one Workspace across
-// the thousands of Detect calls a marketplace replay makes removes every
-// per-call map/slice rebuild except the returned Report itself.
+// Workspace carries the reusable state of Procedure 1: the AR-fit
+// scratch (signal.Workspace), the per-window value buffer, the L_latest
+// map and the suspicious-rating marks, plus a rater-count hint used to
+// pre-size each report's PerRater map. Reusing one Workspace across the
+// thousands of Detect calls a marketplace replay makes removes every
+// per-call map/slice rebuild except the returned Report itself; a Stream
+// owns one for life.
 //
 // A Workspace is not safe for concurrent use: one Workspace per
 // goroutine, never shared (parallel.MapLocal builds exactly that).
 type Workspace struct {
-	sig          signal.Workspace
-	values       []float64
-	latest       map[rating.RaterID]float64
-	inSuspicious []bool
-	raterHint    int
+	sig    signal.Workspace
+	values []float64
+	latest map[rating.RaterID]float64
+	// marked runs parallel to the ratings being scanned: a batch run's
+	// input, or a Stream's buffer.
+	marked    []bool
+	raterHint int
 }
 
 // NewWorkspace returns an empty Workspace, ready for DetectWS.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// begin shapes the workspace for a run over rs and returns a report
-// with pre-sized maps.
+// begin shapes the workspace for a batch run over rs and returns a
+// report with pre-sized maps and every rater's n_i counted.
 func (ws *Workspace) begin(rs []rating.Rating, windows int) Report {
 	if ws.latest == nil {
 		ws.latest = make(map[rating.RaterID]float64, ws.raterHint)
 	} else {
 		clear(ws.latest)
 	}
-	if cap(ws.inSuspicious) < len(rs) {
-		ws.inSuspicious = make([]bool, len(rs))
+	if cap(ws.marked) < len(rs) {
+		ws.marked = make([]bool, len(rs))
 	} else {
-		ws.inSuspicious = ws.inSuspicious[:len(rs)]
-		for i := range ws.inSuspicious {
-			ws.inSuspicious[i] = false
-		}
+		ws.marked = ws.marked[:len(rs)]
+		clear(ws.marked)
 	}
 	hint := ws.raterHint
 	if hint == 0 || hint > len(rs) {
 		hint = len(rs)
 	}
-	return Report{
+	report := Report{
 		Windows:  make([]WindowReport, 0, windows),
 		PerRater: make(map[rating.RaterID]RaterStats, hint),
 	}
-}
-
-// finish folds the suspicious-rating marks into the report and records
-// the rater count as the next run's pre-sizing hint.
-func (ws *Workspace) finish(report *Report, rs []rating.Rating) {
-	for idx, marked := range ws.inSuspicious {
-		if marked {
-			s := report.PerRater[rs[idx].Rater]
-			s.SuspiciousRatings++
-			report.PerRater[rs[idx].Rater] = s
-		}
+	for _, r := range rs {
+		s := report.PerRater[r.Rater]
+		s.TotalRatings++
+		report.PerRater[r.Rater] = s
 	}
 	ws.raterHint = len(report.PerRater)
+	return report
+}
+
+// score is Procedure 1's per-window step: it fits the AR model to w's
+// ratings and, when the normalized model error e(k) falls under the
+// threshold, marks the window suspicious at level L(k). A window with
+// fewer ratings than cfg.minSamples comes back unfitted. cfg must be
+// validated and defaulted.
+func (ws *Workspace) score(w rating.Window, cfg Config) (WindowReport, error) {
+	wr := WindowReport{Window: w}
+	if len(w.Ratings) < cfg.minSamples() {
+		return wr, nil
+	}
+	ws.values = rating.AppendValues(ws.values[:0], w.Ratings)
+	model, err := signal.FitWS(ws.values, cfg.Order, cfg.Signal, &ws.sig)
+	if err != nil {
+		return WindowReport{}, fmt.Errorf("detector: window %d: %w", w.Index, err)
+	}
+	wr.Fitted, wr.Model = true, model
+	if model.NormalizedError < cfg.Threshold {
+		wr.Suspicious = true
+		wr.Level = suspicionLevel(model.NormalizedError, cfg)
+	}
+	return wr, nil
+}
+
+// accrue is Procedure 1 steps 8-16 for one suspicious window at level
+// L(k): members are its ratings and marked their marks. It marks each
+// member, counts the rater's s_i the first time one of its ratings is
+// marked, and raises the rater's C(i) by level − L_latest only when the
+// level is higher, so overlapping suspicious windows count once at
+// their maximum level. onAccrue, when non-nil, sees each increment with
+// at. Members are visited in index order, and a rater's stats are
+// rewritten only when they change.
+func (ws *Workspace) accrue(perRater map[rating.RaterID]RaterStats, members []rating.Rating, marked []bool, level float64, onAccrue func(id rating.RaterID, delta, at float64), at float64) {
+	for i, r := range members {
+		first := !marked[i]
+		marked[i] = true
+		prev := ws.latest[r.Rater]
+		if !first && level <= prev {
+			continue
+		}
+		s := perRater[r.Rater]
+		if first {
+			s.SuspiciousRatings++
+		}
+		if level > prev {
+			s.Suspicion += level - prev
+			ws.latest[r.Rater] = level
+			if onAccrue != nil {
+				onAccrue(r.Rater, level-prev, at)
+			}
+		}
+		perRater[r.Rater] = s
+	}
 }
 
 // Detect runs Procedure 1 over the time-sorted ratings of one object.
@@ -259,46 +317,16 @@ func DetectWS(rs []rating.Rating, cfg Config, ws *Workspace) (Report, error) {
 	}
 
 	report := ws.begin(rs, len(windows))
-	for _, r := range rs {
-		s := report.PerRater[r.Rater]
-		s.TotalRatings++
-		report.PerRater[r.Rater] = s
-	}
-
-	minSamples := signal.MinSamples(effectiveMethod(cfg.Signal), cfg.Order)
-	if cfg.MinWindow > minSamples {
-		minSamples = cfg.MinWindow
-	}
-
 	for _, w := range windows {
-		wr := WindowReport{Window: w}
-		if len(w.Ratings) >= minSamples {
-			ws.values = rating.AppendValues(ws.values[:0], w.Ratings)
-			model, ferr := signal.FitWS(ws.values, cfg.Order, cfg.Signal, &ws.sig)
-			if ferr != nil {
-				if !errors.Is(ferr, signal.ErrTooShort) {
-					return Report{}, fmt.Errorf("detector: window %d: %w", w.Index, ferr)
-				}
-			} else {
-				wr.Fitted = true
-				wr.Model = model
-				if model.NormalizedError < cfg.Threshold {
-					wr.Suspicious = true
-					wr.Level = suspicionLevel(model.NormalizedError, cfg)
-				}
-			}
+		wr, err := ws.score(w, cfg)
+		if err != nil {
+			return Report{}, err
 		}
 		if wr.Suspicious {
-			// Procedure 1 steps 8-16: accrue per-rater suspicion. A rater
-			// whose latest level already covers L(k) accrues only the
-			// increment, so overlapping suspicious windows count once at
-			// their maximum level.
-			accrue(&report, rs, w, wr.Level, ws.latest, ws.inSuspicious)
+			ws.accrue(report.PerRater, w.Ratings, ws.marked[w.Lo:w.Hi], wr.Level, nil, 0)
 		}
 		report.Windows = append(report.Windows, wr)
 	}
-
-	ws.finish(&report, rs)
 	return report, nil
 }
 
@@ -324,11 +352,15 @@ func buildWindows(rs []rating.Rating, cfg Config) ([]rating.Window, error) {
 	return windows, nil
 }
 
-func effectiveMethod(opts signal.Options) signal.Method {
-	if opts.Method == 0 {
-		return signal.MethodCovariance
+// minSamples is the fewest ratings a window needs to be fitted: the AR
+// method's own minimum, so a fit never reports ErrTooShort, or
+// MinWindow when that is larger.
+func (c Config) minSamples() int {
+	m := c.Signal.Method
+	if m == 0 {
+		m = signal.MethodCovariance
 	}
-	return opts.Method
+	return max(signal.MinSamples(m, c.Order), c.MinWindow)
 }
 
 func suspicionLevel(e float64, cfg Config) float64 {

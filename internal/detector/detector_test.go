@@ -58,6 +58,12 @@ func TestConfigValidate(t *testing.T) {
 		{Threshold: -0.1},
 		{Scale: 2},
 		{Scale: -0.5},
+		{Signal: signal.Options{Method: signal.Method(99)}},
+		{Signal: signal.Options{Ridge: math.NaN()}},
+		{Width: math.NaN()},
+		{TimeStep: math.NaN()},
+		{Threshold: math.NaN()},
+		{Scale: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/rating"
-	"repro/internal/signal"
 )
 
 // ErrOutOfOrder is returned when a streamed rating arrives with a time
@@ -30,13 +29,11 @@ type Stream struct {
 	// inside Push, so it must not call back into the Stream.
 	OnAccrue func(id rating.RaterID, delta, at float64)
 
-	cfg        Config
-	minSamples int
-
-	// sig and values are the reusable AR-fit scratch: a Stream is
-	// single-goroutine by contract, so it owns one workspace for life.
-	sig    signal.Workspace
-	values []float64
+	cfg Config
+	// ws is the scoring scratch and Procedure 1's L_latest map, its marks
+	// running parallel to buf. A Stream is single-goroutine by contract,
+	// so it owns one workspace for life.
+	ws Workspace
 
 	buf []rating.Rating
 	// emitted counts windows already reported.
@@ -47,11 +44,7 @@ type Stream struct {
 	total    int
 	lastTime float64
 
-	latest   map[rating.RaterID]float64
 	perRater map[rating.RaterID]RaterStats
-	// pendingSuspicious marks buffered ratings (relative to consumed)
-	// whose membership in a suspicious window has been counted.
-	pendingSuspicious map[int]bool
 }
 
 // NewStream builds a streaming detector. cfg.Mode must be
@@ -64,16 +57,10 @@ func NewStream(cfg Config) (*Stream, error) {
 	if cfg.Mode != WindowByCount {
 		return nil, fmt.Errorf("detector: stream supports count windows only")
 	}
-	minSamples := signal.MinSamples(effectiveMethod(cfg.Signal), cfg.Order)
-	if cfg.MinWindow > minSamples {
-		minSamples = cfg.MinWindow
-	}
 	return &Stream{
-		cfg:               cfg,
-		minSamples:        minSamples,
-		latest:            make(map[rating.RaterID]float64),
-		perRater:          make(map[rating.RaterID]RaterStats),
-		pendingSuspicious: make(map[int]bool),
+		cfg:      cfg,
+		ws:       Workspace{latest: make(map[rating.RaterID]float64)},
+		perRater: make(map[rating.RaterID]RaterStats),
 	}, nil
 }
 
@@ -90,6 +77,7 @@ func (s *Stream) Push(r rating.Rating) ([]WindowReport, error) {
 	}
 	s.lastTime = r.Time
 	s.buf = append(s.buf, r)
+	s.ws.marked = append(s.ws.marked, false)
 	s.total++
 	// With Step > Size, ratings can land in the gap between windows;
 	// they are dead on arrival and trimmed immediately so the buffer
@@ -108,74 +96,21 @@ func (s *Stream) Push(r rating.Rating) ([]WindowReport, error) {
 		}
 		rel := start - s.consumed
 		member := s.buf[rel : rel+s.cfg.Size]
-		wr, err := s.fitWindow(member, start)
+		wr, err := s.ws.score(rating.Window{
+			Index: s.emitted, Start: member[0].Time, End: member[len(member)-1].Time,
+			Lo: start, Hi: start + s.cfg.Size, Ratings: member,
+		}, s.cfg)
 		if err != nil {
 			return nil, err
 		}
 		if wr.Suspicious {
-			s.accrueWindow(member, rel, wr.Level)
+			s.ws.accrue(s.perRater, member, s.ws.marked[rel:rel+s.cfg.Size], wr.Level, s.OnAccrue, s.lastTime)
 		}
 		out = append(out, wr)
 		s.emitted++
 		s.compact()
 	}
 	return out, nil
-}
-
-func (s *Stream) fitWindow(member []rating.Rating, start int) (WindowReport, error) {
-	w := rating.Window{
-		Index:   s.emitted,
-		Start:   member[0].Time,
-		End:     member[len(member)-1].Time,
-		Lo:      start,
-		Hi:      start + len(member),
-		Ratings: member,
-	}
-	wr := WindowReport{Window: w}
-	if len(member) < s.minSamples {
-		return wr, nil
-	}
-	s.values = rating.AppendValues(s.values[:0], member)
-	model, err := signal.FitWS(s.values, s.cfg.Order, s.cfg.Signal, &s.sig)
-	if err != nil {
-		if errors.Is(err, signal.ErrTooShort) {
-			return wr, nil
-		}
-		return WindowReport{}, fmt.Errorf("detector: stream window %d: %w", s.emitted, err)
-	}
-	wr.Fitted = true
-	wr.Model = model
-	if model.NormalizedError < s.cfg.Threshold {
-		wr.Suspicious = true
-		wr.Level = suspicionLevel(model.NormalizedError, s.cfg)
-	}
-	return wr, nil
-}
-
-// accrueWindow applies Procedure 1's per-rater update for one
-// suspicious window whose members start at buffer offset rel.
-func (s *Stream) accrueWindow(member []rating.Rating, rel int, level float64) {
-	for i, r := range member {
-		abs := s.consumed + rel + i
-		if !s.pendingSuspicious[abs] {
-			s.pendingSuspicious[abs] = true
-			stats := s.perRater[r.Rater]
-			stats.SuspiciousRatings++
-			s.perRater[r.Rater] = stats
-		}
-		prev := s.latest[r.Rater]
-		if level <= prev {
-			continue
-		}
-		delta := level - prev
-		stats := s.perRater[r.Rater]
-		stats.Suspicion += delta
-		s.perRater[r.Rater] = stats
-		s.latest[r.Rater] = level
-		if s.OnAccrue != nil {
-			s.OnAccrue(r.Rater, delta, s.lastTime)
-		}
-	}
 }
 
 // compact drops buffered ratings that can no longer appear in a window.
@@ -191,10 +126,8 @@ func (s *Stream) compact() {
 	if drop <= 0 {
 		return
 	}
-	for abs := s.consumed; abs < s.consumed+drop; abs++ {
-		delete(s.pendingSuspicious, abs)
-	}
 	s.buf = append(s.buf[:0], s.buf[drop:]...)
+	s.ws.marked = append(s.ws.marked[:0], s.ws.marked[drop:]...)
 	s.consumed += drop
 }
 

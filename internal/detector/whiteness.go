@@ -40,7 +40,7 @@ func (c WhitenessConfig) Validate() error {
 	if cd.Lags < 1 {
 		return fmt.Errorf("detector: whiteness lags %d", cd.Lags)
 	}
-	if cd.Alpha <= 0 || cd.Alpha >= 1 {
+	if !(cd.Alpha > 0 && cd.Alpha < 1) { // NaN fails too
 		return fmt.Errorf("detector: whiteness alpha %g outside (0,1)", cd.Alpha)
 	}
 	return nil
@@ -71,17 +71,7 @@ func DetectWhiteness(rs []rating.Rating, cfg WhitenessConfig) (Report, error) {
 
 	ws := &Workspace{}
 	report := ws.begin(rs, len(windows))
-	for _, r := range rs {
-		s := report.PerRater[r.Rater]
-		s.TotalRatings++
-		report.PerRater[r.Rater] = s
-	}
-
-	minSamples := cfg.Lags + 2
-	if cfg.MinWindow > minSamples {
-		minSamples = cfg.MinWindow
-	}
-
+	minSamples := max(cfg.Lags+2, cfg.MinWindow)
 	for _, w := range windows {
 		wr := WindowReport{Window: w}
 		if len(w.Ratings) >= minSamples {
@@ -98,33 +88,9 @@ func DetectWhiteness(rs []rating.Rating, cfg WhitenessConfig) (Report, error) {
 			}
 		}
 		if wr.Suspicious {
-			accrue(&report, rs, w, wr.Level, ws.latest, ws.inSuspicious)
+			ws.accrue(report.PerRater, w.Ratings, ws.marked[w.Lo:w.Hi], wr.Level, nil, 0)
 		}
 		report.Windows = append(report.Windows, wr)
 	}
-
-	ws.finish(&report, rs)
 	return report, nil
-}
-
-// accrue applies Procedure 1's per-rater suspicion update for one
-// suspicious window (shared by both detectors).
-func accrue(report *Report, rs []rating.Rating, w rating.Window, level float64, latest map[rating.RaterID]float64, inSuspicious []bool) {
-	for idx := w.Lo; idx < w.Hi && idx < len(rs); idx++ {
-		inSuspicious[idx] = true
-		j := rs[idx].Rater
-		prev := latest[j]
-		switch {
-		case prev == 0:
-			s := report.PerRater[j]
-			s.Suspicion += level
-			report.PerRater[j] = s
-			latest[j] = level
-		case level > prev:
-			s := report.PerRater[j]
-			s.Suspicion += level - prev
-			report.PerRater[j] = s
-			latest[j] = level
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/randx"
@@ -15,6 +16,7 @@ func TestWhitenessConfigValidate(t *testing.T) {
 		{Lags: -1},
 		{Alpha: 1},
 		{Alpha: -0.5},
+		{Alpha: math.NaN()},
 		{Config: Config{Size: -1}},
 	}
 	for i, c := range bad {

@@ -115,21 +115,6 @@ func separationStudy(seed int64, runs, workers int, cfg detector.Config) (separa
 	return out, nil
 }
 
-// anySuspiciousUnder re-thresholds a probe report (run with threshold
-// ~1) at the given threshold, restricted to windows overlapping
-// [start, end].
-func anySuspiciousUnder(rep detector.Report, threshold, start, end float64) bool {
-	for _, w := range rep.Windows {
-		if !w.Fitted {
-			continue
-		}
-		if w.Window.End >= start && w.Window.Start <= end && w.Model.NormalizedError < threshold {
-			return true
-		}
-	}
-	return false
-}
-
 func separationRow(label string, s separation) []string {
 	return []string{
 		label, f(s.honestErr), f(s.attackErr),
@@ -247,10 +232,11 @@ func AblationThresholdROC(seed int64, mode Mode, opt Options) (Result, error) {
 	probe := illustrativeDetectorConfig()
 	probe.Threshold = 0.999
 
-	type pair struct {
-		attacked, honest detector.Report
-		start, end       float64
-	}
+	// Each run keeps the minimum window error of its probe reports: the
+	// attacked trace's over the attack interval [30, 44], the honest
+	// one's over the whole trace. A threshold thr <= 1 flags a run
+	// exactly when that minimum is under thr.
+	type pair struct{ attacked, honest float64 }
 	seeds := rng.Seeds(runs)
 	pairs, err := parallel.MapLocal(runs, parallel.Workers(opt.Workers),
 		detector.NewWorkspace,
@@ -274,7 +260,7 @@ func AblationThresholdROC(seed int64, mode Mode, opt Options) (Result, error) {
 			if err != nil {
 				return pair{}, err
 			}
-			return pair{attacked: repA, honest: repH, start: 30, end: 44}, nil
+			return pair{minWindowError(repA, 30, 44), minWindowError(repH, 0, 1e18)}, nil
 		})
 	if err != nil {
 		return Result{}, err
@@ -285,10 +271,10 @@ func AblationThresholdROC(seed int64, mode Mode, opt Options) (Result, error) {
 	for thr := 0.02; thr <= 0.30001; thr += 0.02 {
 		var d, a int
 		for _, pr := range pairs {
-			if anySuspiciousUnder(pr.attacked, thr, pr.start, pr.end) {
+			if pr.attacked < thr {
 				d++
 			}
-			if anySuspiciousUnder(pr.honest, thr, 0, 1e18) {
+			if pr.honest < thr {
 				a++
 			}
 		}
@@ -303,10 +289,7 @@ func AblationThresholdROC(seed int64, mode Mode, opt Options) (Result, error) {
 	var scores []float64
 	var labels []bool
 	for _, pr := range pairs {
-		scores = append(scores,
-			-minWindowError(pr.attacked, pr.start, pr.end),
-			-minWindowError(pr.honest, 0, 1e18),
-		)
+		scores = append(scores, -pr.attacked, -pr.honest)
 		labels = append(labels, true, false)
 	}
 	auc := stat.AUC(scores, labels)

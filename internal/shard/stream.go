@@ -52,11 +52,6 @@ type StreamConfig struct {
 // new batches are shed (counted, never blocking ingest).
 const streamQueueDepth = 1024
 
-// objStream is one object's online detector plus its accrual wiring.
-type objStream struct {
-	ds *detector.Stream
-}
-
 // streamShard is one shard's streaming state: a bounded queue of
 // observed batches and the per-object streams its pump owns. objs,
 // buffering and accruals are touched only by the pump (and by the
@@ -67,7 +62,7 @@ type streamShard struct {
 	pending int
 	closed  bool
 	ch      chan []rating.Rating
-	objs    map[rating.ObjectID]*objStream
+	objs    map[rating.ObjectID]*detector.Stream
 
 	// While buffering (the rebuild), the shard's streams append their
 	// accruals here instead of folding them into the alert log.
@@ -187,7 +182,7 @@ func (e *Engine) newStreaming(cfg StreamConfig) (*Streaming, error) {
 	for i := range s.shards {
 		ss := &streamShard{
 			ch:   make(chan []rating.Rating, streamQueueDepth),
-			objs: make(map[rating.ObjectID]*objStream),
+			objs: make(map[rating.ObjectID]*detector.Stream),
 		}
 		ss.cond = sync.NewCond(&ss.mu)
 		s.shards[i] = ss
@@ -287,10 +282,10 @@ func (s *Streaming) consumeBatch(shard int, ss *streamShard, batch []rating.Rati
 // Acceptance counters are the caller's to batch via countPushed; the
 // rare late drops are counted here.
 func (s *Streaming) pushOne(shard int, ss *streamShard, r rating.Rating) bool {
-	os := ss.objs[r.Object]
-	if os == nil {
-		ds, err := detector.NewStream(s.cfg.Detector)
-		if err != nil {
+	ds := ss.objs[r.Object]
+	if ds == nil {
+		var err error
+		if ds, err = detector.NewStream(s.cfg.Detector); err != nil {
 			return false // unreachable: config validated in EnableStreaming
 		}
 		obj := r.Object
@@ -301,10 +296,9 @@ func (s *Streaming) pushOne(shard int, ss *streamShard, r rating.Rating) bool {
 			}
 			s.sink.accrueStream(id, obj, delta, at)
 		}
-		os = &objStream{ds: ds}
-		ss.objs[r.Object] = os
+		ss.objs[r.Object] = ds
 	}
-	if _, err := os.ds.Push(r); err != nil {
+	if _, err := ds.Push(r); err != nil {
 		s.lateDropped.Add(1)
 		s.engine.metrics.streamLate(shard)
 		return false
